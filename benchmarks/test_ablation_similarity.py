@@ -14,7 +14,7 @@ import repro.confidence.node_level as node_level_module
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.datasets import make_books
 from repro.eval import format_table
-from repro.eval.metrics import f1_score, mean
+from repro.metrics import f1_score, mean
 from repro.util import normalize_value
 from repro.exec import Query
 

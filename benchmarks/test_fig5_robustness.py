@@ -26,8 +26,8 @@ from repro.datasets import (
     mask_relations,
 )
 from repro.eval import build_substrate, format_series, run_fusion_method
-from repro.eval.metrics import f1_score, mean
 from repro.exec import Query
+from repro.metrics import f1_score, mean
 
 from .common import dump_results, fusion_method, once
 

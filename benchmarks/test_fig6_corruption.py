@@ -21,8 +21,8 @@ import time
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.datasets import corrupt_sources, make_books, make_movies
 from repro.eval import format_series
-from repro.eval.metrics import f1_score, mean
 from repro.exec import Query
+from repro.metrics import f1_score, mean
 
 from .common import dump_results, once
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.datasets import make_books
 from repro.eval import format_series
-from repro.eval.metrics import f1_score, mean
 from repro.exec import Query
+from repro.metrics import f1_score, mean
 
 from .common import dump_results, once
 

@@ -14,8 +14,8 @@ import time
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.datasets import make_books
 from repro.eval import format_table
-from repro.eval.metrics import f1_score, mean
 from repro.exec import Query
+from repro.metrics import f1_score, mean
 
 from .common import once
 

@@ -18,8 +18,8 @@ from repro.eval import (
     format_table,
     paired_permutation_test,
 )
-from repro.eval.metrics import f1_score
 from repro.exec import Query
+from repro.metrics import f1_score
 
 from .common import once
 

@@ -24,8 +24,8 @@ import time
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.datasets import make_books, make_movies, make_stocks
 from repro.eval import format_table
-from repro.eval.metrics import f1_score, mean
 from repro.exec import Query
+from repro.metrics import f1_score, mean
 
 from .common import dump_results, once
 

@@ -90,7 +90,6 @@ class MultiRAGConfig:
     #: files and bounds how wide ``ingest(jobs=N)`` can fan extraction
     #: out, so it participates in the snapshot fingerprint.
     n_shards: int = 4
-    extra: dict[str, object] = field(default_factory=dict)
     #: wire the runtime race sanitizer (:mod:`repro.san`) into the
     #: pipeline: worker views wrap their shared attributes in recording
     #: proxies and cross-worker conflicts fail loudly.  Off by default

@@ -5,7 +5,7 @@
 1. **Knowledge construction** (:meth:`ingest`): multi-source fusion through
    the format adapters, LLM extraction for unstructured text, and
    construction of the multi-source line graph (MKA).
-2. **Retrieval with multi-level confidence** (:meth:`query`): logic-form
+2. **Retrieval with multi-level confidence** (:meth:`run`): logic-form
    generation, O(1) candidate lookup in the MLG (or an honest linear scan
    of the raw knowledge graph when MKA is ablated), graph-level and
    node-level confidence computing (MCC), and historical-credibility
@@ -13,7 +13,7 @@
 3. **Trustworthy generation**: surviving evidence is ranked and handed to
    the LLM to synthesize the final grounded answer.
 
-The combination of :meth:`query` steps is exactly the MKLGP algorithm
+The combination of :meth:`run` steps is exactly the MKLGP algorithm
 (Algorithm 2); see :mod:`repro.core.mklgp` for the annotated procedure.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -614,8 +613,7 @@ class MultiRAG:
     def run(self, query: Query) -> RetrievalResult:
         """Answer one :class:`~repro.exec.query.Query`.
 
-        The unified entrypoint behind the historical ``query`` /
-        ``query_key`` / ``query_chain`` trio: dispatches on
+        The only way to ask the pipeline a question.  Dispatches on
         ``query.kind`` (``text`` → full MKLGP, ``key`` → structured
         claim-key lookup, ``chain`` → multi-hop with bridge entities).
         ``Query`` is also the unit :meth:`run_batch` schedules.
@@ -630,22 +628,6 @@ class MultiRAG:
         if query.kind == "chain":
             return self._run_chain(query.hops)
         return self._run_text(query.question)
-
-    def query(self, question: str) -> RetrievalResult:
-        """Deprecated shim: use ``run(Query.text(question))``.
-
-        Raises:
-            StateError: if called before :meth:`ingest`.
-            ContractViolation: if ``debug_contracts`` finds an invalid MCC
-                result or answer ranking.
-        """
-        warnings.warn(
-            "MultiRAG.query() is deprecated; use "
-            "MultiRAG.run(Query.text(question))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_text(question)
 
     def _run_text(self, question: str) -> RetrievalResult:
         """Answer ``question`` through the full MKLGP flow.
@@ -738,38 +720,6 @@ class MultiRAG:
             result.query_time_s, result.prompt_time_s,
         )
         return result
-
-    def query_key(self, entity: str, attribute: str) -> RetrievalResult:
-        """Deprecated shim: use ``run(Query.key(entity, attribute))``.
-
-        Raises:
-            StateError: if called before :meth:`ingest`.
-            ContractViolation: if ``debug_contracts`` finds an invalid MCC
-                result or answer ranking.
-        """
-        warnings.warn(
-            "MultiRAG.query_key() is deprecated; use "
-            "MultiRAG.run(Query.key(entity, attribute))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_text(f"{entity} | {attribute}")
-
-    def query_chain(self, hops: list[tuple[str | None, str]]) -> RetrievalResult:
-        """Deprecated shim: use ``run(Query.chain(hops))``.
-
-        Raises:
-            StateError: if called before :meth:`ingest`.
-            ContractViolation: if ``debug_contracts`` finds an invalid MCC
-                result or answer ranking.
-        """
-        warnings.warn(
-            "MultiRAG.query_chain() is deprecated; use "
-            "MultiRAG.run(Query.chain(hops))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_chain(tuple(hops))
 
     def _run_chain(self, hops: Sequence[tuple[str | None, str]]) -> RetrievalResult:
         """Multi-hop lookup: each hop is ``(entity_or_None, attribute)``.

@@ -32,7 +32,15 @@ from repro.eval.harness import (
     run_qa_method,
     run_qa_methods,
 )
-from repro.eval.metrics import (
+from repro.eval.report import generate_report
+from repro.eval.reporting import format_series, format_table
+from repro.eval.stats import (
+    BootstrapCI,
+    PermutationResult,
+    bootstrap_ci,
+    paired_permutation_test,
+)
+from repro.metrics import (
     exact_match,
     f1_score,
     mean,
@@ -41,14 +49,6 @@ from repro.eval.metrics import (
     recall,
     recall_at_k,
     std,
-)
-from repro.eval.report import generate_report
-from repro.eval.reporting import format_series, format_table
-from repro.eval.stats import (
-    BootstrapCI,
-    PermutationResult,
-    bootstrap_ci,
-    paired_permutation_test,
 )
 
 __all__ = [

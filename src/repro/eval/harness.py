@@ -15,9 +15,9 @@ from repro.adapters.fusion import DataFusionEngine
 from repro.baselines.base import FusionMethod, QAMethod, Substrate
 from repro.datasets.multihop import MultiHopDataset
 from repro.datasets.schema import MultiSourceDataset
-from repro.eval.metrics import f1_score, mean, precision, recall_at_k
 from repro.exec import ExecutionPlan, Query, execute
 from repro.llm.simulated import SimulatedLLM
+from repro.metrics import f1_score, mean, precision, recall_at_k
 from repro.obs.context import NOOP, Observability
 from repro.retrieval.retriever import MultiSourceRetriever
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.eval.metrics import mean
+from repro.metrics import mean
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,10 +1,9 @@
 """The :class:`Query` value object — the unit the exec engine schedules.
 
-One frozen dataclass replaces the three historical pipeline entrypoints
-(``query`` / ``query_key`` / ``query_chain``): a query is *data*, so it
-can be built ahead of time, carried across worker boundaries, paired with
-its gold answers for evaluation, and dispatched by ``MultiRAG.run``
-without the caller choosing among three methods.
+One frozen dataclass describes every kind of question the pipeline
+answers: a query is *data*, so it can be built ahead of time, carried
+across worker boundaries, paired with its gold answers for evaluation,
+and dispatched by ``MultiRAG.run``, the pipeline's single entrypoint.
 
 Construct queries through the classmethods::
 

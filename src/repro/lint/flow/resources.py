@@ -65,10 +65,8 @@ _QA_DECORATORS = frozenset({"register_qa", "base.register_qa"})
 
 #: public LLM client API → the :class:`repro.llm.stage.Stage` value it
 #: serves.  ``complete`` / ``complete_many`` attribute their stage from
-#: the ``stage=`` tag (a ``Stage.<NAME>`` attribute or string constant)
-#: or, legacy, a constant ``task=`` keyword mapped like the runtime
-#: (``Stage.from_task``); fully untagged calls fold to ``"other"``,
-#: mirroring the runtime default — and are RES005 findings.
+#: their ``Stage.<NAME>`` argument; a stage that is not statically known
+#: (a parameter threaded through a wrapper) counts as ``"other"``.
 LLM_API_STAGES: dict[str, str] = {
     "extract_entities": "ner",
     "extract_triples": "triple",
@@ -600,12 +598,11 @@ def _receiver_is_llm(receiver: str | None) -> bool:
 
 
 def _stage_expr_value(node: ast.expr) -> str | None:
-    """The stage value of a ``stage=`` argument, when statically known.
+    """The stage value of a ``Stage.<NAME>`` argument, or None when the
+    argument is anything else.
 
-    Recognizes ``Stage.<NAME>`` attribute references (resolved through
-    the runtime enum, so the analysis can never drift from the tag
-    vocabulary) and string constants coerced the same way the runtime
-    coerces them.
+    Names resolve through the runtime enum, so the analysis can never
+    drift from the tag vocabulary.
     """
     from repro.llm.stage import Stage
 
@@ -617,46 +614,18 @@ def _stage_expr_value(node: ast.expr) -> str | None:
         member = getattr(Stage, node.attr, None)
         if isinstance(member, Stage):
             return member.value
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return Stage.coerce(node.value).value
-    return None
-
-
-def call_stage_tag(api: str, node: ast.Call) -> str | None:
-    """The statically resolved stage tag of a ``complete``/
-    ``complete_many`` call, or None when the call is untagged *and* has
-    no stage argument at all (the RES005 shape).
-
-    A positional or keyword ``stage`` argument whose value cannot be
-    resolved statically (a variable, a parameter being threaded through)
-    still counts as *tagged* — the wrapper pattern
-    ``super().complete(prompt, stage)`` must not be flagged."""
-    from repro.llm.stage import Stage
-
-    if len(node.args) >= 2:
-        resolved = _stage_expr_value(node.args[1])
-        return resolved if resolved is not None else LLM_API_STAGES[api]
-    for keyword in node.keywords:
-        if keyword.arg == "stage":
-            resolved = _stage_expr_value(keyword.value)
-            return resolved if resolved is not None else LLM_API_STAGES[api]
-        if keyword.arg == "task":
-            if isinstance(keyword.value, ast.Constant) and isinstance(
-                keyword.value.value, str
-            ):
-                return Stage.from_task(keyword.value.value).value
-            return LLM_API_STAGES[api]
-        if keyword.arg is None:
-            # **kwargs forwarding: assume tagged through the mapping.
-            return LLM_API_STAGES[api]
     return None
 
 
 def _call_stage(api: str, node: ast.Call) -> str:
     if api in {"complete", "complete_many"}:
-        tag = call_stage_tag(api, node)
+        tag = node.args[1] if len(node.args) >= 2 else next(
+            (kw.value for kw in node.keywords if kw.arg == "stage"), None
+        )
         if tag is not None:
-            return tag
+            resolved = _stage_expr_value(tag)
+            if resolved is not None:
+                return resolved
     return LLM_API_STAGES[api]
 
 
@@ -1145,75 +1114,6 @@ def compute_raw_transport_sites(
             ))
     result = tuple(out)
     program.analysis_cache["res_raw_sites"] = result
-    return result
-
-
-@dataclass(frozen=True, slots=True)
-class UntaggedCallSite:
-    """A ``complete``/``complete_many`` call with no stage tag (RES005)."""
-
-    path: str
-    line: int
-    col: int
-    api: str
-    function: str
-
-
-def compute_untagged_sites(program: Program) -> tuple[UntaggedCallSite, ...]:
-    """RES005 facts: entry-reachable ``complete``/``complete_many``
-    calls carrying neither a ``stage`` argument nor a legacy ``task=``
-    keyword.  Untagged calls fold to ``Stage.OTHER`` at runtime (with a
-    DeprecationWarning), which defeats per-stage routing, budgets and
-    attribution — every pipeline call site must name its stage.  The
-    client stack itself is exempt: wrappers thread the caller's tag."""
-    cached = program.analysis_cache.get("res_untagged_sites")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    table = program.symtab
-    llm_classes = llm_client_classes(program)
-    out: list[UntaggedCallSite] = []
-    for qual in sorted(compute_entry_reachable(program)):
-        func = table.functions.get(qual)
-        if func is None or _is_exempt(func, llm_classes):
-            continue
-        symbols = table.modules.get(func.module)
-        path = symbols.module.display_path if symbols else func.module
-        flow = program.callgraph.flows.get(qual)
-        resolved_cls: dict[int, str | None] = {}
-        if flow is not None:
-            for call in flow.calls:
-                target = table.functions.get(call.target) if call.target \
-                    else None
-                resolved_cls[id(call.node)] = (
-                    f"{target.module}.{target.cls}"
-                    if target is not None and target.cls is not None
-                    else None
-                )
-        for node in _own_nodes(func.node):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in {"complete", "complete_many"}
-            ):
-                continue
-            target_cls = resolved_cls.get(id(node))
-            if target_cls is not None and target_cls not in llm_classes:
-                continue
-            if target_cls is None and not _receiver_is_llm(
-                _llm_receiver(node)
-            ):
-                continue
-            if call_stage_tag(node.func.attr, node) is not None:
-                continue
-            out.append(UntaggedCallSite(
-                path=path,
-                line=node.lineno,
-                col=node.col_offset + 1,
-                api=node.func.attr,
-                function=qual,
-            ))
-    result = tuple(out)
-    program.analysis_cache["res_untagged_sites"] = result
     return result
 
 

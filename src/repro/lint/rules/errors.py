@@ -50,7 +50,7 @@ def _local_repro_error_subclasses(
     tree: ast.Module, known: frozenset[str]
 ) -> frozenset[str]:
     """Classes defined in ``tree`` that (transitively) extend a known
-    ReproError subclass — e.g. ``BudgetExceededError`` in llm/budget.py."""
+    ReproError subclass — e.g. ``BudgetExceededError`` in llm/gateway.py."""
     bases: dict[str, list[str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):

@@ -14,11 +14,10 @@ call-path/budget analysis.  The contract the family enforces:
   attempt cap and a capped sleep (RES003);
 * instance collections touched on the query path have an eviction seam —
   some ``pop``/``clear``/``remove``/reassignment in the owning class —
-  so an always-on server cannot leak without bound (RES004);
-* every entry-reachable ``complete``/``complete_many`` call names its
-  pipeline stage — a ``stage=`` tag or legacy ``task=`` keyword — so
-  per-stage routing, budgets and attribution cannot be silently bypassed
-  by folding calls into the ``other`` bucket (RES005).
+  so an always-on server cannot leak without bound (RES004).
+
+Stage tagging needs no rule: ``complete``/``complete_many`` take the
+stage as a required argument, so an untagged call raises ``TypeError``.
 
 Sanctioned suppressions (inline ``# repro-lint: ignore[RES00x]`` with a
 trailing justification) are reserved for collections whose key space is
@@ -42,7 +41,6 @@ from repro.lint.flow.resources import (
     compute_growth_sites,
     compute_raw_transport_sites,
     compute_retry_sites,
-    compute_untagged_sites,
 )
 from repro.lint.registry import FlowRule, register_rule
 
@@ -70,33 +68,6 @@ class RawTransportRule(FlowRule):
                 f"{site.function} calls `.{site.attr}()` directly — the "
                 "raw transport bypasses usage metering and caching; call "
                 "the metered client API instead",
-                col=site.col,
-            )
-
-
-@register_rule
-class UntaggedStageRule(FlowRule):
-    """RES005: metered LLM call with no stage tag."""
-
-    rule_id = "RES005"
-    family = "RES"
-    severity = Severity.ERROR
-    program_keyed = True
-    description = (
-        "pipeline code reachable from a run/query entry point calls "
-        "`complete()`/`complete_many()` with neither a `stage=` tag nor "
-        "a legacy `task=` keyword; untagged calls fold into Stage.OTHER, "
-        "bypassing per-stage routing, budgets and usage attribution"
-    )
-
-    def check_program(self, program: Program) -> Iterable[Finding]:
-        for site in compute_untagged_sites(program):
-            yield self.program_finding(
-                site.path,
-                site.line,
-                f"{site.function} calls `.{site.api}()` without a stage "
-                "tag — the call folds into Stage.OTHER and escapes "
-                "per-stage routing/budgets; pass `stage=Stage.<STAGE>`",
                 col=site.col,
             )
 

@@ -13,22 +13,20 @@ from repro.llm.base import (
     UsageMeter,
     count_tokens,
 )
-from repro.llm.budget import BudgetedLLM, BudgetExceededError
 from repro.llm.caching import CachingLLM
 from repro.llm.extraction import ExtractionResult, SchemaFreeExtractor
 from repro.llm.gateway import (
     BackendError,
+    BudgetExceededError,
     CircuitBreaker,
     GatewayError,
     GatewayEvent,
-    HTTPLLM,
     LLMGateway,
     RoutingPolicy,
     ScriptedFlakyLLM,
     StagePolicy,
     build_gateway,
     parse_routing_spec,
-    register_backend,
 )
 from repro.llm.generation import EvidenceItem, generate_trustworthy_answer
 from repro.llm.lexicon import BY_PREDICATE, RELATIONS, split_sentence, verbalize
@@ -39,7 +37,6 @@ __all__ = [
     "AUTHORITY_WEIGHTS",
     "BackendError",
     "BudgetExceededError",
-    "BudgetedLLM",
     "BY_PREDICATE",
     "CachingLLM",
     "CircuitBreaker",
@@ -47,7 +44,6 @@ __all__ = [
     "ExtractionResult",
     "GatewayError",
     "GatewayEvent",
-    "HTTPLLM",
     "LLMClient",
     "LLMGateway",
     "LLMResponse",
@@ -66,7 +62,6 @@ __all__ = [
     "count_tokens",
     "generate_trustworthy_answer",
     "parse_routing_spec",
-    "register_backend",
     "split_sentence",
     "verbalize",
 ]

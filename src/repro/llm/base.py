@@ -11,9 +11,9 @@ Every completion carries a :class:`~repro.llm.stage.Stage` tag naming the
 pipeline stage that issued it.  The tag drives per-stage usage attribution
 (:attr:`UsageMeter.by_stage`), per-stage routing and budgets in the
 gateway (:mod:`repro.llm.gateway`), and the statically certified call
-bounds (``repro.lint`` RES rules).  The legacy untagged/``task=`` calling
-convention still works but is deprecated: it folds to ``Stage.OTHER`` (or
-the legacy task mapping) with a :class:`DeprecationWarning`.
+bounds (``repro.lint`` RES rules).  The tag is a required argument of
+:meth:`LLMClient.complete` / :meth:`LLMClient.complete_many`, passed
+through unchanged, so no call can escape attribution.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 import json
 import time
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -108,12 +107,12 @@ class StageUsage:
 class UsageCheckpoint:
     """Immutable point-in-time snapshot of a :class:`UsageMeter`.
 
-    Stage-level attribution subtracts two checkpoints instead of
-    resetting the shared meter, so concurrent readers (the pipeline, the
-    eval harness, a tracer) can each hold their own baseline without
-    racing each other.  ``by_stage`` captures the per-stage entries at
-    checkpoint time (the entries themselves are immutable
-    :class:`StageUsage` values, so the copy is shallow and cheap).
+    Stage-level attribution subtracts two checkpoints, so concurrent
+    readers (the pipeline, the eval harness, a tracer) can each hold
+    their own baseline without racing each other.  ``by_stage`` captures
+    the per-stage entries at checkpoint time (the entries themselves are
+    immutable :class:`StageUsage` values, so the copy is shallow and
+    cheap).
     """
 
     calls: int
@@ -128,11 +127,10 @@ class UsageMeter:
     """Accumulated LLM usage across a pipeline run.
 
     ``by_stage`` maps stage-tag values to full :class:`StageUsage`
-    accumulations (calls, tokens, simulated latency).  It replaced the
-    old ``reset()``-based stage accounting: stage attribution is now
-    done with :meth:`checkpoint`/:meth:`stage_delta` snapshots, which
-    concurrent workers can hold independently without racing a shared
-    zeroing operation.
+    accumulations (calls, tokens, simulated latency).  Windowed
+    attribution subtracts :meth:`checkpoint` snapshots
+    (:meth:`delta` / :meth:`stage_delta`), which concurrent workers can
+    hold independently without racing each other.
     """
 
     calls: int = 0
@@ -141,27 +139,19 @@ class UsageMeter:
     simulated_latency_s: float = 0.0
     by_stage: dict[str, StageUsage] = field(default_factory=dict)
 
-    @property
-    def by_task(self) -> dict[str, int]:
-        """Legacy view: stage tag -> call count (read-only snapshot)."""
-        return {
-            stage: usage.calls for stage, usage in self.by_stage.items()
-        }
-
-    def record(self, stage: Stage | str, response: LLMResponse) -> None:
+    def record(self, stage: Stage, response: LLMResponse) -> None:
         self.calls += 1
         self.prompt_tokens += response.prompt_tokens
         self.completion_tokens += response.completion_tokens
         self.simulated_latency_s += response.latency_s
-        key = stage.value if isinstance(stage, Stage) else str(stage)
+        key = stage.value
         self.by_stage[key] = self.by_stage.get(key, StageUsage()).plus(
             response
         )
 
-    def stage_usage(self, stage: Stage | str) -> StageUsage:
+    def stage_usage(self, stage: Stage) -> StageUsage:
         """The accumulated usage of one stage (zeros when unseen)."""
-        key = stage.value if isinstance(stage, Stage) else str(stage)
-        return self.by_stage.get(key, StageUsage())
+        return self.by_stage.get(stage.value, StageUsage())
 
     def snapshot(self) -> dict[str, float]:
         return {
@@ -205,10 +195,9 @@ class UsageMeter:
     def stage_delta(self, since: UsageCheckpoint) -> dict[str, StageUsage]:
         """Per-stage usage accumulated since ``since``.
 
-        Only stages with activity in the window appear.  This is the
-        supported replacement for the deprecated ``reset()`` pattern:
-        each reader subtracts its own checkpoint, so concurrent workers
-        never race on stage counters.
+        Only stages with activity in the window appear.  Each reader
+        subtracts its own checkpoint, so concurrent workers never race on
+        stage counters.
         """
         deltas: dict[str, StageUsage] = {}
         for stage in sorted(self.by_stage):
@@ -235,59 +224,10 @@ class UsageMeter:
                 stage, StageUsage()
             ).merged(other.by_stage[stage])
 
-    def reset(self) -> None:
-        """Deprecated: zero out the meter in place.
-
-        Resetting a shared meter races every other reader; hold a
-        :meth:`checkpoint` and subtract with :meth:`delta` /
-        :meth:`stage_delta` instead.
-        """
-        warnings.warn(
-            "UsageMeter.reset() is deprecated; use checkpoint()/delta() "
-            "(or stage_delta() for per-stage attribution) — resets race "
-            "concurrent readers",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.calls = 0
-        self.prompt_tokens = 0
-        self.completion_tokens = 0
-        self.simulated_latency_s = 0.0
-        self.by_stage.clear()
-
 
 def count_tokens(text: str) -> int:
     """Cheap token estimate (whitespace words); adequate for cost modelling."""
     return len(text.split())
-
-
-def resolve_stage(
-    stage: Stage | str | None, task: str | None
-) -> Stage:
-    """Resolve the stage tag of one completion call.
-
-    ``stage`` wins when given (strings are coerced); the legacy ``task``
-    keyword and the fully untagged form are deprecated and fold to the
-    legacy mapping / ``Stage.OTHER``.
-    """
-    if stage is not None:
-        return Stage.coerce(stage)
-    if task is not None:
-        warnings.warn(
-            "LLMClient.complete(task=...) is deprecated; pass "
-            "stage=Stage.<STAGE> instead (legacy task labels map via "
-            "Stage.from_task)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return Stage.from_task(task)
-    warnings.warn(
-        "untagged LLMClient.complete() is deprecated; pass "
-        "stage=Stage.<STAGE> (untagged calls default to Stage.OTHER)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return Stage.OTHER
 
 
 class LLMClient(ABC):
@@ -396,31 +336,13 @@ class LLMClient(ABC):
         self.meter.record(stage, response)
         return response
 
-    def complete(
-        self,
-        prompt: str,
-        stage: Stage | str | None = None,
-        *,
-        task: str | None = None,
-    ) -> LLMResponse:
-        """Run one completion and record its usage under ``stage``.
-
-        ``stage`` accepts a :class:`~repro.llm.stage.Stage` (preferred)
-        or its value string.  The legacy ``task=`` keyword and the
-        untagged form are deprecated shims: they emit a
-        :class:`DeprecationWarning` and fold to ``Stage.from_task`` /
-        ``Stage.OTHER``.
-        """
-        resolved = resolve_stage(stage, task)
+    def complete(self, prompt: str, stage: Stage) -> LLMResponse:
+        """Run one completion and record its usage under ``stage``."""
         text, latency = self.transport(prompt)
-        return self._account(prompt, text, resolved, latency_s=latency)
+        return self._account(prompt, text, stage, latency_s=latency)
 
     def complete_many(
-        self,
-        prompts: Sequence[str],
-        stage: Stage | str | None = None,
-        *,
-        task: str | None = None,
+        self, prompts: Sequence[str], stage: Stage
     ) -> list[LLMResponse]:
         """Run a prompt batch; responses come back in prompt order.
 
@@ -431,10 +353,9 @@ class LLMClient(ABC):
         :meth:`transport_many` (one batched request for clients that
         have one) and is accounted in prompt order.
         """
-        resolved = resolve_stage(stage, task)
         results = self.transport_many(prompts)
         return [
-            self._account(prompt, text, resolved, latency_s=latency)
+            self._account(prompt, text, stage, latency_s=latency)
             for prompt, (text, latency) in zip(prompts, results)
         ]
 

@@ -39,16 +39,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigError, ReproError
-from repro.llm.base import (
-    LLMClient,
-    LLMResponse,
-    UsageMeter,
-    resolve_stage,
-    count_tokens,
-)
-from repro.llm.budget import BudgetExceededError
+from repro.llm.base import LLMClient, LLMResponse, UsageMeter, count_tokens
 from repro.llm.stage import STAGE_VALUES, Stage
 from repro.obs.context import NOOP, Observability
+
+
+class BudgetExceededError(ReproError):
+    """A completion would pass a stage's call or token budget."""
 
 
 class BackendError(ReproError):
@@ -427,39 +424,6 @@ class ScriptedFlakyLLM(LLMClient):
         return clone
 
 
-class HTTPLLM(LLMClient):
-    """Stub for a served HTTP backend — **gated off**.
-
-    The class marks the integration point for real-API serving (ROADMAP
-    item 1), but the reproduction is offline and deterministic, so
-    constructing it requires an explicit ``enabled=True`` and the
-    transport itself is not implemented here.
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        model: str = "",
-        *,
-        enabled: bool = False,
-    ) -> None:
-        if not enabled:
-            raise ConfigError(
-                "HTTPLLM is gated off: the reproduction runs offline "
-                "(pass enabled=True only in a deployment that accepts "
-                "non-deterministic, networked completions)"
-            )
-        super().__init__()
-        self.endpoint = endpoint
-        self.model = model
-
-    def _generate(self, prompt: str) -> str:
-        raise BackendError(
-            "HTTPLLM has no offline transport; wire a real HTTP client "
-            "here when serving against a live endpoint"
-        )
-
-
 BackendFactory = Callable[[LLMClient], LLMClient]
 
 
@@ -476,13 +440,6 @@ def _with_latency(
     return clone
 
 
-def _http_stub(client: LLMClient) -> LLMClient:
-    raise ConfigError(
-        "backend 'http' is gated off in the offline reproduction; "
-        "construct HTTPLLM(enabled=True) and register it explicitly"
-    )
-
-
 #: name -> factory taking the pipeline's default client.  The factories
 #: derive variants *from* the default client so routing never changes
 #: completion text — only cost models and failure behavior.
@@ -491,13 +448,7 @@ BACKEND_FACTORIES: dict[str, BackendFactory] = {
     "sim-small": lambda client: _with_latency(client, 0.02, 0.00001),
     "sim-large": lambda client: _with_latency(client, 0.08, 0.00004),
     "flaky": lambda client: ScriptedFlakyLLM(client.split()),
-    "http": _http_stub,
 }
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register (or replace) a named backend factory."""
-    BACKEND_FACTORIES[name] = factory
 
 
 # ----------------------------------------------------------------------
@@ -767,13 +718,7 @@ class LLMGateway(LLMClient):
         )
 
     # -- public surface ------------------------------------------------
-    def complete(
-        self,
-        prompt: str,
-        stage: Stage | str | None = None,
-        *,
-        task: str | None = None,
-    ) -> LLMResponse:
+    def complete(self, prompt: str, stage: Stage) -> LLMResponse:
         """Route one completion by its stage tag.
 
         Raises:
@@ -781,23 +726,18 @@ class LLMGateway(LLMClient):
                 before spending).
             GatewayError: no admissible backend served the call.
         """
-        resolved = resolve_stage(stage, task)
-        policy = self.policy.policy_for(resolved)
-        self._check_budget(prompt, resolved, policy)
-        text, latency, backend = self._dispatch(prompt, resolved, policy)
-        response = self._account(prompt, text, resolved, latency_s=latency)
+        policy = self.policy.policy_for(stage)
+        self._check_budget(prompt, stage, policy)
+        text, latency, backend = self._dispatch(prompt, stage, policy)
+        response = self._account(prompt, text, stage, latency_s=latency)
         self._clock += latency  # repro-lint: ignore[CONC001] — never shared: split() copies the simulated clock by value; each exec worker advances its own (absorb() deliberately does not fold it back)
         self.obs.metrics.counter(
-            f"llm.gateway.calls.{resolved.value}.{backend}"
+            f"llm.gateway.calls.{stage.value}.{backend}"
         ).inc()
         return response
 
     def complete_many(
-        self,
-        prompts: Sequence[str],
-        stage: Stage | str | None = None,
-        *,
-        task: str | None = None,
+        self, prompts: Sequence[str], stage: Stage
     ) -> list[LLMResponse]:
         """Sequential-equivalent batch (see base contract).
 
@@ -809,8 +749,7 @@ class LLMGateway(LLMClient):
                 before each spend).
             GatewayError: no admissible backend served a call.
         """
-        resolved = resolve_stage(stage, task)
-        return [self.complete(prompt, resolved) for prompt in prompts]
+        return [self.complete(prompt, stage) for prompt in prompts]
 
     # -- worker-view protocol ------------------------------------------
     def split(self, obs: Observability | None = None) -> "LLMGateway":

@@ -6,7 +6,9 @@ scoring, answer synthesis, parametric recall).  :class:`Stage` names
 them as a closed enum so the transport layer can route, meter and budget
 per stage: the gateway (:mod:`repro.llm.gateway`) picks a backend per
 stage, :class:`~repro.llm.base.UsageMeter` attributes usage per stage,
-and the static resource analysis certifies per-stage call bounds.
+and the static resource analysis certifies per-stage call bounds.  Every
+completion names its member explicitly: there is no default stage, and a
+plain string is not accepted in its place.
 
 This module is a leaf: it must not import anything from the rest of
 :mod:`repro.llm` (``base`` imports it).
@@ -33,54 +35,12 @@ class Stage(str, enum.Enum):
     SYNTHESIS = "synthesis"
     PARAMETRIC = "parametric"
     #: calls that belong to no core pipeline stage (baseline prompting
-    #: strategies, ad-hoc experiments, the legacy untagged API).
+    #: strategies, ad-hoc experiments).
     OTHER = "other"
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.value
 
-    @classmethod
-    def coerce(cls, value: "Stage | str") -> "Stage":
-        """Normalize a stage tag: a :class:`Stage`, its value string, or
-        a legacy ``task`` name (mapped via :meth:`from_task`).
-
-        Raises:
-            ValueError: never — unknown strings fold to :attr:`OTHER`,
-                matching the legacy ``task`` semantics where arbitrary
-                labels were permitted.
-        """
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            return cls.from_task(value)
-
-    @classmethod
-    def from_task(cls, task: str) -> "Stage":
-        """Map a legacy ``task=`` label onto a stage.
-
-        The pre-gateway API labelled calls with free-form task strings;
-        the well-known ones map onto their stage, everything else
-        (baseline-specific labels like ``logical_form``) folds to
-        :attr:`OTHER`.
-        """
-        return _LEGACY_TASKS.get(task, cls.OTHER)
-
-
-#: legacy ``task=`` label -> stage; ``answer`` predates the synthesis
-#: naming and ``generic`` was the untagged default.
-_LEGACY_TASKS: dict[str, Stage] = {
-    "ner": Stage.NER,
-    "triple": Stage.TRIPLE,
-    "std": Stage.STD,
-    "relevance": Stage.RELEVANCE,
-    "authority": Stage.AUTHORITY,
-    "answer": Stage.SYNTHESIS,
-    "synthesis": Stage.SYNTHESIS,
-    "parametric": Stage.PARAMETRIC,
-    "generic": Stage.OTHER,
-}
 
 #: every stage value, in enum declaration order — the canonical ordering
 #: for reports, bounds tables and routing-policy serialization.

@@ -2,7 +2,7 @@
 
 A foundation-layer leaf (scoring math over value sets, nothing else) so
 that both ``repro.core`` and ``repro.eval`` may depend on it without an
-upward edge; :mod:`repro.eval.metrics` re-exports it for compatibility.
+upward edge.
 """
 
 from __future__ import annotations

@@ -216,9 +216,9 @@ def compute_fingerprint(
 ) -> str:
     """SHA-256 fingerprint keying a snapshot of ``ingest(sources)``.
 
-    Covers the snapshot format version, every config field (including
-    ``extra``), the ordered source descriptors with content digests, and
-    the LLM identity.  Deterministic across processes and platforms.
+    Covers the snapshot format version, every config field, the ordered
+    source descriptors with content digests, and the LLM identity.
+    Deterministic across processes and platforms.
     """
     return fingerprint_from_descriptors(
         config, [describe_source(raw) for raw in sources], llm

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.datasets import make_books
+from repro.exec import Query
 
 
 class TestEvaluate:
@@ -35,7 +36,7 @@ class TestEvaluate:
         assert report.worst(1)[0][0] == "bad"
 
     def test_matches_manual_loop(self):
-        from repro.eval.metrics import f1_score, mean
+        from repro.metrics import f1_score, mean
 
         dataset = make_books(seed=1, scale=0.3, n_queries=15)
         rag = MultiRAG(MultiRAGConfig())
@@ -46,7 +47,7 @@ class TestEvaluate:
         rag2.ingest(dataset.raw_sources())
         manual = 100.0 * mean(
             f1_score(
-                {a.value for a in rag2.query_key(q.entity, q.attribute).answers},
+                {a.value for a in rag2.run(Query.key(q.entity, q.attribute)).answers},
                 q.answers,
             )
             for q in dataset.queries

@@ -6,6 +6,7 @@ import pytest
 
 from repro.adapters import RawSource
 from repro.core import MultiRAG, MultiRAGConfig
+from repro.exec import Query
 
 
 def snapshot(source_id: str, observed_at: float, status: str) -> RawSource:
@@ -31,7 +32,7 @@ class TestFreshnessFilter:
             snapshot("airline", 60.0, "delayed"),
             snapshot("tracker", 65.0, "delayed"),
         ])
-        result = rag.query_key("CA981", "status")
+        result = rag.run(Query.key("CA981", "status"))
         assert {a.value for a in result.answers} == {"delayed"}
 
     def test_stale_source_dropped(self):
@@ -44,7 +45,7 @@ class TestFreshnessFilter:
             snapshot("airline", 60.0, "delayed"),
             snapshot("tracker", 58.0, "delayed"),
         ])
-        result = rag.query_key("CA981", "status")
+        result = rag.run(Query.key("CA981", "status"))
         assert {a.value for a in result.answers} == {"delayed"}
 
     def test_disabled_by_default(self):
@@ -55,7 +56,7 @@ class TestFreshnessFilter:
             snapshot("third", 0.0, "on time"),
             snapshot("airline", 60.0, "delayed"),
         ])
-        result = rag.query_key("CA981", "status")
+        result = rag.run(Query.key("CA981", "status"))
         assert "on time" in {a.value for a in result.answers}
 
     def test_timeless_claims_unaffected(self):
@@ -66,7 +67,7 @@ class TestFreshnessFilter:
         rag = build(staleness=10.0, sources=[
             timeless, snapshot("airline", 100.0, "delayed"),
         ])
-        result = rag.query_key("CA981", "airline")
+        result = rag.run(Query.key("CA981", "airline"))
         assert {a.value for a in result.answers} == {"Aurora Air"}
 
     def test_config_validation(self):

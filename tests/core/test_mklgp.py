@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.core import mklgp
+from repro.exec import Query
 
 
 class TestMKLGP:
@@ -26,7 +27,7 @@ class TestMKLGP:
     def test_matches_plain_query(self, pipeline):
         question = "Who directed Heat?"
         result, _ = mklgp(pipeline, question)
-        direct = pipeline.query(question)
+        direct = pipeline.run(Query.text(question))
         assert {a.value for a in result.answers} == {
             a.value for a in direct.answers
         }

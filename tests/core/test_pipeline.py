@@ -6,6 +6,7 @@ import pytest
 
 from repro.adapters import RawSource
 from repro.core import MultiRAG, MultiRAGConfig
+from repro.exec import Query
 
 
 class TestIngest:
@@ -22,7 +23,7 @@ class TestIngest:
         from repro.errors import StateError
 
         with pytest.raises(StateError):
-            MultiRAG(MultiRAGConfig()).query("Who directed Inception?")
+            MultiRAG(MultiRAGConfig()).run(Query.text("Who directed Inception?"))
 
     def test_mlg_absent_without_mka(self, sources):
         rag = MultiRAG(MultiRAGConfig(enable_mka=False, extraction_noise=0.0))
@@ -34,53 +35,53 @@ class TestIngest:
 class TestQuery:
     def test_conflict_resolved(self, pipeline):
         # src-json claims 2011; three sources say 2010.
-        result = pipeline.query("What is the release year of Inception?")
+        result = pipeline.run(Query.text("What is the release year of Inception?"))
         values = {a.value for a in result.answers}
         assert values == {"2010"}
 
     def test_unanimous_answer(self, pipeline):
-        result = pipeline.query("Who directed Heat?")
+        result = pipeline.run(Query.text("Who directed Heat?"))
         assert {a.value for a in result.answers} == {"Michael Mann"}
 
     def test_answer_confidence_and_sources(self, pipeline):
-        result = pipeline.query("What is the release year of Inception?")
+        result = pipeline.run(Query.text("What is the release year of Inception?"))
         top = result.top()
         assert top is not None
         assert 0.0 < top.confidence <= 1.0
         assert len(top.sources) >= 2
 
     def test_generated_text_contains_answer(self, pipeline):
-        result = pipeline.query("What is the release year of Inception?")
+        result = pipeline.run(Query.text("What is the release year of Inception?"))
         assert "2010" in result.generated_text
 
     def test_stage_values_monotone_filtering(self, pipeline):
-        result = pipeline.query("What is the release year of Inception?")
+        result = pipeline.run(Query.text("What is the release year of Inception?"))
         before = result.stage_values["before_subgraph_filtering"]
         mid = result.stage_values["before_node_filtering"]
         after = result.stage_values["after_node_filtering"]
         assert len(before) >= len(mid) >= len(after) >= 1
 
     def test_unknown_entity_empty_answer(self, pipeline):
-        result = pipeline.query("What is the release year of Unknown Movie?")
+        result = pipeline.run(Query.text("What is the release year of Unknown Movie?"))
         assert result.answers == []
         assert "No trustworthy answer" in result.generated_text
 
     def test_timing_recorded(self, pipeline):
-        result = pipeline.query("Who directed Heat?")
+        result = pipeline.run(Query.text("Who directed Heat?"))
         assert result.query_time_s > 0
         assert result.prompt_time_s > 0
 
     def test_query_key_shortcut(self, pipeline):
-        a = pipeline.query("Inception | release_year")
-        b = pipeline.query_key("Inception", "release_year")
+        a = pipeline.run(Query.text("Inception | release_year"))
+        b = pipeline.run(Query.key("Inception", "release_year"))
         assert {x.value for x in a.answers} == {x.value for x in b.answers}
 
     def test_entity_resolution_case_insensitive(self, pipeline):
-        result = pipeline.query("What is the release year of inception?")
+        result = pipeline.run(Query.text("What is the release year of inception?"))
         assert {a.value for a in result.answers} == {"2010"}
 
     def test_answer_set_top_k(self, pipeline):
-        result = pipeline.query("What is the release year of Inception?")
+        result = pipeline.run(Query.text("What is the release year of Inception?"))
         assert result.answer_set(top_k=1) == {"2010"}
 
 
@@ -93,17 +94,17 @@ class TestQueryChain:
         )
         rag = MultiRAG(MultiRAGConfig(extraction_noise=0.0))
         rag.ingest(sources + [extra])
-        result = rag.query_chain([
+        result = rag.run(Query.chain([
             ("Inception", "directed_by"),
             (None, "born_in"),
-        ])
+        ]))
         assert {a.value for a in result.answers} == {"London"}
 
     def test_broken_chain(self, pipeline):
-        result = pipeline.query_chain([
+        result = pipeline.run(Query.chain([
             ("Inception", "nonexistent_attr"),
             (None, "born_in"),
-        ])
+        ]))
         assert result.answers == []
         assert any("chain broken" in t for t in result.trace)
 
@@ -111,7 +112,7 @@ class TestQueryChain:
 class TestHistoryIntegration:
     def test_history_updated_by_queries(self, pipeline):
         before = dict(pipeline.history.snapshot())
-        pipeline.query("What is the release year of Inception?")
+        pipeline.run(Query.text("What is the release year of Inception?"))
         after = pipeline.history.snapshot()
         assert after != before or len(after) > len(before)
 
@@ -119,7 +120,7 @@ class TestHistoryIntegration:
         rag = MultiRAG(MultiRAGConfig(extraction_noise=0.0))
         rag.ingest(sources)
         for _ in range(5):
-            rag.query("What is the release year of Inception?")
+            rag.run(Query.text("What is the release year of Inception?"))
         snap = rag.history.snapshot()
         # src-json claimed 2011 against the 2010 consensus.
         assert snap["src-json"] < snap["src-csv"]
@@ -127,5 +128,5 @@ class TestHistoryIntegration:
     def test_no_updates_when_disabled(self, sources):
         rag = MultiRAG(MultiRAGConfig(update_history=False, extraction_noise=0.0))
         rag.ingest(sources)
-        rag.query("What is the release year of Inception?")
+        rag.run(Query.text("What is the release year of Inception?"))
         assert rag.history.snapshot() == {}

@@ -11,6 +11,7 @@ from repro.datasets import (
     write_dataset,
 )
 from repro.errors import DatasetError
+from repro.exec import Query
 
 
 @pytest.fixture()
@@ -91,7 +92,7 @@ class TestLoadQueries:
 class TestEndToEndThroughDisk:
     def test_ingest_from_disk_answers_queries(self, corpus_dir, tmp_path):
         from repro.core import MultiRAG, MultiRAGConfig
-        from repro.eval.metrics import f1_score, mean
+        from repro.metrics import f1_score, mean
 
         dataset, root = corpus_dir
         rag = MultiRAG(MultiRAGConfig())
@@ -99,7 +100,7 @@ class TestEndToEndThroughDisk:
         queries = load_queries(root)
         scores = [
             f1_score(
-                {a.value for a in rag.query_key(q.entity, q.attribute).answers},
+                {a.value for a in rag.run(Query.key(q.entity, q.attribute)).answers},
                 q.answers,
             )
             for q in queries

@@ -9,6 +9,7 @@ from repro.eval import (
     decompose_answer,
     hallucination_rate,
 )
+from repro.exec import Query
 from repro.kg import KnowledgeGraph, Provenance, Triple
 
 
@@ -85,7 +86,7 @@ class TestHallucinationRate:
 
 class TestPipelineIntegration:
     def test_multirag_answers_are_grounded(self, pipeline):
-        result = pipeline.query("What is the release year of Inception?")
+        result = pipeline.run(Query.text("What is the release year of Inception?"))
         check = check_answer(
             pipeline.fusion.graph, "Inception", "release_year",
             result.generated_text,

@@ -106,7 +106,8 @@ class TestTelemetryIdentity:
         sequential = self._run(jobs=1)
         parallel = self._run(jobs=4)
         assert parallel.llm.meter.snapshot() == sequential.llm.meter.snapshot()
-        assert parallel.llm.meter.by_task == sequential.llm.meter.by_task
+        assert (parallel.llm.meter.stage_snapshot()
+                == sequential.llm.meter.stage_snapshot())
 
 
 class TestChainAndTextQueries:

@@ -32,7 +32,7 @@ class TestDefaultLoop:
         batch = llm.complete_many(PROMPTS, stage=Stage.RELEVANCE)
         assert batch == ref
         assert llm.meter.snapshot() == ref_llm.meter.snapshot()
-        assert llm.meter.by_task == ref_llm.meter.by_task
+        assert llm.meter.by_stage == ref_llm.meter.by_stage
 
 
 class TestSimulatedBatch:
@@ -103,7 +103,8 @@ class TestSplit:
         assert worker.meter.calls == 1
         parent.meter.merge(worker.meter)
         assert parent.meter.calls == 1
-        assert parent.meter.by_task == {"synthesis": 1}
+        assert set(parent.meter.by_stage) == {"synthesis"}
+        assert parent.meter.by_stage["synthesis"].calls == 1
 
     def test_split_shares_cache_but_not_meter(self):
         parent = CachingLLM(SimulatedLLM(seed=11))

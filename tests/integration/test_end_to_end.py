@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.datasets import make_books, make_hotpotqa_like, make_movies
-from repro.eval.metrics import f1_score, mean
+from repro.exec import Query
+from repro.metrics import f1_score, mean
 
 
 class TestFusionEndToEnd:
@@ -17,7 +18,7 @@ class TestFusionEndToEnd:
         report = rag.ingest(dataset.raw_sources())
         scores = [
             f1_score(
-                {a.value for a in rag.query_key(q.entity, q.attribute).answers},
+                {a.value for a in rag.run(Query.key(q.entity, q.attribute)).answers},
                 q.answers,
             )
             for q in dataset.queries
@@ -54,7 +55,7 @@ class TestFusionEndToEnd:
         rag.ingest(sub.raw_sources())
         answered = sum(
             1 for q in sub.queries
-            if rag.query_key(q.entity, q.attribute).answers
+            if rag.run(Query.key(q.entity, q.attribute)).answers
         )
         assert answered >= len(sub.queries) * 0.8
 
@@ -65,7 +66,7 @@ class TestMultiHopEndToEnd:
         rag = MultiRAG(MultiRAGConfig())
         rag.ingest(corpus.sources)
         bridge = next(q for q in corpus.queries if q.qtype != "comparison")
-        result = rag.query_chain(list(bridge.hops))
+        result = rag.run(Query.chain(list(bridge.hops)))
         assert isinstance(result.answers, list)
 
     def test_standardization_absorbs_wiki_b_style(self):
@@ -91,7 +92,7 @@ class TestDeterminism:
             rag.ingest(dataset.raw_sources())
             return [
                 tuple(sorted(a.value for a in
-                             rag.query_key(q.entity, q.attribute).answers))
+                             rag.run(Query.key(q.entity, q.attribute)).answers))
                 for q in dataset.queries
             ]
 

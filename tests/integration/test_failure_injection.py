@@ -13,6 +13,7 @@ import pytest
 from repro.adapters import DataFusionEngine, RawSource
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.errors import AdapterError, ExtractionError, UnknownFormatError
+from repro.exec import Query
 from repro.kg import Provenance
 from repro.llm import SchemaFreeExtractor, SimulatedLLM
 from repro.llm.extraction import ExtractionResult
@@ -104,7 +105,7 @@ class TestEmptyInputs:
         rag = MultiRAG(MultiRAGConfig())
         report = rag.ingest([])
         assert report.num_triples == 0
-        result = rag.query("Who directed Inception?")
+        result = rag.run(Query.text("Who directed Inception?"))
         assert result.answers == []
 
     def test_extractor_empty_result_is_not_an_error(self):

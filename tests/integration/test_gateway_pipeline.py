@@ -141,7 +141,7 @@ class TestHeterogeneousRouting:
             != off["by_stage"]["synthesis"]["simulated_latency_s"]
 
     def test_stage_budget_enforced_end_to_end(self):
-        from repro.llm.budget import BudgetExceededError
+        from repro.llm import BudgetExceededError
 
         # Node scoring issues one authority call per candidate node, so a
         # 1-call quota trips inside the first multi-candidate query.

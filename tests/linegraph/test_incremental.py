@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exec import Query
 from repro.kg import KnowledgeGraph, Provenance, Triple
 from repro.linegraph import MultiSourceLineGraph
 
@@ -91,14 +92,14 @@ class TestPipelineAddSource:
     def test_add_source_end_to_end(self, pipeline):
         from repro.adapters import RawSource
 
-        before = pipeline.query_key("Inception", "release_year")
+        before = pipeline.run(Query.key("Inception", "release_year"))
         new_source = RawSource(
             "late-arrival", "movies", "csv", "late.csv",
             "title,release_year,runtime\nInception,2010,148\n",
         )
         stats = pipeline.add_source(new_source)
         assert stats["claims_added"] == 2
-        after = pipeline.query_key("Inception", "release_year")
+        after = pipeline.run(Query.key("Inception", "release_year"))
         assert "late-arrival" in {
             s for a in after.answers for s in a.sources
         }
@@ -117,7 +118,7 @@ class TestPipelineAddSource:
             "s-new2", "movies", "csv", "n2.csv",
             "title,directed_by\nBrand New Film,Fresh Director\n",
         ))
-        result = pipeline.query("Who directed Brand New Film?")
+        result = pipeline.run(Query.text("Who directed Brand New Film?"))
         assert {a.value for a in result.answers} == {"Fresh Director"}
 
     def test_add_text_source_extracted(self, pipeline):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.errors import ContractViolation
+from repro.exec import Query
 from repro.linegraph.mlg import MultiSourceLineGraph
 from repro.lint import (
     check_mcc_result,
@@ -43,12 +44,12 @@ class TestScalarBounds:
 
 class TestMCCResult:
     def test_real_result_validates(self, pipeline):
-        result = pipeline.query_key("Inception", "release_year")
+        result = pipeline.run(Query.key("Inception", "release_year"))
         assert result.mcc is not None
         assert check_mcc_result(result.mcc) is result.mcc
 
     def test_accepted_in_lvs_rejected(self, pipeline):
-        result = pipeline.query_key("Inception", "release_year")
+        result = pipeline.run(Query.key("Inception", "release_year"))
         mcc = result.mcc
         accepted = mcc.accepted_assessments()[0]
         mcc.lvs.append(accepted.triple)
@@ -56,20 +57,20 @@ class TestMCCResult:
             check_mcc_result(mcc)
 
     def test_accepted_and_rejected_overlap_rejected(self, pipeline):
-        mcc = pipeline.query_key("Inception", "release_year").mcc
+        mcc = pipeline.run(Query.key("Inception", "release_year")).mcc
         decision = next(d for d in mcc.decisions if d.accepted)
         decision.rejected.append(decision.accepted[0])
         with pytest.raises(ContractViolation, match="accepted and rejected"):
             check_mcc_result(mcc)
 
     def test_inflated_nodes_scored_rejected(self, pipeline):
-        mcc = pipeline.query_key("Inception", "release_year").mcc
+        mcc = pipeline.run(Query.key("Inception", "release_year")).mcc
         mcc.nodes_scored = 10_000
         with pytest.raises(ContractViolation, match="nodes_scored"):
             check_mcc_result(mcc)
 
     def test_out_of_range_graph_conf_rejected(self, pipeline):
-        mcc = pipeline.query_key("Inception", "release_year").mcc
+        mcc = pipeline.run(Query.key("Inception", "release_year")).mcc
         mcc.decisions[0].graph_conf = 1.7
         with pytest.raises(ContractViolation, match="graph_conf"):
             check_mcc_result(mcc)
@@ -136,7 +137,7 @@ class TestDebugContractsMode:
         rag = MultiRAG(MultiRAGConfig(extraction_noise=0.0,
                                       debug_contracts=True))
         rag.ingest(sources)
-        result = rag.query_key("Inception", "release_year")
+        result = rag.run(Query.key("Inception", "release_year"))
         assert result.answers
 
     def test_default_config_leaves_contracts_off(self):

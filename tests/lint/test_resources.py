@@ -1,4 +1,4 @@
-"""Resource rules (RES001–RES005): violating/clean fixture pairs per
+"""Resource rules (RES001–RES004): violating/clean fixture pairs per
 rule, plus the symbolic :class:`Bound` algebra and the
 ``loop-bound[...]`` annotation grammar.
 
@@ -31,14 +31,14 @@ from repro.lint.flow.resources import (
 
 LLM_BASE = (
     "class LLMClient:\n"
-    "    def complete(self, prompt, task='generic'):\n"
+    "    def complete(self, prompt, stage):\n"
     "        return self._generate(prompt)\n"
     "\n"
-    "    def complete_many(self, prompts, task='generic'):\n"
+    "    def complete_many(self, prompts, stage):\n"
     "        return self._generate_many(list(prompts))\n"
     "\n"
     "    def extract_entities(self, text):\n"
-    "        return self.complete(text, task='ner')\n"
+    "        return self.complete(text, Stage.NER)\n"
     "\n"
     "    def _generate(self, prompt):\n"
     "        return prompt\n"
@@ -55,7 +55,7 @@ PIPELINE = (
     "        self.llm = llm\n"
     "\n"
     "    def run(self, query):\n"
-    "        return self.llm.complete(query)\n"
+    "        return self.llm.complete(query, Stage.OTHER)\n"
 )
 
 
@@ -187,7 +187,7 @@ class TestParseBoundExpr:
 class TestRES001:
     def test_raw_transport_on_query_path_is_flagged(self):
         files = base_files(PIPELINE.replace(
-            "        return self.llm.complete(query)",
+            "        return self.llm.complete(query, Stage.OTHER)",
             "        return self.llm._generate(query)",
         ))
         findings = res_findings(files, {"RES001"})
@@ -214,49 +214,6 @@ class TestRES001:
 
 
 # ----------------------------------------------------------------------
-# RES005 — metered LLM call with no stage tag
-# ----------------------------------------------------------------------
-class TestRES005:
-    def test_untagged_complete_is_flagged(self):
-        findings = res_findings(base_files(), {"RES005"})
-        assert [f.rule_id for f in findings] == ["RES005"]
-        assert "without a stage tag" in findings[0].message
-        assert findings[0].path == "repro/core/pipeline.py"
-
-    def test_stage_keyword_is_clean(self):
-        files = base_files(PIPELINE.replace(
-            "        return self.llm.complete(query)",
-            "        return self.llm.complete(query, stage=Stage.SYNTHESIS)",
-        ))
-        assert res_ids(files, {"RES005"}) == []
-
-    def test_legacy_task_keyword_is_clean(self):
-        files = base_files(PIPELINE.replace(
-            "        return self.llm.complete(query)",
-            "        return self.llm.complete(query, task='answer')",
-        ))
-        assert res_ids(files, {"RES005"}) == []
-
-    def test_threaded_stage_variable_is_clean(self):
-        # The wrapper pattern: a variable stage argument counts as
-        # tagged — the tag is the caller's, threaded through.
-        files = base_files(PIPELINE.replace(
-            "        return self.llm.complete(query)",
-            "        return self.llm.complete(query, stage)",
-        ))
-        assert res_ids(files, {"RES005"}) == []
-
-    def test_client_stack_is_exempt(self):
-        # LLM_BASE's own complete()/extract_entities() internals never
-        # flag: the client stack is the seam, not a caller of it.
-        files = base_files(PIPELINE.replace(
-            "        return self.llm.complete(query)",
-            "        return self.llm.extract_entities(query)",
-        ))
-        assert res_ids(files, {"RES005"}) == []
-
-
-# ----------------------------------------------------------------------
 # RES002 — LLM call under an unresolvable loop bound
 # ----------------------------------------------------------------------
 UNBOUNDED_LOOP = (
@@ -270,7 +227,7 @@ UNBOUNDED_LOOP = (
     "    def run(self, query):\n"
     "        out = []\n"
     "        for chunk in self.expand(query):\n"
-    "            out.append(self.llm.complete(chunk))\n"
+    "            out.append(self.llm.complete(chunk, Stage.OTHER))\n"
     "        return out\n"
 )
 
@@ -320,7 +277,7 @@ class TestRES002:
             "        self.llm = llm\n"
             "\n"
             "    def run(self, query):\n"
-            "        self.llm.complete(query)\n"
+            "        self.llm.complete(query, Stage.OTHER)\n"
             "        return self.run(query)\n"
         )
         findings = res_findings(files, {"RES002"})
@@ -334,7 +291,7 @@ class TestRES002:
             "        self.llm = llm\n"
             "\n"
             "    def run(self, query):\n"
-            "        return self.llm.complete_many(query.split())\n"
+            "        return self.llm.complete_many(query.split(), Stage.OTHER)\n"
         )
         findings = res_findings(files, {"RES002"})
         assert [f.rule_id for f in findings] == ["RES002"]
@@ -347,7 +304,7 @@ class TestRES002:
             "        self.llm = llm\n"
             "\n"
             "    def run(self, query):\n"
-            "        return self.llm.complete_many([query, query])\n"
+            "        return self.llm.complete_many([query, query], Stage.OTHER)\n"
         )
         assert res_ids(files, {"RES002"}) == []
         budgets = {
@@ -370,7 +327,7 @@ class TestRES003:
             "    def run(self, query):\n"
             "        while True:\n"
             "            try:\n"
-            "                return self.llm.complete(query)\n"
+            "                return self.llm.complete(query, Stage.OTHER)\n"
             "            except Exception:\n"
             "                continue\n"
         )
@@ -387,7 +344,7 @@ class TestRES003:
             "    def run(self, query):\n"
             "        for attempt in range(3):\n"
             "            try:\n"
-            "                return self.llm.complete(query)\n"
+            "                return self.llm.complete(query, Stage.OTHER)\n"
             "            except Exception:\n"
             "                continue\n"
             "        return None\n"
@@ -442,7 +399,7 @@ GROWING_PIPELINE = (
     "\n"
     "    def run(self, query):\n"
     "        self.history.append(query)\n"
-    "        return self.llm.complete(query)\n"
+    "        return self.llm.complete(query, Stage.OTHER)\n"
 )
 
 
@@ -491,7 +448,7 @@ class TestRES004:
             "\n"
             "    def run(self, query):\n"
             "        self.flags['last'] = query\n"
-            "        return self.llm.complete(query)\n"
+            "        return self.llm.complete(query, Stage.OTHER)\n"
         )
         assert res_ids(files, {"RES004"}) == []
 
@@ -504,7 +461,7 @@ class TestRES004:
             "\n"
             "    def run(self, query):\n"
             "        self.answers[query] = 1\n"
-            "        return self.llm.complete(query)\n"
+            "        return self.llm.complete(query, Stage.OTHER)\n"
         )
         findings = res_findings(files, {"RES004"})
         assert [f.rule_id for f in findings] == ["RES004"]
@@ -514,9 +471,9 @@ class TestRES004:
         files = base_files(GROWING_PIPELINE.replace(
             "    def run(self, query):\n"
             "        self.history.append(query)\n"
-            "        return self.llm.complete(query)\n",
+            "        return self.llm.complete(query, Stage.OTHER)\n",
             "    def run(self, query):\n"
-            "        return self.llm.complete(query)\n"
+            "        return self.llm.complete(query, Stage.OTHER)\n"
             "\n"
             "    def warm(self, queries):\n"
             "        self.history.append(queries)\n",
@@ -548,7 +505,7 @@ BASELINES = {
         "        self.llm = llm\n"
         "\n"
         "    def query(self, q):\n"
-        "        return self.llm.complete(q)\n"
+        "        return self.llm.complete(q, Stage.OTHER)\n"
     ),
     "repro/baselines/bar.py": (
         "from repro.baselines.base import register_qa\n"
@@ -563,7 +520,7 @@ BASELINES = {
         "\n"
         "    def answer(self, q):\n"
         "        self.llm.extract_entities(q)\n"
-        "        return self.llm.complete(q)\n"
+        "        return self.llm.complete(q, Stage.OTHER)\n"
     ),
 }
 

@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.llm import (
+    CachingLLM,
     LLMClient,
+    LLMGateway,
     LLMResponse,
+    ScriptedFlakyLLM,
     SimulatedLLM,
     Stage,
     UsageMeter,
@@ -45,39 +48,66 @@ class TestLatencyModel:
         assert response.latency_s == pytest.approx(0.5 + 0.1 * 5)
 
 
+def call_counts(meter: UsageMeter) -> dict[str, int]:
+    return {stage: usage.calls for stage, usage in meter.by_stage.items()}
+
+
 class TestUsageMeter:
     def test_record_and_snapshot(self):
         meter = UsageMeter()
-        meter.record("taskA", LLMResponse("x", 10, 5, 0.2))
-        meter.record("taskA", LLMResponse("y", 1, 1, 0.1))
-        meter.record("taskB", LLMResponse("z", 2, 2, 0.1))
+        meter.record(Stage.NER, LLMResponse("x", 10, 5, 0.2))
+        meter.record(Stage.NER, LLMResponse("y", 1, 1, 0.1))
+        meter.record(Stage.STD, LLMResponse("z", 2, 2, 0.1))
         snap = meter.snapshot()
         assert snap["calls"] == 3
         assert snap["prompt_tokens"] == 13
         assert snap["completion_tokens"] == 8
         assert snap["simulated_latency_s"] == pytest.approx(0.4)
-        assert meter.by_task == {"taskA": 2, "taskB": 1}
+        assert call_counts(meter) == {"ner": 2, "std": 1}
 
-    def test_reset_is_deprecated_but_still_clears(self):
+    def test_checkpoint_delta(self):
         meter = UsageMeter()
-        meter.record("t", LLMResponse("x", 1, 1, 0.1))
-        with pytest.deprecated_call():
-            meter.reset()
-        assert meter.calls == 0
-        assert meter.by_task == {}
+        meter.record(Stage.OTHER, LLMResponse("x", 1, 1, 0.1))
+        mark = meter.checkpoint()
+        meter.record(Stage.OTHER, LLMResponse("y", 2, 2, 0.2))
+        delta = meter.delta(mark)
+        assert delta["calls"] == 1
+        assert delta["prompt_tokens"] == 2
 
     def test_merge_folds_totals_and_tasks(self):
         meter = UsageMeter()
-        meter.record("a", LLMResponse("x", 1, 2, 0.1))
+        meter.record(Stage.NER, LLMResponse("x", 1, 2, 0.1))
         worker = UsageMeter()
-        worker.record("a", LLMResponse("y", 3, 4, 0.2))
-        worker.record("b", LLMResponse("z", 5, 6, 0.3))
+        worker.record(Stage.NER, LLMResponse("y", 3, 4, 0.2))
+        worker.record(Stage.STD, LLMResponse("z", 5, 6, 0.3))
         meter.merge(worker)
         assert meter.calls == 3
         assert meter.prompt_tokens == 9
         assert meter.completion_tokens == 12
         assert meter.simulated_latency_s == pytest.approx(0.6)
-        assert meter.by_task == {"a": 2, "b": 1}
+        assert call_counts(meter) == {"ner": 2, "std": 1}
+
+
+#: every client shape the pipeline can hold, built fresh per case.
+CLIENTS = {
+    "simulated": lambda: SimulatedLLM(seed=0),
+    "caching": lambda: CachingLLM(SimulatedLLM(seed=0)),
+    "flaky": lambda: ScriptedFlakyLLM(SimulatedLLM(seed=0)),
+    "gateway": lambda: LLMGateway({"default": SimulatedLLM(seed=0)}),
+}
+
+
+class TestStageIsRequired:
+    PROMPT = "### TASK: parametric\n### INPUT\nInception|genre\n### END\n"
+
+    @pytest.mark.parametrize("method", ["complete", "complete_many"])
+    @pytest.mark.parametrize("client", sorted(CLIENTS))
+    def test_call_without_stage_raises(self, client, method):
+        llm = CLIENTS[client]()
+        prompts = self.PROMPT if method == "complete" else [self.PROMPT]
+        with pytest.raises(TypeError):
+            getattr(llm, method)(prompts)
+        assert llm.meter.calls == 0
 
 
 class TestStageAttribution:

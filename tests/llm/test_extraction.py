@@ -65,6 +65,6 @@ class TestExtract:
     def test_llm_usage_recorded(self):
         llm = SimulatedLLM(seed=1, extraction_noise=0.0)
         SchemaFreeExtractor(llm).extract(TEXT, PROV)
-        assert llm.meter.by_task.get("ner") == 1
-        assert llm.meter.by_task.get("triple") == 1
-        assert llm.meter.by_task.get("std") == 1
+        assert llm.meter.by_stage["ner"].calls == 1
+        assert llm.meter.by_stage["triple"].calls == 1
+        assert llm.meter.by_stage["std"].calls == 1

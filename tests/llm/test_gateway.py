@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.llm import SimulatedLLM, Stage
 from repro.llm.base import LLMClient
-from repro.llm.budget import BudgetExceededError
 from repro.llm.gateway import (
     BACKEND_FACTORIES,
     BREAKER_GAUGE_CODES,
+    BudgetExceededError,
     CircuitBreaker,
     GatewayError,
     BackendError,
-    HTTPLLM,
     LLMGateway,
     RoutingPolicy,
     ScriptedFlakyLLM,
@@ -200,7 +199,7 @@ class TestConstruction:
             build_gateway(SimulatedLLM(seed=0), policy)
 
     def test_registered_factory_names(self):
-        assert {"default", "sim-small", "sim-large", "flaky", "http"} \
+        assert {"default", "sim-small", "sim-large", "flaky"} \
             <= set(BACKEND_FACTORIES)
 
     def test_variant_backends_keep_completion_text(self):
@@ -213,18 +212,6 @@ class TestConstruction:
         assert small._generate(prompt) == base._generate(prompt)
         assert large._generate(prompt) == base._generate(prompt)
         assert small.base_latency_s != large.base_latency_s
-
-    def test_http_backend_is_gated_off(self):
-        with pytest.raises(ConfigError, match="gated off"):
-            HTTPLLM("http://example.invalid/v1")
-        policy = RoutingPolicy.from_mappings({"ner": "http"})
-        with pytest.raises(ConfigError, match="gated off"):
-            build_gateway(SimulatedLLM(seed=0), policy)
-
-    def test_http_backend_enabled_has_no_offline_transport(self):
-        llm = HTTPLLM("http://example.invalid/v1", enabled=True)
-        with pytest.raises(BackendError, match="no offline transport"):
-            llm._generate("x")
 
 
 class TestRoutingAndAccounting:
@@ -324,6 +311,9 @@ class TestBudgets:
         # Other stages are unaffected.
         gateway.complete("p", stage=Stage.SYNTHESIS)
         gateway.complete("p", stage=Stage.SYNTHESIS)
+
+    def test_budget_error_is_a_repro_error(self):
+        assert issubclass(BudgetExceededError, ReproError)
 
 
 class TestRetryAndFallback:

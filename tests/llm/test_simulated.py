@@ -148,9 +148,9 @@ class TestAccounting:
         assert llm.meter.calls == before + 2
         assert llm.meter.simulated_latency_s > 0.0
 
-    def test_meter_by_task(self, llm):
+    def test_meter_by_stage(self, llm):
         llm.extract_entities("Inception was directed by Nolan.")
-        assert llm.meter.by_task.get("ner") == 1
+        assert llm.meter.by_stage["ner"].calls == 1
 
     def test_meter_stage_attribution(self, llm):
         llm.relevance("a", "b")

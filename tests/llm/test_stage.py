@@ -1,4 +1,4 @@
-"""The Stage vocabulary: coercion, legacy task mapping, wire names."""
+"""The Stage vocabulary: wire names and string behaviour."""
 
 from __future__ import annotations
 
@@ -19,28 +19,3 @@ class TestEnum:
     def test_values_are_unique(self):
         assert len(set(STAGE_VALUES)) == len(STAGE_VALUES)
 
-
-class TestCoerce:
-    def test_stage_passes_through(self):
-        assert Stage.coerce(Stage.TRIPLE) is Stage.TRIPLE
-
-    def test_value_string_resolves(self):
-        for value in STAGE_VALUES:
-            assert Stage.coerce(value).value == value
-
-    def test_legacy_task_label_resolves(self):
-        assert Stage.coerce("answer") is Stage.SYNTHESIS
-
-    def test_unknown_string_never_raises(self):
-        assert Stage.coerce("logical_form") is Stage.OTHER
-        assert Stage.coerce("") is Stage.OTHER
-
-
-class TestFromTask:
-    def test_well_known_labels_map_to_their_stage(self):
-        assert Stage.from_task("ner") is Stage.NER
-        assert Stage.from_task("answer") is Stage.SYNTHESIS
-        assert Stage.from_task("generic") is Stage.OTHER
-
-    def test_free_form_labels_fold_to_other(self):
-        assert Stage.from_task("cot_step") is Stage.OTHER

@@ -7,6 +7,7 @@ from collections import Counter
 from repro.confidence.mcc import mcc
 from repro.confidence.node_level import NodeAssessment
 from repro.core import MultiRAG, MultiRAGConfig
+from repro.exec import Query
 from repro.kg import Provenance, Triple
 from repro.linegraph.homologous import HomologousGroup, HomologousNode
 from repro.obs import (
@@ -254,8 +255,8 @@ class TestPipelineAudit:
         obs = Observability.enable()
         rag = MultiRAG(MultiRAGConfig(extraction_noise=0.0), obs=obs)
         rag.ingest(make_sources())
-        first = rag.query_key("Inception", "release_year")
-        second = rag.query_key("Heat", "directed_by")
+        first = rag.run(Query.key("Inception", "release_year"))
+        second = rag.run(Query.key("Heat", "directed_by"))
         assert first.audit and second.audit
         # Slices are per query, not cumulative.
         assert all(e.key == "Inception|release_year" for e in first.audit)
@@ -265,7 +266,7 @@ class TestPipelineAudit:
         obs = Observability.enable()
         rag = MultiRAG(MultiRAGConfig(extraction_noise=0.0), obs=obs)
         rag.ingest(make_sources())
-        result = rag.query_key("Inception", "release_year")
+        result = rag.run(Query.key("Inception", "release_year"))
         assert result.mcc is not None
         members = [
             m for d in result.mcc.decisions for m in d.group.members
@@ -286,5 +287,5 @@ class TestPipelineAudit:
     def test_disabled_observability_leaves_audit_empty(self):
         rag = MultiRAG(MultiRAGConfig(extraction_noise=0.0))
         rag.ingest(make_sources())
-        result = rag.query_key("Inception", "release_year")
+        result = rag.run(Query.key("Inception", "release_year"))
         assert result.audit == []

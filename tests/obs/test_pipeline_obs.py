@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.core.pipeline import EvaluationReport
+from repro.exec import Query
 from repro.llm.base import LLMResponse, UsageMeter
+from repro.llm.stage import Stage
 from repro.obs import Observability, TickClock, Tracer, render_waterfall
 
 from tests.conftest import make_sources
@@ -13,8 +15,8 @@ from tests.conftest import make_sources
 def run_pipeline(obs: Observability) -> MultiRAG:
     rag = MultiRAG(MultiRAGConfig(extraction_noise=0.0), obs=obs)
     rag.ingest(make_sources())
-    rag.query_key("Inception", "release_year")
-    rag.query_key("Heat", "directed_by")
+    rag.run(Query.key("Inception", "release_year"))
+    rag.run(Query.key("Heat", "directed_by"))
     return rag
 
 
@@ -127,11 +129,11 @@ class TestEvaluationReport:
 class TestUsageCheckpoint:
     def test_delta_measures_only_new_usage(self):
         meter = UsageMeter()
-        meter.record("extract", LLMResponse(
+        meter.record(Stage.NER, LLMResponse(
             text="a", prompt_tokens=10, completion_tokens=5, latency_s=0.5
         ))
         mark = meter.checkpoint()
-        meter.record("generate", LLMResponse(
+        meter.record(Stage.SYNTHESIS, LLMResponse(
             text="b", prompt_tokens=7, completion_tokens=3, latency_s=0.25
         ))
         delta = meter.delta(mark)
@@ -142,7 +144,7 @@ class TestUsageCheckpoint:
 
     def test_checkpoint_does_not_reset_the_meter(self):
         meter = UsageMeter()
-        meter.record("x", LLMResponse(
+        meter.record(Stage.OTHER, LLMResponse(
             text="a", prompt_tokens=1, completion_tokens=1, latency_s=0.1
         ))
         meter.checkpoint()
@@ -153,11 +155,11 @@ class TestUsageCheckpoint:
         with the old reset-based accounting."""
         meter = UsageMeter()
         outer = meter.checkpoint()
-        meter.record("a", LLMResponse(
+        meter.record(Stage.NER, LLMResponse(
             text="a", prompt_tokens=2, completion_tokens=1, latency_s=0.1
         ))
         inner = meter.checkpoint()
-        meter.record("b", LLMResponse(
+        meter.record(Stage.STD, LLMResponse(
             text="b", prompt_tokens=4, completion_tokens=2, latency_s=0.1
         ))
         assert meter.delta(inner)["prompt_tokens"] == 4

@@ -34,10 +34,6 @@ class TestFingerprint:
     def test_config_field_changes_it(self):
         assert _fp(config=MultiRAGConfig(seed=1, top_k=9)) != _fp()
 
-    def test_config_extra_changes_it(self):
-        config = MultiRAGConfig(seed=1, extra={"ablation": "x"})
-        assert _fp(config=config) != _fp()
-
     def test_llm_seed_changes_it(self):
         assert _fp(llm=SimulatedLLM(seed=2)) != _fp()
 

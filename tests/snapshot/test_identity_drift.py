@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import inspect
 
-from repro.llm import CachingLLM, SimulatedLLM
-from repro.llm.budget import BudgetedLLM
+from repro.llm import CachingLLM, ScriptedFlakyLLM, SimulatedLLM
 from repro.llm.gateway import RoutingPolicy, build_gateway
 from repro.snapshot.fingerprint import _llm_identity
 
@@ -68,7 +67,7 @@ def test_each_identity_attr_distinguishes_clients():
 def test_wrappers_recurse_through_inner():
     inner_a = SimulatedLLM(seed=1)
     inner_b = SimulatedLLM(seed=2)
-    for wrap in (CachingLLM, BudgetedLLM):
+    for wrap in (CachingLLM, ScriptedFlakyLLM):
         wrapped_a = _llm_identity(wrap(inner_a))
         wrapped_b = _llm_identity(wrap(inner_b))
         assert wrapped_a["inner"] == _llm_identity(inner_a)
@@ -78,10 +77,10 @@ def test_wrappers_recurse_through_inner():
 
 
 def test_nested_wrappers_keep_the_full_chain():
-    llm = CachingLLM(BudgetedLLM(SimulatedLLM(seed=9)))
+    llm = CachingLLM(CachingLLM(SimulatedLLM(seed=9)))
     identity = _llm_identity(llm)
     assert identity["class"] == "CachingLLM"
-    assert identity["inner"]["class"] == "BudgetedLLM"
+    assert identity["inner"]["class"] == "CachingLLM"
     assert identity["inner"]["inner"]["class"] == "SimulatedLLM"
     assert identity["inner"]["inner"]["seed"] == 9
 
