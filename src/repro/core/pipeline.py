@@ -24,7 +24,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import repro.perf as perf
 from repro.adapters.base import RawSource
@@ -172,7 +172,12 @@ class MultiRAG:
         self.fusion: FusionResult | None = None
         self.mlg: MultiSourceLineGraph | None = None
         self.scorer: NodeScorer | None = None
+        #: normalized name -> first subject spelled that way (entity
+        #: resolution for structured questions).
         self._entity_by_norm: dict[str, str] = {}
+        #: first normalized token -> {subject: its normalized token set},
+        #: "" for subjects with no tokens (open-intent subject matching).
+        self._subject_index: dict[str, dict[str, frozenset[str]]] = {}
         #: descriptors of the ingested corpus, in source order — the
         #: operands of the layer-chain fingerprint algebra
         #: (``add_source`` appends one and re-fingerprints).
@@ -335,11 +340,8 @@ class MultiRAG:
                 beta=self.config.beta,
                 obs=self.obs,
             )
-            self._entity_by_norm = {}
-            for triple in graph.triples():
-                self._entity_by_norm.setdefault(
-                    normalize_value(triple.subject), triple.subject
-                )
+            self._entity_by_norm, self._subject_index = {}, {}
+            self._index_subjects(t.subject for t in graph.triples())
             if self.config.debug_contracts and self.mlg is not None:
                 check_mlg(self.mlg)
             if span.enabled:
@@ -429,9 +431,8 @@ class MultiRAG:
                 beta=self.config.beta,
                 obs=self.obs,
             )
-            self._entity_by_norm = {}
-            for triple in graph.triples():
-                self._entity_by_norm.setdefault(normalize_value(triple.subject), triple.subject)
+            self._entity_by_norm, self._subject_index = {}, {}
+            self._index_subjects(t.subject for t in graph.triples())
             if self.config.debug_contracts and self.mlg is not None:
                 check_mlg(self.mlg)
             if span.enabled:
@@ -543,9 +544,7 @@ class MultiRAG:
                 graph.entity(standardized.subject).add_attribute(
                     standardized.predicate, standardized.obj
                 )
-                self._entity_by_norm.setdefault(
-                    normalize_value(standardized.subject), standardized.subject
-                )
+        self._index_subjects(t.subject for t in added)
 
         self.fusion.records.append(output.record)
         self.fusion.chunks.extend(new_chunks)
@@ -763,9 +762,10 @@ class MultiRAG:
         """A read-only pipeline view for one exec worker task.
 
         Shares the immutable substrate — config, fused graph, MLG, entity
-        index, history, consensus engine — by reference, but binds a
-        fresh observability bundle, a meter-isolated LLM clone and a
-        per-view scorer so concurrent tasks never write shared state.
+        and subject indexes, history, consensus engine — by reference,
+        but binds a fresh observability bundle, a meter-isolated LLM
+        clone and a per-view scorer so concurrent tasks never write
+        shared state.
         The parent folds telemetry back with :meth:`absorb_view`.
 
         Raises:
@@ -781,6 +781,7 @@ class MultiRAG:
         view.history = self.history
         view.engine = self.engine
         view._entity_by_norm = self._entity_by_norm
+        view._subject_index = self._subject_index
         # Snapshot bookkeeping is read-only on the query path; views
         # mirror it so they answer like the parent (worker views never
         # add_source, so they never write a layer).
@@ -827,6 +828,9 @@ class MultiRAG:
         view.snapshots = san.wrap(self.snapshots, worker, "snapshots")
         view._entity_by_norm = san.wrap(
             self._entity_by_norm, worker, "_entity_by_norm"
+        )
+        view._subject_index = san.wrap(
+            self._subject_index, worker, "_subject_index"
         )
         view._source_descriptors = san.wrap(
             self._source_descriptors, worker, "_source_descriptors"
@@ -969,6 +973,18 @@ class MultiRAG:
         if self.fusion is None or self.scorer is None:
             raise StateError("call ingest() before querying")
 
+    def _index_subjects(self, subjects: Iterable[str]) -> None:
+        """Add each distinct subject to ``_entity_by_norm`` and
+        ``_subject_index``, normalizing it once."""
+        for subject in dict.fromkeys(subjects):
+            norm = normalize_value(subject)
+            self._entity_by_norm.setdefault(norm, subject)
+            tokens = norm.split()
+            bucket = self._subject_index.setdefault(
+                tokens[0] if tokens else "", {}
+            )
+            bucket.setdefault(subject, frozenset(tokens))
+
     def _resolve_entity(self, name: str) -> str | None:
         assert self.fusion is not None
         graph = self.fusion.graph
@@ -1024,23 +1040,42 @@ class MultiRAG:
         return candidates
 
     def _open_candidates(self, logic_form: LogicForm) -> list[Triple]:
-        """Fallback for free-form questions: retrieve, then match claims."""
+        """Claims that answer a free-form question.
+
+        A claim qualifies when its source owns one of the top-k retrieved
+        chunks, every token of its normalized subject occurs in the
+        question, and its predicate shares a ``_``-separated token with
+        the question.  Candidates come source by source in first-hit
+        order, each source's claims in insertion order.
+
+        The subjects are found in ``_subject_index`` instead of by reading
+        every claim of the hit sources: a subject whose tokens all occur
+        in the question has its first token there too, so the question's
+        token buckets (plus ``""`` for token-less subjects) hold every
+        qualifying subject, and ``by_subjects`` reads only their claims.
+        The result equals that scan, order included;
+        ``tests/core/test_open_intent.py`` keeps the scan as the oracle.
+        """
         assert self.fusion is not None
         hits = self.retriever.retrieve(logic_form.raw, k=self.config.top_k)
-        query_tokens = set(normalize_value(logic_form.raw).split())
-        candidates: list[Triple] = []
-        seen: set[tuple[tuple[str, str, str], str]] = set()
+        rank: dict[str, int] = {}
         for hit in hits:
-            for triple in self.fusion.graph.by_source(hit.item.source_id):
-                subject_tokens = set(normalize_value(triple.subject).split())
-                predicate_tokens = set(triple.predicate.split("_"))
-                if subject_tokens <= query_tokens and (
-                    predicate_tokens & query_tokens
-                ):
-                    dedup = (triple.spo(), triple.source_id())
-                    if dedup not in seen:
-                        seen.add(dedup)
-                        candidates.append(triple)
+            rank.setdefault(hit.item.source_id, len(rank))
+        words = normalize_value(logic_form.raw).split()
+        query_tokens = set(words)
+        subjects = [
+            subject
+            for token in dict.fromkeys(["", *words])
+            for subject, tokens in self._subject_index.get(token, {}).items()
+            if tokens <= query_tokens
+        ]
+        candidates = [
+            triple
+            for triple in self.fusion.graph.by_subjects(subjects)
+            if triple.source_id() in rank
+            and not query_tokens.isdisjoint(triple.predicate.split("_"))
+        ]
+        candidates.sort(key=lambda triple: rank[triple.source_id()])
         return candidates
 
     def _apply_freshness(self, candidates: list[Triple]) -> list[Triple]:

@@ -210,6 +210,21 @@ class KnowledgeGraph:
     def by_subject(self, subject: str) -> list[Triple]:
         return list(self._live(self._by_subject.get(subject, [])))
 
+    def by_subjects(self, subjects: Iterable[str]) -> list[Triple]:
+        """Live triples of all ``subjects``, in insertion order.
+
+        Merges the per-subject index lists, so the cost follows the given
+        subjects' claims, not the graph.  Repeated and unknown subjects
+        add nothing.
+        """
+        indexes = [
+            idx
+            for subject in dict.fromkeys(subjects)
+            for idx in self._by_subject.get(subject, ())
+        ]
+        indexes.sort()
+        return list(self._live(indexes))
+
     def by_object(self, obj: str) -> list[Triple]:
         return list(self._live(self._by_object.get(obj, [])))
 

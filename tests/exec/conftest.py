@@ -16,7 +16,9 @@ from repro.exec import Query
 from tests.conftest import make_sources
 
 #: evaluation batch over the shared corpus: agreed keys, the seeded
-#: conflict (Inception's release year) and a miss, so F1 is non-trivial.
+#: conflict (Inception's release year) and a miss, so F1 is non-trivial;
+#: the two keyword questions take the open-intent path and its shared
+#: subject index.
 EVAL_QUERIES = (
     Query.key("Inception", "directed_by", qid="q-dir",
               answers=["Christopher Nolan"]),
@@ -26,6 +28,10 @@ EVAL_QUERIES = (
               answers=["Denis Villeneuve"]),
     Query.key("Arrival", "genre", qid="q-genre", answers=["science fiction"]),
     Query.key("Heat", "release_year", qid="q-hyear", answers=["1995"]),
+    Query.text("Inception release year info", qid="q-open-year",
+               answers=["2010"]),
+    Query.text("Heat directed by info", qid="q-open-heat",
+               answers=["Michael Mann"]),
 )
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kg import KnowledgeGraph, Provenance, Triple
+from repro.kg.shard import ShardedKnowledgeGraph
 from repro.linegraph import LineGraph, MultiSourceLineGraph, match_homologous
 
 names = st.sampled_from(["a", "b", "c", "d", "e", "f"])
@@ -59,6 +60,35 @@ class TestGraphInvariants:
                 if t.subject == node and t.obj == node
             )
             assert graph.degree(node) == incident + loops
+
+
+class TestBySubjects:
+    @given(
+        triple_lists,
+        # repeats allowed; "z" names no subject
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "z"]),
+                 max_size=8),
+        st.lists(st.integers(min_value=0, max_value=24), max_size=6),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_live_triples_of_subjects_in_insertion_order(
+        self, items, subjects, removals, re_add
+    ):
+        graphs = [build_graph(items), ShardedKnowledgeGraph(n_shards=3)]
+        graphs[1].add_triples(items)
+        for graph in graphs:
+            stored = list(graph.triples())
+            dropped = [stored[i] for i in dict.fromkeys(removals)
+                       if i < len(stored)]
+            for triple in dropped:
+                assert graph.remove_triple(triple)
+            if re_add and dropped:
+                # a re-added claim is live again, at the end of the order
+                assert graph.add_triple(dropped[0])
+            wanted = set(subjects)
+            expected = [t for t in graph.triples() if t.subject in wanted]
+            assert graph.by_subjects(subjects) == expected
 
 
 class TestHomologousInvariants:

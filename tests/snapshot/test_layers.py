@@ -23,7 +23,7 @@ from repro.core.config import MultiRAGConfig
 from repro.core.pipeline import MultiRAG
 from repro.datasets.books import make_books
 from repro.errors import SnapshotError
-from repro.exec import as_query
+from repro.exec import Query, as_query
 from repro.snapshot import SnapshotStore
 
 
@@ -35,6 +35,21 @@ def dataset():
 def _evaluate(rag, dataset, jobs=None):
     report = rag.evaluate([as_query(q) for q in dataset.queries], jobs=jobs)
     return report.to_json(drop_timing=True)
+
+
+def _open_questions(dataset):
+    """Keyword questions (open intent) over every sixth truth key."""
+    keys = sorted(
+        (entity, attribute, values)
+        for entity, record in dataset.truth.items()
+        for attribute, values in record.items()
+        if values
+    )
+    return [
+        Query.text(f"{entity} {attribute.replace('_', ' ')}",
+                   qid=f"open-{i:02d}", answers=values)
+        for i, (entity, attribute, values) in enumerate(keys[::6])
+    ]
 
 
 def _config():
@@ -148,6 +163,32 @@ class TestLayeredLoadIdentity:
         assert report.loaded_from_snapshot
         assert report.snapshot_layers == 0
         assert _evaluate(warm, dataset) == cold_json
+
+
+class TestSubjectIndexParity:
+    def test_live_chain_and_compacted_agree(self, dataset, tmp_path):
+        """The open-intent subject index is rebuilt from the graph on a
+        load, never persisted: live after add_source, chain-loaded and
+        compacted pipelines must hold the same index and answer open
+        questions identically."""
+        live, sources, fps = _build_chain(dataset, tmp_path)
+        chained = MultiRAG.from_config(_config(), snapshot=tmp_path / "snaps")
+        assert chained.ingest(sources).snapshot_layers == 1
+        SnapshotStore(tmp_path / "snaps").compact(fps[-1])
+        compacted = MultiRAG.from_config(
+            _config(), snapshot=tmp_path / "snaps"
+        )
+        report = compacted.ingest(sources)
+        assert report.loaded_from_snapshot and report.snapshot_layers == 0
+        questions = _open_questions(dataset)
+        expected = live.evaluate(questions).to_json(drop_timing=True)
+        assert json.loads(expected)["mean_f1"] > 0
+        for rag in (chained, compacted):
+            assert rag._subject_index == live._subject_index
+            assert rag._entity_by_norm == live._entity_by_norm
+            assert rag.evaluate(questions).to_json(
+                drop_timing=True
+            ) == expected
 
 
 class TestBrokenChains:
