@@ -7,9 +7,11 @@ hard floors plus a regression gate against the committed baselines:
   extraction-heavy corpus (the case snapshots exist for: every skipped
   LLM extraction call is pure profit) and by ≥ 2× even on structured
   corpora whose cold ingest runs no extraction at all.
-* **Query p50** through the fast path (BM25 impact scores + top-k early
-  termination, memoized tokenization/similarity) must be ≥ 2× the naive
-  path on the key-query workload, with byte-identical rankings.
+* **Query p50** through the production hot path (BM25 impact scores +
+  top-k early termination, memoized tokenization/similarity) must be
+  ≥ 2× the naive path on the key-query workload, with byte-identical
+  rankings.  The naive side is the test oracle
+  (``tests/hotpath_oracle.py``) patched over the production functions.
 
 Every measured speedup is also compared against the ``baseline`` block
 committed in ``results/*.json``: a drop below 75 % of baseline fails the
@@ -20,17 +22,22 @@ keeps them portable across runner hardware.
 
 from __future__ import annotations
 
+import importlib
 import json
 import shutil
 import statistics
 import time
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from unittest import mock
 
 import repro.perf as perf
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.datasets import make_flights, make_movies
 from repro.datasets.multihop import make_hotpotqa_like
 from repro.exec import Query, as_query
+from repro.retrieval.bm25 import BM25Index
+from tests import hotpath_oracle as oracle
 
 from .common import dump_results, once
 
@@ -136,6 +143,29 @@ def test_snapshot_warm(benchmark, tmp_path):
 # ----------------------------------------------------------------------
 # query hot path: fast vs naive p50
 # ----------------------------------------------------------------------
+@contextmanager
+def _hot_path(fast: bool):
+    """Run the production hot path, or with ``fast=False`` the naive
+    oracle patched over its memos and BM25 search."""
+    with ExitStack() as stack:
+        if not fast:
+            # by module object: ``repro.retrieval`` re-exports the
+            # function ``tokenize``, which shadows its submodule
+            tokenize = importlib.import_module("repro.retrieval.tokenize")
+            similarity = importlib.import_module(
+                "repro.confidence.similarity"
+            )
+            for target, attr, naive in (
+                (tokenize, "_tokenize_cached", oracle.tokenize),
+                (similarity, "_distribution_cached",
+                 oracle.value_distribution),
+                (similarity, "_similarity_cached", oracle.similarity),
+                (BM25Index, "search", oracle.bm25_search),
+            ):
+                stack.enter_context(mock.patch.object(target, attr, naive))
+        yield
+
+
 def _p50_ms(rag, queries, *, fast: bool) -> float:
     """p50 per-query latency, best-of-``REPEATS`` per query.
 
@@ -144,7 +174,7 @@ def _p50_ms(rag, queries, *, fast: bool) -> float:
     cross-query reuse *within* one repetition is the design.
     """
     best: list[float] | None = None
-    with perf.use_fast_path(fast):
+    with _hot_path(fast):
         for _ in range(REPEATS):
             perf.clear_caches()
             laps = []
@@ -199,7 +229,7 @@ def run_query_hotpath():
     for fast in (True, False):
         fresh = MultiRAG(MultiRAGConfig(seed=0))
         fresh.ingest(dataset.raw_sources())
-        with perf.use_fast_path(fast):
+        with _hot_path(fast):
             reports.append(
                 fresh.evaluate(key_queries).to_json(drop_timing=True)
             )

@@ -42,7 +42,6 @@ from repro.errors import ReproError
 from repro.kg import Entity, KnowledgeGraph, Provenance, Triple
 from repro.linegraph import MultiSourceLineGraph
 from repro.llm import SimulatedLLM
-from repro.perf import set_fast_path, use_fast_path
 
 __version__ = "1.0.0"
 
@@ -65,6 +64,4 @@ __all__ = [
     "__version__",
     "mcc",
     "mklgp",
-    "set_fast_path",
-    "use_fast_path",
 ]

@@ -35,7 +35,11 @@ from repro.util import normalize_value
 EPSILON = 0.01
 
 
-def _distribution_impl(values: tuple[str, ...]) -> dict[str, float]:
+# Keyed on the value tuple *in call order* — no canonicalization, so the
+# accumulation order (and therefore every float) matches an unmemoized
+# computation over the same list.
+@lru_cache(maxsize=16384)
+def _distribution_cached(values: tuple[str, ...]) -> dict[str, float]:
     counts: Counter[str] = Counter()
     for value in values:
         tokens = tokenize(normalize_value(value), drop_stopwords=False)
@@ -46,17 +50,12 @@ def _distribution_impl(values: tuple[str, ...]) -> dict[str, float]:
     return {token: count / total for token, count in counts.items()}
 
 
-# Keyed on the value tuple *in call order* — no canonicalization, so the
-# accumulation order (and therefore every float) matches the naive path.
-_distribution_cached = lru_cache(maxsize=16384)(_distribution_impl)
-perf.register_cache(_distribution_cached.cache_clear, scope="value")
+perf.register_cache(_distribution_cached.cache_clear)
 
 
 def value_distribution(values: list[str]) -> dict[str, float]:
     """Token probability distribution of a node's attribute-value set."""
-    if perf.fast_path_enabled():
-        return dict(_distribution_cached(tuple(values)))
-    return _distribution_impl(tuple(values))
+    return dict(_distribution_cached(tuple(values)))
 
 
 def entropy(dist: dict[str, float]) -> float:
@@ -97,7 +96,13 @@ def mutual_information(
     return max(0.0, info)
 
 
-def _similarity_impl(values_i: tuple[str, ...], values_j: tuple[str, ...]) -> float:
+# (values_i, values_j) is an ordered key on purpose: similarity() is not
+# guaranteed symmetric at the ULP level, so swapped arguments memoize
+# separately rather than risk returning the mirrored float.
+@lru_cache(maxsize=65536)
+def _similarity_cached(
+    values_i: tuple[str, ...], values_j: tuple[str, ...]
+) -> float:
     norm_i = {normalize_value(v) for v in values_i}
     norm_j = {normalize_value(v) for v in values_j}
     dist_i = value_distribution(list(values_i))
@@ -111,11 +116,7 @@ def _similarity_impl(values_i: tuple[str, ...], values_j: tuple[str, ...]) -> fl
     return max(0.0, min(1.0, score))
 
 
-# (values_i, values_j) is an ordered key on purpose: similarity() is not
-# guaranteed symmetric at the ULP level, so swapped arguments memoize
-# separately rather than risk returning the mirrored float.
-_similarity_cached = lru_cache(maxsize=65536)(_similarity_impl)
-perf.register_cache(_similarity_cached.cache_clear, scope="value")
+perf.register_cache(_similarity_cached.cache_clear)
 
 
 def similarity(values_i: list[str], values_j: list[str]) -> float:
@@ -124,6 +125,4 @@ def similarity(values_i: list[str], values_j: list[str]) -> float:
     Degenerate cases (zero total entropy, e.g. both nodes single-valued):
     1.0 when the normalized value sets coincide, else 0.0.
     """
-    if perf.fast_path_enabled():
-        return _similarity_cached(tuple(values_i), tuple(values_j))
-    return _similarity_impl(tuple(values_i), tuple(values_j))
+    return _similarity_cached(tuple(values_i), tuple(values_j))

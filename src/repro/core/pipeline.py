@@ -39,7 +39,6 @@ from repro.core.logic_form import LogicForm, generate_logic_form
 from repro.datasets.schema import MultiSourceDataset
 from repro.errors import StateError
 from repro.exec import ExecutionPlan, Query, as_query, execute
-from repro.kg.shard import shard_of
 from repro.kg.triple import Provenance, Triple
 from repro.lint.contracts import check_mcc_result, check_mlg, check_ranked_answers
 from repro.linegraph.homologous import HomologousGroup, HomologousNode
@@ -479,9 +478,7 @@ class MultiRAG:
         chunks, chained to the current fingerprint.  A later
         ``ingest(base_sources + [raw])`` fingerprint-hits the chain and
         warm-loads base + layers instead of re-extracting anything.  The
-        work is proportional to the new source, never the whole corpus:
-        shard-aware caches are invalidated only for the partitions the
-        new claims landed in.
+        work is proportional to the new source, never the whole corpus.
 
         Raises:
             StateError: if called before :meth:`ingest`.
@@ -490,8 +487,6 @@ class MultiRAG:
             ExtractionError: if LLM extraction fails on a text chunk.
             SnapshotError: if the delta layer cannot be written to the
                 backing store.
-            GraphError: never in practice — shard-aware cache
-                invalidation re-validates the graph's shard count.
         """
         from repro.adapters.base import get_adapter
         from repro.kg.triple import Entity
@@ -567,16 +562,6 @@ class MultiRAG:
             graph=graph, llm=self.llm, history=self.history,
             alpha=self.config.alpha, beta=self.config.beta, obs=self.obs,
         )
-        # Invalidate derived caches last, and only for the partitions the
-        # new claims actually landed in (a full clear when unsharded).
-        n_shards = getattr(graph, "n_shards", 1)
-        if n_shards > 1:
-            perf.clear_caches(
-                shards={shard_of(t.subject, n_shards) for t in added}
-            )
-        else:
-            perf.clear_caches()
-
         if self._active_store is not None and self._snapshot_fingerprint:
             descriptor = describe_source(raw)
             chain = self._source_descriptors + [descriptor]

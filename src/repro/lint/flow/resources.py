@@ -1,10 +1,10 @@
 """Resource-bound analysis: LLM call paths, loop bounds, call budgets.
 
 Every pipeline stage and every baseline spends LLM calls through the one
-sanctioned seam — :meth:`repro.llm.base.LLMClient.complete` /
-``complete_many``, which route through ``_account`` and the
-``UsageMeter``.  This module recovers, statically, where those calls can
-fire and how many can fire *per query*:
+sanctioned seam — :meth:`repro.llm.base.LLMClient.complete`, which
+routes through ``_account`` and the ``UsageMeter``.  This module
+recovers, statically, where those calls can fire and how many can fire
+*per query*:
 
 * :func:`compute_entry_points` — ``MultiRAG.run`` / ``add_source`` plus
   the ``query``/``answer``/``setup`` methods of every class registered
@@ -64,9 +64,9 @@ _FUSION_DECORATORS = frozenset({"register_fusion", "base.register_fusion"})
 _QA_DECORATORS = frozenset({"register_qa", "base.register_qa"})
 
 #: public LLM client API → the :class:`repro.llm.stage.Stage` value it
-#: serves.  ``complete`` / ``complete_many`` attribute their stage from
-#: their ``Stage.<NAME>`` argument; a stage that is not statically known
-#: (a parameter threaded through a wrapper) counts as ``"other"``.
+#: serves.  ``complete`` attributes its stage from its ``Stage.<NAME>``
+#: argument; a stage that is not statically known (a parameter threaded
+#: through a wrapper) counts as ``"other"``.
 LLM_API_STAGES: dict[str, str] = {
     "extract_entities": "ner",
     "extract_triples": "triple",
@@ -76,17 +76,14 @@ LLM_API_STAGES: dict[str, str] = {
     "generate_answer": "synthesis",
     "parametric_answer": "parametric",
     "complete": "other",
-    "complete_many": "other",
 }
 
 #: transport methods below the UsageMeter seam; calling them from
-#: pipeline code bypasses accounting entirely (RES001).  ``transport`` /
-#: ``transport_many`` are the (text, latency) seam the gateway and the
-#: cache layer route through — metered exactly once by the wrapper that
-#: owns the call, so any use *above* the client stack is a bypass too.
-RAW_TRANSPORT = frozenset({
-    "_generate", "_generate_many", "transport", "transport_many",
-})
+#: pipeline code bypasses accounting entirely (RES001).  ``transport`` is
+#: the (text, latency) seam the gateway and the cache layer route
+#: through — metered exactly once by the wrapper that owns the call, so
+#: any use *above* the client stack is a bypass too.
+RAW_TRANSPORT = frozenset({"_generate", "transport"})
 
 #: symbolic corpus parameters the certified bounds range over.  The
 #: runtime budget gate measures each one on the ingested corpus and
@@ -618,7 +615,7 @@ def _stage_expr_value(node: ast.expr) -> str | None:
 
 
 def _call_stage(api: str, node: ast.Call) -> str:
-    if api in {"complete", "complete_many"}:
+    if api == "complete":
         tag = node.args[1] if len(node.args) >= 2 else next(
             (kw.value for kw in node.keywords if kw.arg == "stage"), None
         )
@@ -629,26 +626,13 @@ def _call_stage(api: str, node: ast.Call) -> str:
     return LLM_API_STAGES[api]
 
 
-def _calls_per_hit(api: str, node: ast.Call) -> Bound:
-    """Metered calls one execution of the site costs.
-
-    Every convenience wrapper and ``complete`` itself meter exactly one
-    call; ``complete_many`` meters one per prompt, resolvable only for
-    literal prompt lists.
-    """
-    if api != "complete_many":
-        return Bound.const(1)
-    if node.args and isinstance(node.args[0], (ast.List, ast.Tuple)):
-        return Bound.const(len(node.args[0].elts))
-    return Bound.unbounded()
-
-
 # ----------------------------------------------------------------------
 # per-function summaries
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class LLMSite:
-    """One syntactic call into the LLM client API."""
+    """One syntactic call into the LLM client API; each execution meters
+    exactly one call."""
 
     path: str
     line: int
@@ -657,7 +641,6 @@ class LLMSite:
     stage: str
     receiver: str
     precise: bool
-    calls_per_hit: Bound
 
 
 @dataclass(frozen=True, slots=True)
@@ -763,7 +746,6 @@ def _make_site(
         stage=_call_stage(api, node),
         receiver=_llm_receiver(node) or "",
         precise=precise,
-        calls_per_hit=_calls_per_hit(api, node),
     )
 
 
@@ -903,16 +885,13 @@ def _reachable_from(program: Program, roots: list[str]) -> set[str]:
 @dataclass(frozen=True, slots=True)
 class PathSite:
     """One LLM site as seen from an entry point: the site, the product
-    of every enclosing loop bound down the call path, and the path."""
+    of every enclosing loop bound down the call path (the calls the
+    site can meter per entry invocation), and the path."""
 
     site: LLMSite
     multiplier: Bound
     call_path: tuple[str, ...]
     loops: tuple[tuple[str, LoopFrame], ...]
-
-    @property
-    def cost(self) -> Bound:
-        return self.multiplier.mul(self.site.calls_per_hit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -944,7 +923,7 @@ def compute_entry_budgets(program: Program) -> tuple[EntryBudget, ...]:
         )
         bound = Bound.const(0)
         for path_site in sites:
-            bound = bound.add(path_site.cost)
+            bound = bound.add(path_site.multiplier)
         budgets.append(EntryBudget(entry=entry, sites=sites, bound=bound))
     result = tuple(budgets)
     program.analysis_cache["res_entry_budgets"] = result
@@ -1008,7 +987,6 @@ def _contributions(
                     stage="-",
                     receiver=callout.target,
                     precise=True,
-                    calls_per_hit=Bound.unbounded(),
                 ),
                 multiplier=Bound.unbounded(),
                 call_path=(qual, callout.target),
@@ -1050,7 +1028,7 @@ def _site_path(summaries: dict[str, FuncSummary], qual: str) -> str:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class RawTransportSite:
-    """A ``._generate``/``._generate_many`` call above the meter seam."""
+    """A raw transport call above the meter seam."""
 
     path: str
     line: int
@@ -1418,9 +1396,7 @@ def _path_site_doc(path_site: PathSite) -> dict[str, object]:
         "stage": site.stage,
         "receiver": site.receiver,
         "resolution": "precise" if site.precise else "name-match",
-        "calls_per_hit": site.calls_per_hit.expr(),
         "multiplier": path_site.multiplier.expr(),
-        "cost": path_site.cost.expr(),
         "call_path": list(path_site.call_path),
         "loops": [
             {
@@ -1458,7 +1434,7 @@ def llm_bounds_payload(program: Program) -> dict[str, object]:
         for path_site in budget.sites:
             stage = path_site.site.stage
             per_stage[stage] = per_stage.get(stage, Bound.const(0)).add(
-                path_site.cost
+                path_site.multiplier
             )
         bounds[key] = {
             "entry": entry.qualname,

@@ -4,8 +4,8 @@ Built on :mod:`repro.lint.flow.resources` — the interprocedural LLM
 call-path/budget analysis.  The contract the family enforces:
 
 * every LLM call goes through the metered client API (``complete`` /
-  ``complete_many`` / the task wrappers), never the raw ``_generate``
-  transport (RES001);
+  the task wrappers), never the raw ``_generate`` / ``transport``
+  seam (RES001);
 * every LLM call on a query path sits under loops whose trip counts
   resolve statically — to constants, ``self.attr`` caps, or an explicit
   ``# repro-lint: loop-bound[...]`` annotation — so a finite per-query
@@ -16,8 +16,8 @@ call-path/budget analysis.  The contract the family enforces:
   some ``pop``/``clear``/``remove``/reassignment in the owning class —
   so an always-on server cannot leak without bound (RES004).
 
-Stage tagging needs no rule: ``complete``/``complete_many`` take the
-stage as a required argument, so an untagged call raises ``TypeError``.
+Stage tagging needs no rule: ``complete`` takes the stage as a required
+argument, so an untagged call raises ``TypeError``.
 
 Sanctioned suppressions (inline ``# repro-lint: ignore[RES00x]`` with a
 trailing justification) are reserved for collections whose key space is
@@ -53,11 +53,11 @@ class RawTransportRule(FlowRule):
     family = "RES"
     severity = Severity.ERROR
     program_keyed = True
+    version = 2
     description = (
         "pipeline code reachable from a run/query entry point calls the "
-        "raw LLM transport (`_generate`/`_generate_many`), bypassing the "
-        "UsageMeter/caching seam; route the call through `complete()` or "
-        "`complete_many()`"
+        "raw LLM transport (`_generate`/`transport`), bypassing the "
+        "UsageMeter/caching seam; route the call through `complete()`"
     )
 
     def check_program(self, program: Program) -> Iterable[Finding]:
@@ -80,6 +80,7 @@ class UnboundedCallRule(FlowRule):
     family = "RES"
     severity = Severity.ERROR
     program_keyed = True
+    version = 2
     description = (
         "an LLM call on a query path sits under a loop whose trip count "
         "does not resolve to a constant, a `self.attr` cap, or a "
@@ -93,7 +94,7 @@ class UnboundedCallRule(FlowRule):
             if budget.entry.phase != "query":
                 continue
             for path_site in budget.sites:
-                if not path_site.cost.is_unbounded:
+                if not path_site.multiplier.is_unbounded:
                     continue
                 for finding in self._findings_for(budget.entry.algorithm,
                                                   path_site, seen):
@@ -134,8 +135,7 @@ class UnboundedCallRule(FlowRule):
                     site.line,
                     f"`{site.api}` call on the `{algorithm}` query path "
                     f"({route}) has no statically bounded cost "
-                    "(recursive path or non-literal `complete_many` "
-                    "prompt list)",
+                    "(recursive path)",
                     col=site.col,
                 )
 

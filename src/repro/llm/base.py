@@ -12,8 +12,8 @@ pipeline stage that issued it.  The tag drives per-stage usage attribution
 (:attr:`UsageMeter.by_stage`), per-stage routing and budgets in the
 gateway (:mod:`repro.llm.gateway`), and the statically certified call
 bounds (``repro.lint`` RES rules).  The tag is a required argument of
-:meth:`LLMClient.complete` / :meth:`LLMClient.complete_many`, passed
-through unchanged, so no call can escape attribution.
+:meth:`LLMClient.complete`, passed through unchanged, so no call can
+escape attribution.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.llm.stage import Stage
 
@@ -236,9 +236,9 @@ class LLMClient(ABC):
     Concrete implementations must be deterministic for a fixed construction
     seed: the whole reproduction depends on replayable runs.
 
-    The public surface is :meth:`complete` / :meth:`complete_many` (plus
-    the semantic helpers below); both take a ``stage`` tag.  Subclasses
-    customize the *transport* layer — :meth:`_generate` for the text and
+    The public surface is :meth:`complete` (plus the semantic helpers
+    below), which takes a ``stage`` tag.  Subclasses customize the
+    *transport* layer — :meth:`_generate` for the text and
     :meth:`transport` when they also control accounted latency (the
     cache layer's free hits, the gateway's backend routing) — and
     inherit tagging, accounting and the helper prompts unchanged.
@@ -265,15 +265,6 @@ class LLMClient(ABC):
     def _generate(self, prompt: str) -> str:
         """Produce the completion text for ``prompt``."""
 
-    def _generate_many(self, prompts: Sequence[str]) -> list[str]:
-        """Produce completion texts for a prompt batch.
-
-        Default: one :meth:`_generate` call per prompt.  A served client
-        would override this with one batched request; implementations
-        must keep per-prompt outputs independent of batch order.
-        """
-        return [self._generate(prompt) for prompt in prompts]
-
     def latency_for(self, prompt: str, text: str) -> float:
         """The accounted latency of one completion under this client's
         cost model."""
@@ -294,21 +285,6 @@ class LLMClient(ABC):
         """
         text = self._generate(prompt)
         return text, self.latency_for(prompt, text)
-
-    def transport_many(
-        self, prompts: Sequence[str]
-    ) -> list[tuple[str, float]]:
-        """Batch :meth:`transport`; same contract, prompt order preserved.
-
-        Routes through :meth:`_generate_many` so clients with a true
-        batch path keep it; per-prompt results must be independent of
-        batching.
-        """
-        texts = self._generate_many(list(prompts))
-        return [
-            (text, self.latency_for(prompt, text))
-            for prompt, text in zip(prompts, texts)
-        ]
 
     def _account(
         self,
@@ -340,24 +316,6 @@ class LLMClient(ABC):
         """Run one completion and record its usage under ``stage``."""
         text, latency = self.transport(prompt)
         return self._account(prompt, text, stage, latency_s=latency)
-
-    def complete_many(
-        self, prompts: Sequence[str], stage: Stage
-    ) -> list[LLMResponse]:
-        """Run a prompt batch; responses come back in prompt order.
-
-        Contract: ``complete_many(ps, stage=s)`` is observably identical
-        to ``[complete(p, stage=s) for p in ps]`` — same texts, same
-        accounting, same meter state afterwards — so callers may batch
-        opportunistically.  The batch travels through
-        :meth:`transport_many` (one batched request for clients that
-        have one) and is accounted in prompt order.
-        """
-        results = self.transport_many(prompts)
-        return [
-            self._account(prompt, text, stage, latency_s=latency)
-            for prompt, (text, latency) in zip(prompts, results)
-        ]
 
     # ------------------------------------------------------------------
     # semantic helpers (render prompt -> complete -> parse)
@@ -462,12 +420,9 @@ class LLMClient(ABC):
         self.meter.merge(worker.meter)
 
 
-# Backwards-compatible re-export: Stage started life here and callers
-# import it from either module.
 __all__ = [
     "LLMClient",
     "LLMResponse",
-    "Stage",
     "StageUsage",
     "UsageCheckpoint",
     "UsageMeter",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
 
 from repro.llm.base import LLMClient
 from repro.obs.context import NOOP, Observability
@@ -87,54 +86,6 @@ class CachingLLM(LLMClient):
         if is_hit and self.free_hits:
             return text, 0.0
         return text, self.latency_for(prompt, text)
-
-    def transport_many(
-        self, prompts: Sequence[str]
-    ) -> list[tuple[str, float]]:
-        """True batch path: misses go to the inner client as one batch.
-
-        Hit/miss status is decided in prompt order *as if* each prompt
-        had been completed singly (a duplicated uncached prompt is one
-        miss then hits), then all unique misses are forwarded through the
-        inner client's batch hook and every prompt is costed in submit
-        order — so outputs, hit counters and the meter are
-        byte-identical to sequential :meth:`transport` calls.
-        """
-        ordered = list(prompts)
-        pending: list[str] = []
-        texts: dict[str, str] = {}
-        hit_flags: list[bool] = []
-        for prompt in ordered:
-            if prompt in texts:
-                hit_flags.append(True)
-                continue
-            cached = self._cache.get(prompt)
-            if cached is not None:
-                texts[prompt] = cached
-                hit_flags.append(True)
-                continue
-            hit_flags.append(False)
-            texts[prompt] = ""  # scheduled; filled from the batch below
-            pending.append(prompt)
-        if pending:
-            for prompt, text in zip(pending, self.inner._generate_many(pending)):
-                texts[prompt] = text
-                self._store(prompt, text)
-        results: list[tuple[str, float]] = []
-        for prompt, hit in zip(ordered, hit_flags):
-            if hit:
-                self.hits += 1
-                self.obs.metrics.counter("llm.cache.hits").inc()
-            else:
-                self.misses += 1
-                self.obs.metrics.counter("llm.cache.misses").inc()
-            text = texts[prompt]
-            latency = (
-                0.0 if hit and self.free_hits
-                else self.latency_for(prompt, text)
-            )
-            results.append((text, latency))
-        return results
 
     # ------------------------------------------------------------------
     # persistence & stats

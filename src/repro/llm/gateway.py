@@ -36,7 +36,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from repro.errors import ConfigError, ReproError
 from repro.llm.base import LLMClient, LLMResponse, UsageMeter, count_tokens
@@ -508,7 +508,7 @@ class LLMGateway(LLMClient):
         """Raw text from the default backend (no routing, no metering).
 
         Exists to satisfy the client ABC; the routed surface is
-        :meth:`complete` / :meth:`complete_many`.
+        :meth:`complete`.
         """
         return self.backends[self.policy.default_backend]._generate(prompt)
 
@@ -735,21 +735,6 @@ class LLMGateway(LLMClient):
             f"llm.gateway.calls.{stage.value}.{backend}"
         ).inc()
         return response
-
-    def complete_many(
-        self, prompts: Sequence[str], stage: Stage
-    ) -> list[LLMResponse]:
-        """Sequential-equivalent batch (see base contract).
-
-        Budgets, breakers and the simulated clock must advance call by
-        call, so the gateway serves batches one prompt at a time.
-
-        Raises:
-            BudgetExceededError: stage quota would be passed (checked
-                before each spend).
-            GatewayError: no admissible backend served a call.
-        """
-        return [self.complete(prompt, stage) for prompt in prompts]
 
     # -- worker-view protocol ------------------------------------------
     def split(self, obs: Observability | None = None) -> "LLMGateway":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Sequence
+from typing import Any
 
 from repro.llm.base import LLMClient
 from repro.llm.lexicon import BY_PREDICATE, split_sentence
@@ -112,17 +112,6 @@ class SimulatedLLM(LLMClient):
             # falls back to generic text.
             return "I cannot determine the requested structure."
         return handler(sections)
-
-    def _generate_many(self, prompts: Sequence[str]) -> list[str]:
-        """True batch path: generate the whole batch up front.
-
-        ``_generate`` is a pure function of (prompt, seed), so computing
-        every completion where a served model would issue one batched
-        request cannot change any output; the base class accounts the
-        results in prompt order, keeping the meter byte-identical to
-        sequential :meth:`complete` calls.
-        """
-        return [self._generate(prompt) for prompt in prompts]
 
     # ------------------------------------------------------------------
     # noise helpers

@@ -1,128 +1,33 @@
-"""Process-wide performance switches and cache registry.
+"""Process-wide registry of the query hot path's memo caches.
 
-The query hot path carries several pure-function memoization layers
+The query hot path memoizes pure functions
 (:func:`repro.retrieval.tokenize.tokenize`, the mutual-information
-similarity in :mod:`repro.confidence.similarity`) and an impact-ordered
-BM25 search.  Every one of them is *output-identical* to the naive code
-it replaces — the identity suite in ``tests/retrieval`` and
-``benchmarks/test_perf_hotpath.py`` pins that — but benchmarking the win
-requires running the naive path on demand, so the fast path is a global
-switch rather than dead code.
+similarity in :mod:`repro.confidence.similarity`).  Each memo is keyed on
+its arguments only, so its entries can never go stale; the test oracle in
+``tests/hotpath_oracle.py`` pins that every memoized result equals the
+naive computation.
 
 This module is foundation-level (no repro imports): the modules that own
-an optimization consult :func:`fast_path_enabled` and register their
-cache-clear hooks with :func:`register_cache`.  ``MultiRAG.ingest`` /
-``add_source`` call :func:`clear_caches` so memoized similarity scores
-and token lists never outlive the corpus they were computed against.
-
-Caches register with a *scope* describing what invalidates them:
-
-* ``"corpus"`` (default) — derived from corpus-wide state (document
-  frequencies, graph statistics); any corpus change invalidates them.
-* ``"value"`` — pure functions of their arguments (token lists,
-  distributional similarity of two literal values); never stale, cleared
-  only on a *full* clear for memory hygiene.
-
-Shard-aware caches (per-partition derived state) register through
-:func:`register_shard_cache` with a callback taking the set of dirty
-shard ids; :func:`clear_caches(shards=...)` lets an incremental
-``add_source`` drop exactly the partitions it touched while value-scoped
-memos survive — the bulk of the warm-query win.
+a memo register its clear hook with :func:`register_cache`, and
+``MultiRAG.ingest`` calls :func:`clear_caches` so a new corpus starts
+from empty caches (memory hygiene, not correctness).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Collection, Iterator, Optional
+from typing import Callable
 
-_FAST_PATH = True
-
-#: cache scopes understood by :func:`register_cache`.
-CACHE_SCOPES = ("corpus", "value")
-
-#: registered ``(scope, clear)`` callbacks, in registration order.
-_CACHE_CLEARERS: list[tuple[str, Callable[[], None]]] = []
-
-#: shard-aware clearers: called with the dirty shard set (None = all).
-_SHARD_CLEARERS: list[Callable[[Optional[frozenset[int]]], None]] = []
+#: registered clear callbacks, in registration order.
+_CACHE_CLEARERS: list[Callable[[], None]] = []
 
 
-def fast_path_enabled() -> bool:
-    """True when the optimized hot-path implementations are active."""
-    return _FAST_PATH
-
-
-def set_fast_path(enabled: bool) -> None:
-    """Globally enable/disable the optimized hot paths.
-
-    Disabling routes BM25 search, tokenization and similarity through
-    their naive reference implementations — the baseline side of every
-    perf benchmark and identity test.
-    """
-    global _FAST_PATH
-    _FAST_PATH = bool(enabled)
-
-
-@contextmanager
-def use_fast_path(enabled: bool) -> Iterator[None]:
-    """Temporarily force the fast path on or off (restores on exit)."""
-    previous = _FAST_PATH
-    set_fast_path(enabled)
-    try:
-        yield
-    finally:
-        set_fast_path(previous)
-
-
-def register_cache(
-    clear: Callable[[], None], *, scope: str = "corpus"
-) -> Callable[[], None]:
-    """Register a cache-clear callback; returns it (decorator-friendly).
-
-    ``scope`` declares what invalidates the cache (see module docstring):
-    ``"corpus"`` caches are dropped on every corpus change, ``"value"``
-    caches only on a full :func:`clear_caches` (memory hygiene — their
-    entries can never go stale).
-
-    Raises:
-        ValueError: if ``scope`` is not one of :data:`CACHE_SCOPES`.
-    """
-    if scope not in CACHE_SCOPES:
-        raise ValueError(
-            f"unknown cache scope {scope!r}; expected one of {CACHE_SCOPES}"
-        )
-    _CACHE_CLEARERS.append((scope, clear))
+def register_cache(clear: Callable[[], None]) -> Callable[[], None]:
+    """Register a cache-clear callback; returns it (decorator-friendly)."""
+    _CACHE_CLEARERS.append(clear)
     return clear
 
 
-def register_shard_cache(  # repro-lint: ignore[DC001] — registry API for shard-aware caches; exercised by tests/perf
-    clear: Callable[[Optional[frozenset[int]]], None],
-) -> Callable[[Optional[frozenset[int]]], None]:
-    """Register a shard-aware clearer; returns it (decorator-friendly).
-
-    The callback receives the set of dirty shard ids, or ``None`` for a
-    full clear; it must drop at least the entries derived from those
-    partitions.
-    """
-    _SHARD_CLEARERS.append(clear)
-    return clear
-
-
-def clear_caches(shards: Collection[int] | None = None) -> None:
-    """Clear registered memoization caches after a corpus change.
-
-    ``clear_caches()`` (no argument) is the full clear — every registered
-    cache is dropped, including value-scoped memos.  ``ingest`` uses it
-    (a new corpus), as do benchmarks measuring cold-cache behaviour.
-
-    ``clear_caches(shards={...})`` is the incremental form used by
-    ``add_source``: corpus-scoped caches are dropped, shard-aware caches
-    are told exactly which partitions went dirty, and value-scoped memos
-    (pure functions of their arguments — never stale) are retained.
-    """
-    dirty = None if shards is None else frozenset(shards)
-    for scope, clear in _CACHE_CLEARERS:
-        if dirty is None or scope == "corpus":
-            clear()
-    for shard_clear in _SHARD_CLEARERS:
-        shard_clear(dirty)
+def clear_caches() -> None:
+    """Drop every registered memo cache."""
+    for clear in _CACHE_CLEARERS:
+        clear()

@@ -3,24 +3,20 @@
 Several baselines (Standard RAG, IRCoT, MetaRAG) retrieve with BM25 in the
 original papers; implementing it here keeps the comparison honest.
 
-Two search implementations live side by side:
+Search scores against per-``(term, doc)`` impact tables precomputed at
+build time, accumulates term-at-a-time in query token order, prunes
+docs that provably cannot reach the top-``k`` via per-suffix
+max-impact bounds (WAND-style), and selects the top-``k`` with a heap
+instead of a full sort.
 
-* the **fast path** (default) scores against per-``(term, doc)`` impact
-  tables precomputed at build time, accumulates term-at-a-time in query
-  token order, prunes docs that provably cannot reach the top-``k`` via
-  per-suffix max-impact bounds (WAND-style), and selects the top-``k``
-  with a heap instead of a full sort;
-* the **naive path** (``repro.perf.use_fast_path(False)``) is the
-  original per-candidate ``score()`` loop, kept verbatim as the identity
-  reference and perf baseline.
-
-Both produce bit-identical scores: an impact is the same float
-expression ``idf * tf * (k1 + 1) / denom`` the naive path evaluates, and
-the fast path adds impacts to each document's running sum in the same
-query-token order the naive loop uses, so every intermediate float
-matches.  The pruning bound is itself a float sum in that same order,
-and IEEE-754 addition is monotone under correct rounding, so a pruned
-document's true score is always ``<`` the strict threshold.
+Scores are bit-identical to the textbook per-candidate loop (kept as
+the test oracle in ``tests/hotpath_oracle.py``): an impact is the same
+float expression ``idf * tf * (k1 + 1) / denom`` that loop evaluates,
+and each document's running sum adds impacts in the same query-token
+order, so every intermediate float matches.  The pruning bound is itself
+a float sum in that same order, and IEEE-754 addition is monotone under
+correct rounding, so a pruned document's true score is always ``<`` the
+strict threshold.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ import math
 from collections import Counter, defaultdict
 from typing import Generic, TypeVar
 
-import repro.perf as perf
 from repro.retrieval.tokenize import tokenize
 from repro.retrieval.vector_index import SearchHit
 
@@ -86,7 +81,7 @@ class BM25Index(Generic[T]):
         ``_doc_len``, ``_postings``, ``_idf``) — called at the end of
         :meth:`build` and again by the snapshot loader, which serializes
         the inputs but not the derived tables.  Each impact is the exact
-        float the naive :meth:`score` term loop would contribute.
+        float the textbook per-candidate term loop would contribute.
         """
         self._impacts = {}
         self._max_impact = {}
@@ -148,25 +143,13 @@ class BM25Index(Generic[T]):
         return self
 
     def score(self, query: str, doc_id: int) -> float:
-        """BM25 score of one indexed document against ``query``."""
-        if perf.fast_path_enabled():
-            return self._score_tokens(tokenize(query), doc_id)
-        counts = self._doc_tokens[doc_id]
-        length = self._doc_len[doc_id]
+        """BM25 score of one indexed document against ``query``.
+
+        Sums the precomputed impacts of the query's tokens in query
+        order (repeated tokens count once per occurrence).
+        """
         score = 0.0
         for term in tokenize(query):
-            tf = counts.get(term, 0)
-            if tf == 0:
-                continue
-            idf = self._idf.get(term, 0.0)
-            denom = tf + self.k1 * (1 - self.b + self.b * length / (self._avg_len or 1.0))
-            score += idf * tf * (self.k1 + 1) / denom
-        return score
-
-    def _score_tokens(self, tokens: list[str], doc_id: int) -> float:
-        """Exact score from precomputed impacts, naive accumulation order."""
-        score = 0.0
-        for term in tokens:
             impact = self._impacts.get(term)
             if impact is None:
                 continue
@@ -176,32 +159,15 @@ class BM25Index(Generic[T]):
         return score
 
     def search(self, query: str, k: int = 5) -> list[SearchHit[T]]:
-        """Top-``k`` items by BM25 score; only candidate docs are scored."""
-        if perf.fast_path_enabled():
-            return self._search_fast(tokenize(query), k)
-        # Naive reference path: the pre-optimization implementation, kept
-        # for identity tests and as the perf-benchmark baseline.  It
-        # deliberately re-tokenizes the query once per candidate inside
-        # score() — the cost the fast path removes.
-        candidates: set[int] = set()
-        for term in tokenize(query):  # repro-lint: ignore[PERF001] — naive reference baseline
-            candidates.update(self._postings.get(term, ()))
-        scored = sorted(
-            ((self.score(query, d), d) for d in candidates),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        return [SearchHit(self._items[d], s) for s, d in scored[:k]]
-
-    def _search_fast(self, tokens: list[str], k: int) -> list[SearchHit[T]]:
-        """Impact-ordered search: term-at-a-time with max-impact pruning.
+        """Top-``k`` items by BM25 score, ties broken by insertion order.
 
         Accumulates each document's score term-at-a-time in query token
-        order (so per-document float sums match the naive loop exactly),
-        skips *new* documents once no unseen document's best-case score —
-        the forward float sum of the remaining terms' max impacts — can
-        strictly beat the current kth-best partial score, and takes the
-        top-``k`` with a heap.
+        order, skips *new* documents once no unseen document's best-case
+        score — the forward float sum of the remaining terms' max
+        impacts — can strictly beat the current kth-best partial score,
+        and takes the top-``k`` with a heap.
         """
+        tokens = tokenize(query)
         if k <= 0 or not tokens or not self._items:
             return []
         # bounds[i]: best-case score of a doc first reached at token i,

@@ -33,7 +33,7 @@ def _tokenize_cached(text: str, drop_stopwords: bool) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-perf.register_cache(_tokenize_cached.cache_clear, scope="value")
+perf.register_cache(_tokenize_cached.cache_clear)
 
 
 def tokenize(text: str, drop_stopwords: bool = True) -> list[str]:
@@ -42,12 +42,7 @@ def tokenize(text: str, drop_stopwords: bool = True) -> list[str]:
     Hyphenated / dotted compounds (``ca-981``, ``14:30``) stay intact so
     flight numbers and timestamps survive as single tokens.
     """
-    if perf.fast_path_enabled():
-        return list(_tokenize_cached(text, drop_stopwords))
-    tokens = _TOKEN_RE.findall(text.lower())
-    if drop_stopwords:
-        return [t for t in tokens if t not in STOPWORDS]
-    return tokens
+    return list(_tokenize_cached(text, drop_stopwords))
 
 
 def sentences(text: str) -> list[str]:

@@ -1,5 +1,6 @@
 """Memoized similarity/distribution must equal the uncached computation
-and must not leak mutable cached state to callers."""
+(the oracle in ``tests/hotpath_oracle.py``) and must not leak mutable
+cached state to callers."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 
 import repro.perf as perf
 from repro.confidence.similarity import similarity, value_distribution
+from tests import hotpath_oracle as oracle
 
 VALUES = [
     "Christopher Nolan", "C. Nolan", "nolan", "1999", "March 1999",
@@ -25,36 +27,28 @@ def test_similarity_cached_equals_uncached():
     sets = _random_sets(rng, 40)
     pairs = [(rng.choice(sets), rng.choice(sets)) for _ in range(200)]
     for vi, vj in pairs:
-        with perf.use_fast_path(True):
-            fast = similarity(vi, vj)
-            fast_again = similarity(vi, vj)  # served from cache
-        with perf.use_fast_path(False):
-            naive = similarity(vi, vj)
-        assert fast == naive
-        assert fast_again == naive
+        memoized = similarity(vi, vj)
+        memoized_again = similarity(vi, vj)  # served from cache
+        naive = oracle.similarity(vi, vj)
+        assert memoized == naive
+        assert memoized_again == naive
 
 
 def test_distribution_cached_equals_uncached():
     rng = random.Random(7)
     for values in _random_sets(rng, 50):
-        with perf.use_fast_path(True):
-            fast = value_distribution(values)
-        with perf.use_fast_path(False):
-            naive = value_distribution(values)
-        assert fast == naive
+        assert value_distribution(values) == oracle.value_distribution(values)
 
 
 def test_distribution_returns_fresh_dict():
-    with perf.use_fast_path(True):
-        first = value_distribution(["alpha beta"])
-        first["poisoned"] = 1.0
-        second = value_distribution(["alpha beta"])
+    first = value_distribution(["alpha beta"])
+    first["poisoned"] = 1.0
+    second = value_distribution(["alpha beta"])
     assert "poisoned" not in second
 
 
 def test_clear_caches_between_corpora():
-    with perf.use_fast_path(True):
-        before = similarity(["x"], ["x"])
-        perf.clear_caches()
-        after = similarity(["x"], ["x"])
+    before = similarity(["x"], ["x"])
+    perf.clear_caches()
+    after = similarity(["x"], ["x"])
     assert before == after == 1.0

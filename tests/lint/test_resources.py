@@ -5,7 +5,7 @@ rule, plus the symbolic :class:`Bound` algebra and the
 Each fixture is a tiny multi-module program handed to
 :func:`repro.lint.lint_sources`.  The ``repro/llm/base.py`` stub
 carries the metered-client seam (an ``LLMClient`` with the
-``complete``/``complete_many`` API over a raw ``_generate`` transport)
+``complete`` API over a raw ``_generate`` transport)
 and the ``repro/core/pipeline.py`` stub carries the ``MultiRAG.run``
 entry point — so the interprocedural budget analysis engages exactly
 as it does over the real tree.
@@ -34,17 +34,11 @@ LLM_BASE = (
     "    def complete(self, prompt, stage):\n"
     "        return self._generate(prompt)\n"
     "\n"
-    "    def complete_many(self, prompts, stage):\n"
-    "        return self._generate_many(list(prompts))\n"
-    "\n"
     "    def extract_entities(self, text):\n"
     "        return self.complete(text, Stage.NER)\n"
     "\n"
     "    def _generate(self, prompt):\n"
     "        return prompt\n"
-    "\n"
-    "    def _generate_many(self, prompts):\n"
-    "        return [self._generate(p) for p in prompts]\n"
 )
 
 PIPELINE = (
@@ -283,35 +277,6 @@ class TestRES002:
         findings = res_findings(files, {"RES002"})
         assert findings, "LLM-relevant recursion must not certify a bound"
         assert all(f.rule_id == "RES002" for f in findings)
-
-    def test_non_literal_complete_many_is_flagged(self):
-        files = base_files(
-            "class MultiRAG:\n"
-            "    def __init__(self, llm):\n"
-            "        self.llm = llm\n"
-            "\n"
-            "    def run(self, query):\n"
-            "        return self.llm.complete_many(query.split(), Stage.OTHER)\n"
-        )
-        findings = res_findings(files, {"RES002"})
-        assert [f.rule_id for f in findings] == ["RES002"]
-        assert "complete_many" in findings[0].message
-
-    def test_literal_complete_many_counts_prompts(self):
-        files = base_files(
-            "class MultiRAG:\n"
-            "    def __init__(self, llm):\n"
-            "        self.llm = llm\n"
-            "\n"
-            "    def run(self, query):\n"
-            "        return self.llm.complete_many([query, query], Stage.OTHER)\n"
-        )
-        assert res_ids(files, {"RES002"}) == []
-        budgets = {
-            b.entry.qualname: b for b in
-            compute_entry_budgets(program_of(files))
-        }
-        assert budgets["repro.core.pipeline.MultiRAG.run"].bound.expr() == "2"
 
 
 # ----------------------------------------------------------------------

@@ -100,13 +100,12 @@ CLIENTS = {
 class TestStageIsRequired:
     PROMPT = "### TASK: parametric\n### INPUT\nInception|genre\n### END\n"
 
-    @pytest.mark.parametrize("method", ["complete", "complete_many"])
+    @pytest.mark.parametrize("method", ["complete"])
     @pytest.mark.parametrize("client", sorted(CLIENTS))
     def test_call_without_stage_raises(self, client, method):
         llm = CLIENTS[client]()
-        prompts = self.PROMPT if method == "complete" else [self.PROMPT]
         with pytest.raises(TypeError):
-            getattr(llm, method)(prompts)
+            getattr(llm, method)(self.PROMPT)
         assert llm.meter.calls == 0
 
 

@@ -257,15 +257,6 @@ class TestRoutingAndAccounting:
         assert gateway.events == []
         assert gateway.breaker_states() == {"good": "closed"}
 
-    def test_complete_many_equals_loop_of_completes(self):
-        prompts = ["a", "b c", "d"]
-        batch = make_gateway()
-        loop = make_gateway()
-        via_batch = batch.complete_many(prompts, stage=Stage.STD)
-        via_loop = [loop.complete(p, stage=Stage.STD) for p in prompts]
-        assert [r.text for r in via_batch] == [r.text for r in via_loop]
-        assert batch.meter.stage_snapshot() == loop.meter.stage_snapshot()
-
     def test_per_stage_backend_counters(self):
         obs = Observability.enable()
         gateway = make_gateway(obs=obs)

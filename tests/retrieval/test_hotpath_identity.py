@@ -1,10 +1,11 @@
-"""Fast-path/naive-path output identity for the query hot path.
+"""Production/oracle output identity for the query hot path.
 
-``repro.perf`` gates every hot-path optimization (BM25 impact scores with
-top-k early termination, tokenizer/similarity memoization) behind a
-switch whose contract is *byte-identical output*: identical hit lists,
-identical float scores.  These tests pin the contract on randomized
-corpora so a future "optimization" that drifts by one ULP fails loudly.
+Every hot-path optimization (BM25 impact scores with top-k early
+termination, tokenizer memoization) must produce *byte-identical
+output* to the naive code kept in ``tests/hotpath_oracle.py``:
+identical hit lists, identical float scores.  These tests pin the
+contract on randomized corpora so a future "optimization" that drifts by
+one ULP fails loudly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 import repro.perf as perf
 from repro.retrieval import BM25Index
 from repro.retrieval.tokenize import tokenize
+from tests import hotpath_oracle as oracle
 
 WORDS = [
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
@@ -46,10 +48,8 @@ def corpus():
     return items, texts, _queries(rng, 60)
 
 
-def _search_all(index, queries, k):
-    return [
-        [(h.item, h.score) for h in index.search(q, k=k)] for q in queries
-    ]
+def _search_all(search, queries, k):
+    return [[(h.item, h.score) for h in search(q, k)] for q in queries]
 
 
 class TestBM25Identity:
@@ -57,44 +57,39 @@ class TestBM25Identity:
     def test_search_identical(self, corpus, k):
         items, texts, queries = corpus
         index = BM25Index[str]().build(items, texts)
-        with perf.use_fast_path(True):
-            fast = _search_all(index, queries, k)
-        with perf.use_fast_path(False):
-            naive = _search_all(index, queries, k)
-        assert fast == naive  # floats compared exactly, on purpose
+        production = _search_all(index.search, queries, k)
+        naive = _search_all(
+            lambda q, k: oracle.bm25_search(index, q, k), queries, k
+        )
+        assert production == naive  # floats compared exactly, on purpose
 
     def test_score_identical(self, corpus):
         items, texts, queries = corpus
         index = BM25Index[str]().build(items, texts)
         for query in queries[:20]:
             for doc_id in range(0, len(items), 17):
-                with perf.use_fast_path(True):
-                    fast = index.score(query, doc_id)
-                with perf.use_fast_path(False):
-                    naive = index.score(query, doc_id)
-                assert fast == naive
+                assert index.score(query, doc_id) == oracle.bm25_score(
+                    index, query, doc_id
+                )
 
 
 class TestTokenizeCache:
     def test_cached_equals_uncached(self):
         texts = ["Hello, World! 123", "the and of", "", "Ünïcode tëxt"]
         for text in texts:
-            with perf.use_fast_path(True):
-                fast = tokenize(text)
-            with perf.use_fast_path(False):
-                naive = tokenize(text)
-            assert fast == naive
+            for drop_stopwords in (True, False):
+                assert tokenize(text, drop_stopwords) == oracle.tokenize(
+                    text, drop_stopwords
+                )
 
     def test_cache_returns_fresh_lists(self):
-        with perf.use_fast_path(True):
-            first = tokenize("alpha beta gamma")
-            second = tokenize("alpha beta gamma")
+        first = tokenize("alpha beta gamma")
+        second = tokenize("alpha beta gamma")
         assert first == second
         first.append("mutated")
         assert tokenize("alpha beta gamma") == second
 
     def test_clear_caches_resets(self):
-        with perf.use_fast_path(True):
-            tokenize("cache me")
-            perf.clear_caches()
-            assert tokenize("cache me") == ["cache", "me"]
+        tokenize("cache me")
+        perf.clear_caches()
+        assert tokenize("cache me") == ["cache", "me"]

@@ -1,6 +1,8 @@
-"""Scoped cache registry: corpus / value / shard invalidation semantics."""
+"""Cache registry: ``clear_caches`` drops every registered memo."""
 
 from __future__ import annotations
+
+import importlib
 
 import pytest
 
@@ -11,54 +13,35 @@ import repro.perf as perf
 def registry(monkeypatch):
     """An isolated clearer registry (the real one is process-global)."""
     monkeypatch.setattr(perf, "_CACHE_CLEARERS", [])
-    monkeypatch.setattr(perf, "_SHARD_CLEARERS", [])
     return perf
 
 
 class TestScopes:
     def test_full_clear_hits_every_scope(self, registry):
         calls = []
-        registry.register_cache(lambda: calls.append("corpus"))
-        registry.register_cache(lambda: calls.append("value"), scope="value")
+        registry.register_cache(lambda: calls.append("first"))
+        registry.register_cache(lambda: calls.append("second"))
         registry.clear_caches()
-        assert sorted(calls) == ["corpus", "value"]
-
-    def test_shard_clear_retains_value_scope(self, registry):
-        calls = []
-        registry.register_cache(lambda: calls.append("corpus"))
-        registry.register_cache(lambda: calls.append("value"), scope="value")
-        registry.clear_caches(shards={1, 3})
-        assert calls == ["corpus"]
-
-    def test_shard_clearers_receive_dirty_set(self, registry):
-        seen = []
-        registry.register_shard_cache(seen.append)
-        registry.clear_caches(shards=[2, 0, 2])
-        registry.clear_caches()
-        assert seen == [frozenset({0, 2}), None]
-
-    def test_unknown_scope_rejected(self, registry):
-        with pytest.raises(ValueError, match="scope"):
-            registry.register_cache(lambda: None, scope="galaxy")
+        assert calls == ["first", "second"]
 
     def test_register_returns_callback(self, registry):
         def clear():
             pass
 
         assert registry.register_cache(clear) is clear
-        assert registry.register_shard_cache(lambda dirty: None)
 
 
 class TestRealRegistrations:
-    def test_value_memos_survive_shard_clear(self):
-        """tokenize/similarity memos are pure — a shard clear keeps them."""
-        from repro.retrieval.tokenize import _tokenize_cached, tokenize
+    @pytest.mark.parametrize("module, attr", [
+        ("repro.retrieval.tokenize", "_tokenize_cached"),
+        ("repro.confidence.similarity", "_distribution_cached"),
+        ("repro.confidence.similarity", "_similarity_cached"),
+    ])
+    def test_clear_caches_empties_every_memo(self, module, attr):
+        from repro.confidence.similarity import similarity
 
-        with perf.use_fast_path(True):
-            tokenize("retained across shard clears")
-            before = _tokenize_cached.cache_info().currsize
-            assert before > 0
-            perf.clear_caches(shards={0})
-            assert _tokenize_cached.cache_info().currsize == before
-            perf.clear_caches()
-            assert _tokenize_cached.cache_info().currsize == 0
+        similarity(["retained until", "a full clear"], ["a full clear"])
+        memo = getattr(importlib.import_module(module), attr)
+        assert memo.cache_info().currsize > 0
+        perf.clear_caches()
+        assert memo.cache_info().currsize == 0
