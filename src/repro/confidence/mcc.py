@@ -10,7 +10,11 @@ homologous groups:
    node-level scrutiny.
 2. **Node level** (Eqs. 8–11): each scrutinized node's ``C(v)`` is compared
    against the node threshold θ; survivors join ``SVs``, the rest fall to
-   the isolated set ``LVs`` exactly as in Algorithm 1's loop.
+   the isolated set ``LVs`` exactly as in Algorithm 1's loop.  The
+   group-wide inputs of those equations are computed once per group
+   (:meth:`~repro.confidence.node_level.NodeScorer.group_table`).  After
+   the pass, each assessed member's edge weight is its ``C(v)`` and each
+   skipped member's is its source credibility.
 
 Both stages can be disabled independently for the Table III ablations
 (``w/o Graph Level`` / ``w/o Node Level`` / ``w/o MCC``).
@@ -199,8 +203,13 @@ def mcc(
             skipped = []
 
         with obs.tracer.span("mcc.node", key=key) as nspan:
+            table = scorer.group_table(group)
+            # Definition 4's edge weight w_i: each member's source
+            # credibility, then C(v) for the members assessed below.
+            for member, weight in zip(group.members, table.credibility):
+                group.set_weight(member, weight)
             for member in to_assess:  # repro-lint: loop-bound[C] — at most the candidate claims of one key
-                assessment = scorer.assess(member, group)
+                assessment = scorer.assess(member, table)
                 group.set_weight(member, assessment.confidence)
                 result.nodes_scored += 1
                 if assessment.confidence > node_threshold:

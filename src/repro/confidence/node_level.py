@@ -16,6 +16,15 @@ scorer combines:
 ``A(v) = α·Auth_LLM + (1-α)·Auth_hist`` (Eq. 9) and the final node
 confidence is ``C(v) = S_n(v) + A(v)`` (Algorithm 1, line 6), compared
 against the paper's node threshold θ = 0.7.
+
+Most inputs of these equations belong to the group, not to the node:
+each member's source credibility, each value's weighted support, each
+source's consensus and the claims around the group's subjects.
+:meth:`NodeScorer.group_table` computes them once per group as a
+:class:`GroupTable`, which every node assessed against the group reads.
+The table adds each float up over the members in group order, as a
+pass over the members for each node would, so the scores are exactly
+those of that per-node pass.
 """
 
 from __future__ import annotations
@@ -33,6 +42,10 @@ from repro.linegraph.homologous import HomologousGroup
 from repro.llm.base import LLMClient
 from repro.obs.context import NOOP, Observability
 from repro.util import normalize_value
+
+#: A subject's live claims counted by object and by ``(predicate,
+#: object)``, and the live claims whose object it is, counted by subject.
+ClaimCounts = tuple[Counter[str], Counter[tuple[str, str]], Counter[str]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +66,27 @@ class NodeAssessment:
     @property
     def source_id(self) -> str:
         return self.triple.source_id()
+
+
+@dataclass(frozen=True, slots=True)
+class GroupTable:
+    """The group-wide inputs of Eqs. 8–11 for one homologous group.
+
+    Built by :meth:`NodeScorer.group_table` and only read afterwards.
+    ``sources`` and ``credibility`` run parallel to ``members``.
+    """
+
+    members: list[Triple]
+    sources: list[str]
+    #: each member's historical source credibility ``Pr^h(D)``
+    credibility: list[float]
+    #: credibility-weighted support per normalized value, and its total
+    support: dict[str, float]
+    total_weight: float
+    #: Eq. 11's ``Σ Pr(v_p)`` over each source's claims in the group
+    consensus: dict[str, float]
+    #: claim counts of each member subject
+    claims: dict[str, ClaimCounts]
 
 
 class NodeScorer:
@@ -82,10 +116,46 @@ class NodeScorer:
         self._max_degree = max((graph.degree(e.eid) for e in graph.entities()),
                                default=1) or 1
 
+    def group_table(self, group: HomologousGroup) -> GroupTable:
+        """The group-wide inputs of Eqs. 8–11 for ``group``, computed once
+        for all of its nodes."""
+        members = group.members
+        sources = [m.source_id() for m in members]
+        credibility = [self.history.credibility(s) for s in sources]
+        norms = [normalize_value(m.obj) for m in members]
+        support: dict[str, float] = {}
+        total_weight = 0.0
+        for norm, weight in zip(norms, credibility):
+            support[norm] = support.get(norm, 0.0) + weight
+            total_weight += weight
+        # Pr(v_p) of each claim: the consensus probability of its value.
+        counts = Counter(norms)
+        pr_v: dict[str, list[float]] = {}
+        for norm, source in zip(norms, sources):
+            pr_v.setdefault(source, []).append(counts[norm] / len(members))
+        subjects = dict.fromkeys(m.subject for m in members)
+        return GroupTable(
+            members=members,
+            sources=sources,
+            credibility=credibility,
+            support=support,
+            total_weight=total_weight,
+            consensus={source: sum(terms) for source, terms in pr_v.items()},
+            claims={s: self._claim_counts(s) for s in subjects},
+        )
+
+    def _claim_counts(self, subject: str) -> ClaimCounts:
+        claims = self.graph.by_subject(subject)
+        return (
+            Counter(t.obj for t in claims),
+            Counter((t.predicate, t.obj) for t in claims),
+            Counter(t.subject for t in self.graph.by_object(subject)),
+        )
+
     # ------------------------------------------------------------------
     # Eq. 8 — consistency
     # ------------------------------------------------------------------
-    def consistency(self, triple: Triple, group: HomologousGroup) -> float:
+    def consistency(self, triple: Triple, table: GroupTable) -> float:
         """``S_n(v)``: credibility-weighted mean similarity to group peers.
 
         Definition 4 attaches a weight ``w_i`` to every homologous edge,
@@ -93,16 +163,17 @@ class NodeScorer:
         the weight of a peer is its source's historical credibility, so a
         clique of low-credibility copycats cannot vote itself consistent.
         """
-        peers = [m for m in group.members if m is not triple]
-        if not peers:
-            return 1.0
+        own_source = triple.source_id()
+        has_peers = False
         total = 0.0
         weight_sum = 0.0
-        own_source = triple.source_id()
-        for peer in peers:
-            weight = self.history.credibility(peer.source_id())
-            group.set_weight(peer, weight)
-            if peer.source_id() == own_source:
+        for peer, source, weight in zip(
+            table.members, table.sources, table.credibility
+        ):
+            if peer is triple:
+                continue
+            has_peers = True
+            if source == own_source:
                 # Values asserted *together by one source* are complementary
                 # claims of a multi-valued attribute, not contradictions —
                 # a source listing two directors is not disagreeing with
@@ -112,6 +183,8 @@ class NodeScorer:
                 sim = similarity([triple.obj], [peer.obj])
             total += weight * sim
             weight_sum += weight
+        if not has_peers:
+            return 1.0
         if weight_sum == 0.0:
             return 0.0
         return total / weight_sum
@@ -119,37 +192,33 @@ class NodeScorer:
     # ------------------------------------------------------------------
     # Eq. 10 — LLM authority
     # ------------------------------------------------------------------
-    def _node_features(self, triple: Triple, group: HomologousGroup) -> dict[str, float]:
+    def _node_features(self, triple: Triple, table: GroupTable) -> dict[str, float]:
         # Global influence: how connected the claimed value is elsewhere.
         degree = self.graph.degree(triple.obj)
         norm_degree = math.log1p(degree) / math.log1p(self._max_degree)
         # Local connection strength: within-group agreement on this value,
         # weighted by each claimant's credibility (Definition 4's w_i) so a
         # clique of weak copycats does not read as strong local support.
-        support: dict[str, float] = {}
-        total_weight = 0.0
-        for member in group.members:
-            weight = self.history.credibility(member.source_id())
-            support[normalize_value(member.obj)] = (
-                support.get(normalize_value(member.obj), 0.0) + weight
-            )
-            total_weight += weight
         agreement = (
-            support.get(normalize_value(triple.obj), 0.0) / total_weight
-            if total_weight else 0.0
+            table.support.get(normalize_value(triple.obj), 0.0)
+            / table.total_weight
+            if table.total_weight else 0.0
         )
         # Entity-type information: does the value look like the kind the
         # relation schema expects (a year predicate should point at a year)?
         type_consistency = self.schema.check(triple.predicate, triple.obj)
         # Multi-step path support: corroborating statements that also
-        # mention the value in connection with the subject's neighborhood.
-        corroboration = sum(
-            1 for t in self.graph.by_object(triple.obj)
-            if t.subject == triple.subject and t.predicate != triple.predicate
-        )
-        corroboration += sum(
-            1 for t in self.graph.by_subject(triple.obj)
-            if t.obj == triple.subject
+        # mention the value in connection with the subject's neighborhood —
+        # the subject's other predicates pointing at the value, and the
+        # value pointing back at the subject.
+        counts = table.claims.get(triple.subject)
+        if counts is None:  # a triple scored against a group it is not in
+            counts = self._claim_counts(triple.subject)
+        by_object, by_predicate_object, referrers = counts
+        corroboration = (
+            by_object[triple.obj]
+            - by_predicate_object[(triple.predicate, triple.obj)]
+            + referrers[triple.obj]
         )
         path_support = min(1.0, corroboration / 3.0)
         return {
@@ -159,9 +228,9 @@ class NodeScorer:
             "path_support": path_support,
         }
 
-    def auth_llm(self, triple: Triple, group: HomologousGroup) -> float:
+    def auth_llm(self, triple: Triple, table: GroupTable) -> float:
         """``Auth_LLM(v)`` (Eq. 10): sigmoid-squashed expert judgement."""
-        raw = self.llm.authority(self._node_features(triple, group))
+        raw = self.llm.authority(self._node_features(triple, table))
         # Center at 0.5 so the sigmoid spreads scores on both sides of
         # its midpoint, as the paper's mean-centering of C_LLM intends.
         return 1.0 / (1.0 + math.exp(-self.beta * (raw - 0.5) * 8.0))
@@ -169,30 +238,22 @@ class NodeScorer:
     # ------------------------------------------------------------------
     # Eq. 11 — historical authority
     # ------------------------------------------------------------------
-    def auth_hist(self, triple: Triple, group: HomologousGroup) -> float:
+    def auth_hist(self, triple: Triple, table: GroupTable) -> float:
         """``Auth_hist(v)`` (Eq. 11): history blended with query consensus."""
         source = triple.source_id()
         h = self.history.historical_entities(source)
         prior = self.history.credibility(source)
-        counts = Counter(normalize_value(m.obj) for m in group.members)
-        n_query = len(group.members)
-        # Pr(v_p) for each claim this source makes in the current candidate
-        # set: the consensus probability of the claimed value.
-        consensus_sum = sum(
-            counts[normalize_value(m.obj)] / n_query
-            for m in group.members
-            if m.source_id() == source
-        )
-        return (h * prior + consensus_sum) / (h + n_query)
+        consensus_sum = table.consensus.get(source, 0.0)
+        return (h * prior + consensus_sum) / (h + len(table.members))
 
     # ------------------------------------------------------------------
     # Eq. 9 + Algorithm 1 line 6
     # ------------------------------------------------------------------
-    def assess(self, triple: Triple, group: HomologousGroup) -> NodeAssessment:
+    def assess(self, triple: Triple, table: GroupTable) -> NodeAssessment:
         """Full node assessment ``C(v) = S_n(v) + A(v)``."""
-        s_n = self.consistency(triple, group)
-        a_llm = self.auth_llm(triple, group)
-        a_hist = self.auth_hist(triple, group)
+        s_n = self.consistency(triple, table)
+        a_llm = self.auth_llm(triple, table)
+        a_hist = self.auth_hist(triple, table)
         authority = self.alpha * a_llm + (1.0 - self.alpha) * a_hist
         metrics = self.obs.metrics
         metrics.counter("confidence.node.assessed").inc()
@@ -205,4 +266,3 @@ class NodeScorer:
             authority=authority,
             confidence=s_n + authority,
         )
-

@@ -266,10 +266,20 @@ class KnowledgeGraph:
         return (out | inc) - {node}
 
     def degree(self, node: str) -> int:
-        """Number of live triples incident to ``node``."""
+        """Number of live triples incident to ``node`` (a self-loop counts
+        twice: once as subject, once as object).
+
+        Counts index entries without materializing the triples; with no
+        tombstones every entry is live.
+        """
+        out = self._by_subject.get(node, ())
+        inc = self._by_object.get(node, ())
+        removed = self._removed
+        if not removed:
+            return len(out) + len(inc)
         return (
-            sum(1 for _ in self._live(self._by_subject.get(node, [])))
-            + sum(1 for _ in self._live(self._by_object.get(node, [])))
+            sum(1 for idx in out if idx not in removed)
+            + sum(1 for idx in inc if idx not in removed)
         )
 
     def bfs_paths(self, start: str, goal: str, max_hops: int = 4) -> list[list[Triple]]:

@@ -127,6 +127,34 @@ class TestFallback:
         assert len(wide.accepted_assessments()) == 2
 
 
+class TestEdgeWeights:
+    """After ``mcc()`` a member's weight ``w_i`` is its ``C(v)`` when it
+    was assessed, else its source credibility."""
+
+    def test_every_assessed_node_keeps_its_confidence(self):
+        _, groups, scorer = build(CONFLICT)
+        result = mcc(groups, scorer)
+        decision = result.decisions[0]
+        assessed = decision.accepted + decision.rejected
+        assert len(assessed) == len(CONFLICT)
+        for assessment in assessed:
+            assert groups[0].weight(assessment.triple) == assessment.confidence
+
+    def test_skipped_nodes_hold_their_credibility(self):
+        _, groups, scorer = build(CONSENSUS)
+        for i, (source, *_) in enumerate(CONSENSUS):
+            scorer.history.seed(source, i, 10)
+        result = mcc(groups, scorer)
+        decision = result.decisions[0]
+        assessed = {id(a.triple) for a in decision.accepted + decision.rejected}
+        skipped = [m for m in groups[0].members if id(m) not in assessed]
+        assert len(skipped) == 1
+        for member in skipped:
+            assert groups[0].weight(member) == scorer.history.credibility(
+                member.source_id()
+            )
+
+
 class TestAblationModes:
     def test_without_node_level_consistent_group(self):
         _, groups, scorer = build(CONSENSUS)

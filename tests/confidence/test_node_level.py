@@ -40,8 +40,9 @@ def member_with_value(group, value):
 class TestConsistency:
     def test_majority_node_more_consistent(self, conflicted):
         _, group, scorer = conflicted
-        maj = scorer.consistency(member_with_value(group, "2010"), group)
-        minority = scorer.consistency(member_with_value(group, "2011"), group)
+        table = scorer.group_table(group)
+        maj = scorer.consistency(member_with_value(group, "2010"), table)
+        minority = scorer.consistency(member_with_value(group, "2011"), table)
         assert maj > minority
         assert minority == pytest.approx(0.0)
 
@@ -55,7 +56,7 @@ class TestConsistency:
             members=[triple],
         )
         scorer = NodeScorer(graph, SimulatedLLM(seed=0), HistoryStore())
-        assert scorer.consistency(triple, group) == 1.0
+        assert scorer.consistency(triple, scorer.group_table(group)) == 1.0
 
     def test_same_source_peers_count_as_consistent(self):
         # Multi-valued attribute: one source lists both authors.
@@ -68,7 +69,8 @@ class TestConsistency:
         scorer = NodeScorer(graph, SimulatedLLM(seed=0), HistoryStore())
         bob = member_with_value(group, "Bob Brown")
         # Bob's peers: Alice@s1 (same source -> 1.0), Alice@s2 (0.0).
-        assert scorer.consistency(bob, group) == pytest.approx(0.5, abs=0.05)
+        table = scorer.group_table(group)
+        assert scorer.consistency(bob, table) == pytest.approx(0.5, abs=0.05)
 
     def test_low_credibility_peers_weigh_less(self, conflicted):
         graph, group, _ = conflicted
@@ -77,9 +79,11 @@ class TestConsistency:
         history.seed("s2", 5, 100)
         scorer = NodeScorer(graph, SimulatedLLM(seed=0), history)
         s3_claim = next(m for m in group.members if m.source_id() == "s3")
-        weighted = scorer.consistency(s3_claim, group)
+        weighted = scorer.consistency(s3_claim, scorer.group_table(group))
         neutral_scorer = NodeScorer(graph, SimulatedLLM(seed=0), HistoryStore())
-        neutral = neutral_scorer.consistency(s3_claim, group)
+        neutral = neutral_scorer.consistency(
+            s3_claim, neutral_scorer.group_table(group)
+        )
         # Agreeing peers lost credibility, so weighted consistency drops.
         assert weighted < neutral
 
@@ -87,8 +91,9 @@ class TestConsistency:
 class TestAuthority:
     def test_auth_llm_in_unit_interval(self, conflicted):
         _, group, scorer = conflicted
+        table = scorer.group_table(group)
         for member in group.members:
-            assert 0.0 <= scorer.auth_llm(member, group) <= 1.0
+            assert 0.0 <= scorer.auth_llm(member, table) <= 1.0
 
     def test_auth_hist_tracks_source_history(self, conflicted):
         graph, group, _ = conflicted
@@ -98,19 +103,26 @@ class TestAuthority:
         scorer = NodeScorer(graph, SimulatedLLM(seed=0), history)
         good = next(m for m in group.members if m.source_id() == "s1")
         bad = next(m for m in group.members if m.source_id() == "s4")
-        assert scorer.auth_hist(good, group) > scorer.auth_hist(bad, group)
+        table = scorer.group_table(group)
+        assert scorer.auth_hist(good, table) > scorer.auth_hist(bad, table)
 
     def test_auth_hist_bounds(self, conflicted):
         _, group, scorer = conflicted
+        table = scorer.group_table(group)
         for member in group.members:
-            assert 0.0 <= scorer.auth_hist(member, group) <= 1.0
+            assert 0.0 <= scorer.auth_hist(member, table) <= 1.0
 
     def test_alpha_blend(self, conflicted):
         graph, group, _ = conflicted
         llm = SimulatedLLM(seed=0)
         member = group.members[0]
-        pure_llm = NodeScorer(graph, llm, HistoryStore(), alpha=1.0).assess(member, group)
-        pure_hist = NodeScorer(graph, llm, HistoryStore(), alpha=0.0).assess(member, group)
+        pure_llm, pure_hist = (
+            scorer.assess(member, scorer.group_table(group))
+            for scorer in (
+                NodeScorer(graph, llm, HistoryStore(), alpha=1.0),
+                NodeScorer(graph, llm, HistoryStore(), alpha=0.0),
+            )
+        )
         assert pure_llm.authority == pytest.approx(pure_llm.auth_llm)
         assert pure_hist.authority == pytest.approx(pure_hist.auth_hist)
 
@@ -125,21 +137,23 @@ class TestAuthority:
 class TestAssess:
     def test_confidence_is_sum(self, conflicted):
         _, group, scorer = conflicted
-        assessment = scorer.assess(group.members[0], group)
+        assessment = scorer.assess(group.members[0], scorer.group_table(group))
         assert assessment.confidence == pytest.approx(
             assessment.consistency + assessment.authority
         )
 
     def test_confidence_range(self, conflicted):
         _, group, scorer = conflicted
+        table = scorer.group_table(group)
         for member in group.members:
-            assessment = scorer.assess(member, group)
+            assessment = scorer.assess(member, table)
             assert 0.0 <= assessment.confidence <= 2.0
 
     def test_majority_beats_minority(self, conflicted):
         _, group, scorer = conflicted
-        maj = scorer.assess(member_with_value(group, "2010"), group)
-        minority = scorer.assess(member_with_value(group, "2011"), group)
+        table = scorer.group_table(group)
+        maj = scorer.assess(member_with_value(group, "2010"), table)
+        minority = scorer.assess(member_with_value(group, "2011"), table)
         assert maj.confidence > minority.confidence
 
     def test_type_inconsistent_value_penalized(self):
@@ -152,10 +166,11 @@ class TestAssess:
         scorer = NodeScorer(graph, SimulatedLLM(seed=0), HistoryStore())
         year = member_with_value(group, "2010")
         person = member_with_value(group, "Michael Mann")
-        assert scorer.auth_llm(year, group) > scorer.auth_llm(person, group)
+        table = scorer.group_table(group)
+        assert scorer.auth_llm(year, table) > scorer.auth_llm(person, table)
 
     def test_assessment_properties(self, conflicted):
         _, group, scorer = conflicted
-        assessment = scorer.assess(group.members[0], group)
+        assessment = scorer.assess(group.members[0], scorer.group_table(group))
         assert assessment.value == group.members[0].obj
         assert assessment.source_id == group.members[0].source_id()

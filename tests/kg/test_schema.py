@@ -87,4 +87,5 @@ class TestScorerIntegration:
                             schema=strict)
         good = next(m for m in group.members if m.obj == "12:34")
         bad = next(m for m in group.members if m.obj == "banana")
-        assert scorer.auth_llm(good, group) > scorer.auth_llm(bad, group)
+        table = scorer.group_table(group)
+        assert scorer.auth_llm(good, table) > scorer.auth_llm(bad, table)

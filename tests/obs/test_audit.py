@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.confidence.history import HistoryStore
 from repro.confidence.mcc import mcc
-from repro.confidence.node_level import NodeAssessment
+from repro.confidence.node_level import GroupTable, NodeAssessment, NodeScorer
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.exec import Query
-from repro.kg import Provenance, Triple
+from repro.kg import KnowledgeGraph, Provenance, Triple
 from repro.linegraph.homologous import HomologousGroup, HomologousNode
+from repro.llm import SimulatedLLM
 from repro.obs import (
     ACTION_DROPPED,
     ACTION_KEPT,
@@ -36,13 +38,14 @@ from repro.obs.audit import (
 from tests.conftest import make_sources
 
 
-class StubScorer:
+class StubScorer(NodeScorer):
     """Returns a fixed confidence per value; lets tests steer MCC."""
 
     def __init__(self, scores: dict[str, float]) -> None:
+        super().__init__(KnowledgeGraph(), SimulatedLLM(seed=0), HistoryStore())
         self.scores = scores
 
-    def assess(self, triple: Triple, group: HomologousGroup) -> NodeAssessment:
+    def assess(self, triple: Triple, table: GroupTable) -> NodeAssessment:
         conf = self.scores[triple.obj]
         return NodeAssessment(
             triple=triple, consistency=conf / 2.0, auth_llm=0.0,

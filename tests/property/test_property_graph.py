@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kg import KnowledgeGraph, Provenance, Triple
@@ -45,21 +45,34 @@ class TestGraphInvariants:
             assert triple in graph.by_key(triple.subject, triple.predicate)
             assert triple in graph.by_source(triple.source_id())
 
-    @given(triple_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_degree_matches_incidence(self, items):
-        graph = build_graph(items)
-        for node in {t.subject for t in graph.triples()}:
-            incident = sum(
-                1 for t in graph.triples()
-                if t.subject == node or t.obj == node
-            )
-            # Self-loops are counted twice by degree (subject + object).
-            loops = sum(
-                1 for t in graph.triples()
-                if t.subject == node and t.obj == node
-            )
-            assert graph.degree(node) == incident + loops
+    @given(st.lists(st.tuples(st.booleans(), triples, st.integers(0, 24)),
+                    max_size=30))
+    @example([
+        (True, Triple("a", "p", "a", Provenance(source_id="s1")), 0),
+        (True, Triple("a", "q", "b", Provenance(source_id="s1")), 0),
+        (False, Triple("a", "q", "b", Provenance(source_id="s1")), 1),
+    ])
+    @settings(max_examples=100, deadline=None)
+    def test_degree_matches_incidence(self, ops):
+        """``degree`` is a literal count of live incident triples after
+        any sequence of adds and removes, a self-loop counted twice."""
+        for graph in (KnowledgeGraph(), ShardedKnowledgeGraph(n_shards=3)):
+            for add, triple, pick in ops:
+                if add:
+                    graph.add_triple(triple)
+                    continue
+                # Even picks remove a stored claim; odd ones try the
+                # drawn triple, which may not be stored.
+                stored = list(graph.triples())
+                graph.remove_triple(
+                    stored[pick % len(stored)] if stored and pick % 2 == 0
+                    else triple
+                )
+            live = list(graph.triples())
+            for node in ["a", "b", "c", "d", "e", "f", "unknown"]:
+                assert graph.degree(node) == sum(
+                    (t.subject == node) + (t.obj == node) for t in live
+                )
 
 
 class TestBySubjects:
