@@ -367,8 +367,9 @@ class MultiRAG:
             num_entities=graph.num_entities(),
             num_chunks=len(self.fusion.chunks),
             extraction_calls=self.fusion.extraction_calls,
-            # the manifest's stats, not self.mlg.stats(): recomputing them
-            # would force the restored MLG's lazy line-graph build
+            # the manifest's stats, not self.mlg.stats(): they are the
+            # stats recorded at save time, build_time_s included, which a
+            # restored MLG does not have
             mlg_stats=state.mlg_stats,
             loaded_from_snapshot=True,
             snapshot_fingerprint=fingerprint,
@@ -477,8 +478,19 @@ class MultiRAG:
         child snapshot holding only this source's descriptor, claims and
         chunks, chained to the current fingerprint.  A later
         ``ingest(base_sources + [raw])`` fingerprint-hits the chain and
-        warm-loads base + layers instead of re-extracting anything.  The
-        work is proportional to the new source, never the whole corpus.
+        warm-loads base + layers instead of re-extracting anything.
+
+        What scales with the new source: parsing and extraction, mention
+        standardization, the graph and MLG updates, tokenizing and
+        counting the new chunks, and the delta layer.  What still touches
+        the whole corpus, and why: the retriever fold recomputes BM25
+        impacts over every posting and the dense TF-IDF matrix over every
+        chunk, because each impact depends on the chunk count and the
+        mean chunk length, and each IDF weight and row norm on the chunk
+        count.  Neither re-reads an old chunk's text.  History
+        calibration runs over the touched groups only, but finding them
+        scans every group, and the new scorer rescans every entity's
+        degree for its normalization.
 
         Raises:
             StateError: if called before :meth:`ingest`.

@@ -2,7 +2,8 @@
 
 :class:`MultiSourceLineGraph` wraps a fused knowledge graph with:
 
-* the lazy line-graph view over all triples (Definition 2);
+* the line-graph view over all triples (Definition 2), built only when
+  something reads :attr:`MultiSourceLineGraph.line_graph`;
 * the homologous group index built by one O(n log n) matching pass
   (Definitions 3–4) — a hash lookup from ``(entity, attribute)`` straight
   to every multi-source claim about it;
@@ -37,7 +38,7 @@ class MultiSourceLineGraph:
         start = time.perf_counter()
         self.graph = graph
         self._min_sources = min_sources
-        self._line_graph: LineGraph | None = LineGraph(graph.triples())
+        self._line_graph: LineGraph | None = None
         match: MatchResult = match_homologous(graph, min_sources=min_sources)
         self.groups: list[HomologousGroup] = match.groups
         self.isolated: list[Triple] = match.isolated
@@ -66,8 +67,9 @@ class MultiSourceLineGraph:
         original construction order — so lookups, statistics and group
         iteration behave identically to the instance that was saved.
         Only the secondary lookup indexes are rebuilt eagerly (O(n) and
-        deterministic); the line-graph view is deferred to first use —
-        fusion queries go through the group index and never touch it.
+        deterministic); as for a built MLG, the line-graph view waits for
+        its first reader — fusion queries go through the group index and
+        never touch it.
         """
         mlg = object.__new__(cls)
         mlg.graph = graph
@@ -108,11 +110,11 @@ class MultiSourceLineGraph:
 
     @property
     def line_graph(self) -> LineGraph:
-        """The lazy line-graph view (Definition 2).
+        """The line-graph view (Definition 2), built on first access.
 
-        A snapshot-restored MLG defers building it until first access;
-        the result is identical to the eagerly built one because both
-        derive from the same ``graph.triples()`` insertion order.
+        Its nodes are ``graph.triples()`` in insertion order, as of the
+        first read since the MLG was made or last extended by
+        :meth:`add_triples`.
         """
         if self._line_graph is None:
             self._line_graph = LineGraph(self.graph.triples())
@@ -153,12 +155,16 @@ class MultiSourceLineGraph:
         stay isolated.  Returns counts of what happened — the warehouse-
         style incremental update the KGFabric reference motivates, at a
         fraction of a full rebuild's cost.
+
+        ``triples`` must already be in ``graph``.  The line-graph view is
+        dropped, and its next reader builds it from the graph, new
+        triples included.
         """
         from repro.linegraph.homologous import HomologousGroup, HomologousNode
 
+        self._line_graph = None
         stats = {"joined": 0, "promoted": 0, "isolated": 0}
         for triple in triples:
-            self.line_graph.add(triple)
             key = triple.key()
             group = self._group_by_key.get(key)
             if group is not None:
@@ -198,11 +204,14 @@ class MultiSourceLineGraph:
     # statistics
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:
+        """Group and claim counts.  ``triples`` counts the graph's live
+        triples, the nodes a freshly built line-graph view has, without
+        building the view."""
         sizes = [g.snode.num for g in self.groups]
         return {
             "groups": len(self.groups),
             "isolated": len(self.isolated),
-            "triples": len(self.line_graph),
+            "triples": len(self.graph),
             "mean_group_size": (sum(sizes) / len(sizes)) if sizes else 0.0,
             "max_group_size": max(sizes) if sizes else 0,
             "build_time_s": round(self.build_time_s, 6),

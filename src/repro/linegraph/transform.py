@@ -35,17 +35,6 @@ class LineGraph:
     def __len__(self) -> int:
         return len(self._triples)
 
-    def add(self, triple: Triple) -> None:
-        """Append one node (used by incremental MLG updates)."""
-        if triple in self._index:
-            return
-        i = len(self._triples)
-        self._triples.append(triple)
-        self._index[triple] = i
-        self._buckets[triple.subject].append(i)
-        if triple.obj != triple.subject:
-            self._buckets[triple.obj].append(i)
-
     @property
     def nodes(self) -> list[Triple]:
         return list(self._triples)

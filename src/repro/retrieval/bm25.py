@@ -4,7 +4,7 @@ Several baselines (Standard RAG, IRCoT, MetaRAG) retrieve with BM25 in the
 original papers; implementing it here keeps the comparison honest.
 
 Search scores against per-``(term, doc)`` impact tables precomputed at
-build time, accumulates term-at-a-time in query token order, prunes
+index time, accumulates term-at-a-time in query token order, prunes
 docs that provably cannot reach the top-``k`` via per-suffix
 max-impact bounds (WAND-style), and selects the top-``k`` with a heap
 instead of a full sort.
@@ -17,6 +17,12 @@ order, so every intermediate float matches.  The pruning bound is itself
 a float sum in that same order, and IEEE-754 addition is monotone under
 correct rounding, so a pruned document's true score is always ``<`` the
 strict threshold.
+
+Indexing is a fold: new documents append only their integer statistics,
+then idf and impacts are recomputed for the whole corpus, since both
+depend on N and the mean document length.  The result equals the
+one-shot build, which ``tests/retrieval/index_oracle.py`` keeps as the
+test oracle.
 """
 
 from __future__ import annotations
@@ -26,14 +32,18 @@ import math
 from collections import Counter, defaultdict
 from typing import Generic, TypeVar
 
-from repro.retrieval.tokenize import tokenize
+from repro.retrieval.tokenize import term_counts, tokenize
 from repro.retrieval.vector_index import SearchHit
 
 T = TypeVar("T")
 
 
 class BM25Index(Generic[T]):
-    """Classic Okapi BM25 with the usual ``k1``/``b`` parameters."""
+    """Classic Okapi BM25 with the usual ``k1``/``b`` parameters.
+
+    The index grows by folding documents in (:meth:`fold`); a one-shot
+    :meth:`build` is the fold of every document onto an empty index.
+    """
 
     def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
         if k1 < 0:
@@ -42,9 +52,16 @@ class BM25Index(Generic[T]):
             raise ValueError("b must lie in [0, 1]")
         self.k1 = k1
         self.b = b
+        self._clear()
+
+    def _clear(self) -> None:
         self._items: list[T] = []
+        #: the term-count table, one row per document in document order;
+        #: rows past ``len(self._doc_len)`` are not folded in yet.
         self._doc_tokens: list[Counter[str]] = []
         self._doc_len: list[int] = []
+        #: running sum of ``_doc_len``
+        self._total_len = 0
         self._avg_len = 0.0
         self._postings: dict[str, list[int]] = defaultdict(list)
         self._idf: dict[str, float] = {}
@@ -53,51 +70,80 @@ class BM25Index(Generic[T]):
         self._max_impact: dict[str, float] = {}
 
     def build(self, items: list[T], texts: list[str]) -> "BM25Index[T]":
+        """Index ``items`` anew; ``texts[i]`` is the text of ``items[i]``."""
         if len(items) != len(texts):
             raise ValueError("items and texts must have equal length")
+        self._clear()
+        return self.fold(items, term_counts(texts))
+
+    @property
+    def doc_counts(self) -> list[Counter[str]]:
+        """The term-count table: one ``Counter`` per document, in order."""
+        return self._doc_tokens
+
+    def fold(
+        self, items: list[T], counts: list[Counter[str]]
+    ) -> "BM25Index[T]":
+        """Bring the index up to ``items``, whose term counts are ``counts``.
+
+        ``counts`` is the whole term-count table, the one this index last
+        folded with more rows appended (it becomes :attr:`doc_counts`);
+        rows already folded in are not read again.  The new rows append
+        their integer statistics: postings, document lengths and the
+        running length total.  Every idf and impact depends on N and the
+        mean length, so those are recomputed over all postings, with the
+        one-shot build's float expressions, so every float equals that
+        build's.
+        """
+        if len(items) != len(counts):
+            raise ValueError("items and counts must have equal length")
+        postings = self._postings
+        doc_len = self._doc_len
+        for doc_id in range(len(doc_len), len(counts)):
+            row = counts[doc_id]
+            length = sum(row.values())
+            doc_len.append(length)
+            self._total_len += length
+            for term in row:
+                postings[term].append(doc_id)
         self._items = list(items)
-        self._doc_tokens = []
-        self._doc_len = []
-        self._postings = defaultdict(list)
-        for doc_id, text in enumerate(texts):
-            counts = Counter(tokenize(text))
-            self._doc_tokens.append(counts)
-            self._doc_len.append(sum(counts.values()))
-            for term in counts:
-                self._postings[term].append(doc_id)
-        n = len(texts)
-        self._avg_len = (sum(self._doc_len) / n) if n else 0.0
+        self._doc_tokens = counts
+        n = len(doc_len)
+        self._avg_len = (self._total_len / n) if n else 0.0
         self._idf = {
             term: math.log(1 + (n - len(docs) + 0.5) / (len(docs) + 0.5))
-            for term, docs in self._postings.items()
+            for term, docs in postings.items()
         }
-        self.rebuild_impacts()
+        self._rebuild_impacts()
         return self
 
-    def rebuild_impacts(self) -> None:
-        """(Re)compute the per-``(term, doc)`` impact tables.
+    def _rebuild_impacts(self) -> None:
+        """Recompute the per-``(term, doc)`` impact tables.
 
-        A pure function of the already-built index state (`_doc_tokens`,
-        ``_doc_len``, ``_postings``, ``_idf``) — called at the end of
-        :meth:`build` and again by the snapshot loader, which serializes
-        the inputs but not the derived tables.  Each impact is the exact
-        float the textbook per-candidate term loop would contribute.
+        A pure function of the term-count table, the integer statistics,
+        ``_idf`` and ``_avg_len``.  Each impact is the float the textbook
+        per-candidate term loop contributes, ``idf * tf * (k1 + 1) /
+        (tf + k1 * (1 - b + b * length / avg))``; the length term is
+        evaluated once per document, which rounds exactly the same.
         """
-        self._impacts = {}
-        self._max_impact = {}
-        avg = self._avg_len or 1.0
         k1 = self.k1
         b = self.b
+        avg = self._avg_len or 1.0
+        k1_plus_1 = k1 + 1
+        length_norm = [k1 * (1 - b + b * length / avg) for length in self._doc_len]
+        doc_tokens = self._doc_tokens
+        impacts: dict[str, dict[int, float]] = {}
+        max_impact: dict[str, float] = {}
         for term, docs in self._postings.items():
             idf = self._idf.get(term, 0.0)
             per_doc: dict[int, float] = {}
             for doc_id in docs:
-                tf = self._doc_tokens[doc_id].get(term, 0)
-                length = self._doc_len[doc_id]
-                denom = tf + k1 * (1 - b + b * length / avg)
-                per_doc[doc_id] = idf * tf * (k1 + 1) / denom
-            self._impacts[term] = per_doc
-            self._max_impact[term] = max(per_doc.values()) if per_doc else 0.0
+                tf = doc_tokens[doc_id][term]
+                per_doc[doc_id] = idf * tf * k1_plus_1 / (tf + length_norm[doc_id])
+            impacts[term] = per_doc
+            max_impact[term] = max(per_doc.values()) if per_doc else 0.0
+        self._impacts = impacts
+        self._max_impact = max_impact
 
     def __len__(self) -> int:
         return len(self._items)
@@ -134,12 +180,13 @@ class BM25Index(Generic[T]):
         self._items = list(items)
         self._doc_tokens = [Counter(d) for d in state["doc_tokens"]]  # type: ignore[union-attr]
         self._doc_len = [int(n) for n in state["doc_len"]]  # type: ignore[union-attr]
+        self._total_len = sum(self._doc_len)
         self._avg_len = float(state["avg_len"])  # type: ignore[arg-type]
         self._postings = defaultdict(list)
         for term, docs in state["postings"].items():  # type: ignore[union-attr]
             self._postings[term] = [int(d) for d in docs]
         self._idf = {t: float(v) for t, v in state["idf"].items()}  # type: ignore[union-attr]
-        self.rebuild_impacts()
+        self._rebuild_impacts()
         return self
 
     def score(self, query: str, doc_id: int) -> float:

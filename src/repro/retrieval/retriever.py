@@ -14,6 +14,7 @@ from collections import defaultdict
 from repro.obs.context import NOOP, Observability
 from repro.retrieval.bm25 import BM25Index
 from repro.retrieval.chunking import Chunk
+from repro.retrieval.tokenize import term_counts
 from repro.retrieval.vector_index import SearchHit, VectorIndex
 
 
@@ -76,7 +77,10 @@ class MultiSourceRetriever:
         matrix: object,
         idf: object,
     ) -> "MultiSourceRetriever":
-        """Inverse of :meth:`export_state` — no index rebuild happens."""
+        """Inverse of :meth:`export_state` — no index rebuild happens.
+
+        A later :meth:`build` folds new chunks onto the restored indexes.
+        """
         self.mode = str(state["mode"])
         self.rrf_k = int(state["rrf_k"])  # type: ignore[arg-type]
         self._chunks = list(chunks)
@@ -88,11 +92,20 @@ class MultiSourceRetriever:
         return self
 
     def build(self) -> "MultiSourceRetriever":
-        """(Re)build both indexes over all staged chunks."""
-        texts = [c.text for c in self._chunks]
-        self._dense = VectorIndex[Chunk]().build(self._chunks, texts)  # repro-lint: ignore[CONC001] — lazy build runs before workers exist: views are only taken from an ingested (already-built) retriever
-        self._sparse = BM25Index[Chunk]().build(self._chunks, texts)  # repro-lint: ignore[CONC001] — same pre-worker lazy build as above
-        self._built = True  # repro-lint: ignore[CONC001] — same pre-worker lazy build as above
+        """Fold the chunks staged since the last build into both indexes.
+
+        Each new chunk is tokenized and counted once, into the BM25
+        index's term-count table, which both indexes read; earlier chunks
+        are not read again.  The indexes then recompute what depends on
+        the whole corpus (BM25 idf and impacts, the dense vocabulary, IDF
+        and matrix), so the result equals a one-shot build over every
+        chunk.
+        """
+        counts = self._sparse.doc_counts
+        counts.extend(term_counts(c.text for c in self._chunks[len(counts):]))
+        self._sparse.fold(self._chunks, counts)
+        self._dense.fold(self._chunks, counts)
+        self._built = True  # repro-lint: ignore[CONC001] — the fold runs only from ingest, add_source and the chain loader, before any worker view exists
         return self
 
     def __len__(self) -> int:

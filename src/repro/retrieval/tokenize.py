@@ -10,6 +10,8 @@ returns fresh lists, preserving the original mutable-return contract.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from collections.abc import Iterable
 from functools import lru_cache
 
 import repro.perf as perf
@@ -43,6 +45,12 @@ def tokenize(text: str, drop_stopwords: bool = True) -> list[str]:
     flight numbers and timestamps survive as single tokens.
     """
     return list(_tokenize_cached(text, drop_stopwords))
+
+
+def term_counts(texts: Iterable[str]) -> list[Counter[str]]:
+    """One ``Counter`` of :func:`tokenize` tokens per text, in order: the
+    rows of the term-count table the retrieval indexes are built from."""
+    return [Counter(tokenize(text)) for text in texts]
 
 
 def sentences(text: str) -> list[str]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generic, TypeVar
+from typing import Generic, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,6 +39,20 @@ class VectorIndex(Generic[T]):
             raise ValueError("items and texts must have equal length")
         self._items = list(items)
         self._matrix = self._vectorizer.fit_transform(texts) if texts else None
+        return self
+
+    def fold(
+        self, items: list[T], counts: Sequence[Mapping[str, int]]
+    ) -> "VectorIndex[T]":
+        """Bring the index up to ``items``, whose term counts are ``counts``.
+
+        ``counts`` is the whole term-count table (see
+        :meth:`TfidfVectorizer.fold`); an empty corpus has no matrix.
+        """
+        if len(items) != len(counts):
+            raise ValueError("items and counts must have equal length")
+        self._items = list(items)
+        self._matrix = self._vectorizer.fold(counts) if counts else None
         return self
 
     def __len__(self) -> int:

@@ -44,8 +44,9 @@ validates the *entire* chain up front — a missing or corrupt middle
 layer raises :class:`~repro.errors.SnapshotError` naming that layer,
 never a partial graph — then restores the base and replays each layer
 through the same incremental code paths ``add_source`` used
-(``bulk_append`` + ``MultiSourceLineGraph.add_triples``), rebuilding the
-retrieval indexes once at the end.  :meth:`SnapshotStore.compact`
+(``bulk_append`` + ``MultiSourceLineGraph.add_triples``), and at the end
+folds every layer's chunks onto the restored retrieval indexes in one
+``MultiSourceRetriever.build``.  :meth:`SnapshotStore.compact`
 squashes a chain back into a base snapshot under the same fingerprint.
 
 Writes are atomic at directory granularity: everything lands in a
@@ -757,8 +758,9 @@ class SnapshotStore:
                         f"malformed source descriptor: missing {exc}"
                     ) from exc
 
-        # One index rebuild over the fused corpus — the same final state
-        # add_source's per-call rebuilds converge to.
+        # One fold of every layer's chunks onto the restored indexes: only
+        # the new chunks are tokenized, and the indexes equal those that
+        # add_source's per-call folds reach.
         state.retriever.add_chunks(
             [c for layer in layers for c in layer["chunks"]]
         )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exec import Query
 from repro.kg import KnowledgeGraph, Provenance, Triple
-from repro.linegraph import MultiSourceLineGraph
+from repro.linegraph import LineGraph, MultiSourceLineGraph
 
 
 def t(s, p, o, src):
@@ -80,12 +80,20 @@ class TestAddTriples:
         assert "2013" in values
 
     def test_line_graph_extended(self, mlg, tiny_graph):
+        # two inputs: a view built before the add, and one never read
+        unbuilt = MultiSourceLineGraph(tiny_graph)
         before = len(mlg.line_graph)
         new = t("Inception", "runtime", "148", "s1")
         tiny_graph.add_triple(new)
         mlg.add_triples([new])
-        assert len(mlg.line_graph) == before + 1
-        assert mlg.line_graph.contains(new)
+        unbuilt.add_triples([new])
+        assert unbuilt._line_graph is None
+        for graph in (mlg, unbuilt):
+            assert len(graph.line_graph) == before + 1
+            assert graph.line_graph.contains(new)
+            assert graph.line_graph.nodes == LineGraph(
+                tiny_graph.triples()
+            ).nodes
 
 
 class TestPipelineAddSource:

@@ -1,0 +1,196 @@
+"""The retrieval fold equals the one-shot build it replaced.
+
+``MultiSourceRetriever.build`` folds only the chunks staged since the
+last build into both indexes.  A random sequence of ``add_chunks`` and
+``build`` calls, with ``export_state`` → ``restore_state`` round trips
+(the chain-load path) between them, must leave exactly the state the
+one-shot build of ``tests/retrieval/index_oracle.py`` makes over the
+same chunk list: BM25 statistics, idf, impacts (dict orders included)
+and max impacts; dense vocabulary, IDF and matrix bytes; and the hits
+and scores of ``retrieve()`` in every mode.  Floats are compared with
+``==`` on purpose.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.retrieval.chunking import Chunk
+from repro.retrieval.retriever import MultiSourceRetriever
+from repro.retrieval.tokenize import STOPWORDS
+from tests.retrieval import index_oracle as oracle
+
+# the package re-exports the function under the module's name
+tokenize_module = importlib.import_module("repro.retrieval.tokenize")
+
+MODES = ("dense", "sparse", "hybrid", "rrf")
+
+#: compound tokens, mixed case and non-ASCII words included
+VOCAB = [
+    "alpha", "beta", "Gamma", "delta", "ca-981", "14:30", "o'neil",
+    "v1.2", "café", "Ünïcode", "лямбда", "東京", "naïve", "x", "zulu",
+]
+STOPWORD_LIST = sorted(STOPWORDS)[:6]
+
+words = st.one_of(st.sampled_from(VOCAB), st.sampled_from(STOPWORD_LIST))
+texts = st.one_of(
+    st.lists(words, max_size=10).map(" ".join),
+    st.just(""),
+    # repeated tokens: tf > 1
+    st.tuples(st.sampled_from(VOCAB), st.integers(2, 5))
+    .map(lambda pair: " ".join([pair[0]] * pair[1])),
+)
+ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.lists(texts, max_size=4)),
+        st.just(("build",)),
+        st.just(("roundtrip",)),
+    ),
+    max_size=8,
+)
+QUERIES = ["alpha", "alpha alpha beta", "café лямбда 東京", "zulu x",
+           "the of", "", "aardvark", "delta ca-981 14:30"]
+
+
+def _chunks(texts: list[str], start: int) -> list[Chunk]:
+    return [
+        Chunk(chunk_id=f"c{start + i:03d}", source_id=f"s{(start + i) % 3}",
+              doc_id=f"d{start + i}", seq=0, text=text)
+        for i, text in enumerate(texts)
+    ]
+
+
+def _roundtrip(retriever: MultiSourceRetriever) -> MultiSourceRetriever:
+    """Export and restore as the snapshot store does: JSON state, arrays
+    copied."""
+    state = json.loads(json.dumps(retriever.export_state(), ensure_ascii=False))
+    _, matrix, idf = retriever._dense.export_state()
+    return MultiSourceRetriever(mode=retriever.mode).restore_state(
+        retriever.chunks, state,
+        None if matrix is None else matrix.copy(), idf.copy(),
+    )
+
+
+def bm25_state(index) -> tuple:
+    n = len(index._doc_len)
+    return (
+        [dict(c) for c in index._doc_tokens[:n]],
+        index._doc_len,
+        index._avg_len,
+        [(term, list(docs)) for term, docs in index._postings.items()],
+        list(index._idf.items()),
+        [(term, list(per_doc.items()))
+         for term, per_doc in index._impacts.items()],
+        list(index._max_impact.items()),
+    )
+
+
+def dense_state(index) -> tuple:
+    vectorizer = index._vectorizer
+    matrix = index._matrix
+    return (
+        vectorizer._fitted,
+        list(vectorizer.vocabulary.items()),
+        vectorizer.idf.dtype, vectorizer.idf.shape, vectorizer.idf.tobytes(),
+        None if matrix is None
+        else (matrix.dtype, matrix.shape, matrix.tobytes()),
+    )
+
+
+def _hits(retriever: MultiSourceRetriever, mode: str) -> list:
+    retriever.mode = mode
+    return [
+        [(h.item.chunk_id, h.score) for h in retriever.retrieve(q, k)]
+        for q in QUERIES for k in (1, 3, 50)
+    ]
+
+
+def assert_matches_oracle(retriever: MultiSourceRetriever) -> None:
+    expected = oracle.retriever_build(retriever.chunks)
+    assert bm25_state(retriever._sparse) == bm25_state(expected._sparse)
+    assert dense_state(retriever._dense) == dense_state(expected._dense)
+    assert retriever.export_state()["bm25"] == expected.export_state()["bm25"]
+    mode = retriever.mode
+    for each in MODES:
+        assert _hits(retriever, each) == _hits(expected, each)
+    retriever.mode = mode
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=ops)
+# a new term that sorts before every existing one shifts every dense
+# column; once on a live retriever, once across a round trip
+@example(ops=[("add", ["zulu x"]), ("build",), ("add", ["aardvark zulu"]),
+              ("build",)])
+@example(ops=[("add", ["zulu", "zulu zulu x"]), ("build",), ("roundtrip",),
+              ("add", ["aardvark"]), ("build",)])
+# empty adds, empty and stopword-only texts, a one-chunk corpus
+@example(ops=[("add", []), ("build",), ("add", [""]), ("build",),
+              ("add", ["the of"]), ("build",)])
+@example(ops=[("add", ["лямбда 東京 café"]), ("roundtrip",), ("build",)])
+def test_fold_matches_one_shot_build(ops):
+    retriever = MultiSourceRetriever()
+    staged = 0
+    for op in ops:
+        if op[0] == "add":
+            retriever.add_chunks(_chunks(op[1], staged))
+            staged += len(op[1])
+        elif op[0] == "build":
+            retriever.build()
+            assert_matches_oracle(retriever)
+        else:
+            retriever = _roundtrip(retriever)
+    retriever.build()
+    assert_matches_oracle(retriever)
+
+
+class TestFoldReadsOnlyNewChunks:
+    @pytest.fixture()
+    def tokenized(self, monkeypatch):
+        """Texts tokenized from here on, cache hits included."""
+        seen: list[str] = []
+        real = tokenize_module._tokenize_cached
+
+        def counting(text: str, drop_stopwords: bool) -> tuple[str, ...]:
+            seen.append(text)
+            return real(text, drop_stopwords)
+
+        monkeypatch.setattr(tokenize_module, "_tokenize_cached", counting)
+        return seen
+
+    @pytest.mark.parametrize("restored", [False, True])
+    def test_each_new_chunk_tokenized_once(self, tokenized, restored):
+        retriever = MultiSourceRetriever()
+        retriever.add_chunks(_chunks(["alpha beta", "beta Gamma", "x"], 0))
+        retriever.build()
+        if restored:
+            retriever = _roundtrip(retriever)
+        new = _chunks(["delta alpha", "лямбда", "alpha"], 3)
+        tokenized.clear()
+        retriever.add_chunks(new)
+        retriever.build()
+        assert tokenized == [c.text for c in new]
+        assert_matches_oracle(retriever)
+
+    def test_build_without_new_chunks_tokenizes_nothing(self, tokenized):
+        retriever = MultiSourceRetriever()
+        retriever.add_chunks(_chunks(["alpha beta"], 0))
+        retriever.build()
+        tokenized.clear()
+        retriever.build()
+        assert tokenized == []
+
+
+def test_restore_does_no_fold_setup():
+    retriever = MultiSourceRetriever()
+    retriever.add_chunks(_chunks(["alpha beta", "beta"], 0))
+    retriever.build()
+    restored = _roundtrip(retriever)
+    assert np.array_equal(restored._dense._matrix, retriever._dense._matrix)
+    assert restored._dense._vectorizer._n_docs == 0

@@ -14,6 +14,7 @@ The layer contract (satellites of the sharded-substrate PR):
 
 from __future__ import annotations
 
+import importlib
 import json
 import shutil
 
@@ -24,7 +25,10 @@ from repro.core.pipeline import MultiRAG
 from repro.datasets.books import make_books
 from repro.errors import SnapshotError
 from repro.exec import Query, as_query
+from repro.linegraph import LineGraph
 from repro.snapshot import SnapshotStore
+
+retriever_module = importlib.import_module("repro.retrieval.retriever")
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +193,65 @@ class TestSubjectIndexParity:
             assert rag.evaluate(questions).to_json(
                 drop_timing=True
             ) == expected
+
+
+class TestWorkNotDone:
+    """add_source and the chain loader fold new data in without building
+    what nothing reads (the MLG's line-graph view) or re-reading the
+    corpus (the retrieval indexes)."""
+
+    @staticmethod
+    def _assert_view_unbuilt(rag):
+        mlg = rag.mlg
+        assert mlg._line_graph is None
+        stats = mlg.stats()
+        assert mlg._line_graph is None
+        expected = LineGraph(mlg.graph.triples()).nodes
+        # the stats as computed with the view built
+        assert stats == dict(stats, triples=len(mlg.line_graph))
+        assert mlg.line_graph.nodes == expected
+
+    def test_warm_load_then_add_source(self, dataset, tmp_path):
+        sources = dataset.raw_sources()
+        cold = MultiRAG.from_config(_config(), snapshot=tmp_path / "snaps")
+        cold.ingest(sources[:-1])
+        live = MultiRAG.from_config(_config(), snapshot=tmp_path / "snaps")
+        assert live.ingest(sources[:-1]).loaded_from_snapshot
+        live.add_source(sources[-1])
+        self._assert_view_unbuilt(live)
+
+    def test_chain_load(self, dataset, tmp_path):
+        live, sources, _ = _build_chain(dataset, tmp_path, n_extra=2)
+        chained = MultiRAG.from_config(_config(), snapshot=tmp_path / "snaps")
+        assert chained.ingest(sources).snapshot_layers == 2
+        self._assert_view_unbuilt(chained)
+
+    def test_chain_load_folds_only_layer_chunks(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        live, sources, fps = _build_chain(dataset, tmp_path, n_extra=2)
+        manifest = SnapshotStore(tmp_path / "snaps").manifest(fps[0])
+        base_chunks = manifest["counts"]["chunks"]
+        tokenized: list[str] = []
+        real = retriever_module.term_counts
+
+        def counting(texts):
+            texts = list(texts)
+            tokenized.extend(texts)
+            return real(texts)
+
+        monkeypatch.setattr(retriever_module, "term_counts", counting)
+        chained = MultiRAG.from_config(_config(), snapshot=tmp_path / "snaps")
+        assert chained.ingest(sources).snapshot_layers == 2
+        assert tokenized == [
+            c.text for c in live.retriever.chunks[base_chunks:]
+        ]
+        assert json.dumps(chained.retriever.export_state()) == json.dumps(
+            live.retriever.export_state()
+        )
+        _, chained_matrix, _ = chained.retriever._dense.export_state()
+        _, live_matrix, _ = live.retriever._dense.export_state()
+        assert chained_matrix.tobytes() == live_matrix.tobytes()
 
 
 class TestBrokenChains:
