@@ -80,9 +80,12 @@ def main() -> None:
         if result.mcc:
             for decision in result.mcc.decisions:
                 for rejected in decision.rejected:
+                    # a node rejected without its authority prompt
+                    # carries an upper bound of C(v)
+                    rel = "≤" if rejected.bound else "="
                     print(f"  rejected {rejected.value!r} "
                           f"from {rejected.source_id} "
-                          f"(C(v)={rejected.confidence:.2f})")
+                          f"(C(v){rel}{rejected.confidence:.2f})")
         print()
 
     quanta = rag.run(Query.key("Quanta Noodles", "price_range"))

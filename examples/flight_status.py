@@ -73,8 +73,11 @@ def main() -> None:
         if result.mcc:
             for decision in result.mcc.decisions:
                 for rejected in decision.rejected:
+                    # a node rejected without its authority prompt
+                    # carries an upper bound of C(v)
+                    rel = "≤" if rejected.bound else "="
                     print(f"  rejected  {rejected.value!r}  "
-                          f"C(v)={rejected.confidence:.2f}  "
+                          f"C(v){rel}{rejected.confidence:.2f}  "
                           f"source={rejected.source_id}")
         print()
 

@@ -14,12 +14,17 @@ from repro.confidence.node_level import NodeAssessment
 
 
 def explain_assessment(assessment: NodeAssessment, verdict: str) -> str:
-    """One line per scored node: value, verdict, score components."""
+    """One line per scored node: value, verdict, score components.
+
+    A node rejected on its upper bound, without its authority prompt,
+    shows ``C(v)`` and ``Auth_LLM`` as bounds (``≤``).
+    """
+    rel = "≤" if assessment.bound else "="
     return (
         f"  [{verdict:>8s}] {assessment.value!r} from {assessment.source_id}: "
-        f"C(v)={assessment.confidence:.2f} "
+        f"C(v){rel}{assessment.confidence:.2f} "
         f"(S_n={assessment.consistency:.2f}, "
-        f"Auth_LLM={assessment.auth_llm:.2f}, "
+        f"Auth_LLM{rel}{assessment.auth_llm:.2f}, "
         f"Auth_hist={assessment.auth_hist:.2f})"
     )
 

@@ -12,9 +12,14 @@ homologous groups:
    against the node threshold θ; survivors join ``SVs``, the rest fall to
    the isolated set ``LVs`` exactly as in Algorithm 1's loop.  The
    group-wide inputs of those equations are computed once per group
-   (:meth:`~repro.confidence.node_level.NodeScorer.group_table`).  After
-   the pass, each assessed member's edge weight is its ``C(v)`` and each
-   skipped member's is its source credibility.
+   (:meth:`~repro.confidence.node_level.NodeScorer.group_table`).  A node
+   whose upper bound of ``C(v)``, with ``Auth_LLM`` at its maximum, does
+   not clear θ is rejected without its authority prompt, unless nothing
+   in its group clears θ and the fallback must rank the group by exact
+   ``C(v)``.  The decisions are Algorithm 1's; the rejected node keeps
+   its bound as its ``confidence``.  After the pass, each prompted
+   member's edge weight is its ``C(v)`` and every other member's is its
+   source credibility.
 
 Both stages can be disabled independently for the Table III ablations
 (``w/o Graph Level`` / ``w/o Node Level`` / ``w/o MCC``).
@@ -41,6 +46,7 @@ from repro.obs.audit import (
     CODE_GRAPH_FAST_PATH,
     CODE_NODE_ABOVE_THRESHOLD,
     CODE_NODE_BELOW_THRESHOLD,
+    CODE_NODE_BOUND_BELOW_THRESHOLD,
     LEVEL_FALLBACK,
     LEVEL_FAST_PATH,
     LEVEL_GRAPH,
@@ -205,23 +211,56 @@ def mcc(
         with obs.tracer.span("mcc.node", key=key) as nspan:
             table = scorer.group_table(group)
             # Definition 4's edge weight w_i: each member's source
-            # credibility, then C(v) for the members assessed below.
+            # credibility, then C(v) for the members prompted below.
             for member, weight in zip(group.members, table.credibility):
                 group.set_weight(member, weight)
-            for member in to_assess:  # repro-lint: loop-bound[C] — at most the candidate claims of one key
-                assessment = scorer.assess(member, table)
-                group.set_weight(member, assessment.confidence)
+            # S_n and Auth_hist need no prompt.  A node whose upper bound
+            # of C(v) does not clear θ is rejected whatever the judge
+            # answers.
+            partial = []
+            deferred = []
+            for member in to_assess:
+                s_n = scorer.consistency(member, table)
+                a_hist = scorer.auth_hist(member, table)
+                partial.append((member, s_n, a_hist))
+                deferred.append(
+                    scorer.upper_bound(s_n, a_hist) <= node_threshold
+                )
+            # Prompt the nodes that may clear θ first.  The deferred ones
+            # are prompted only if none did and the fallback ranks the
+            # group by exact C(v).
+            order = sorted(range(len(partial)), key=deferred.__getitem__)
+            assessed: dict[int, NodeAssessment] = {}
+            any_accepted = False
+            for i in order:  # repro-lint: loop-bound[C] — at most the candidate claims of one key
+                member, s_n, a_hist = partial[i]
+                if not deferred[i] or (fallback_best and not any_accepted):
+                    assessment = scorer.complete(member, table, s_n, a_hist)
+                    group.set_weight(member, assessment.confidence)
+                    if assessment.confidence > node_threshold:
+                        any_accepted = True
+                else:
+                    assessment = scorer.bounded(member, s_n, a_hist)
+                assessed[i] = assessment
+            # Accepted and rejected keep the to-assess order.
+            bound_rejected = 0
+            for i, member in enumerate(to_assess):
+                assessment = assessed[i]
                 result.nodes_scored += 1
                 if assessment.confidence > node_threshold:
                     decision.accepted.append(assessment)
                 else:
                     decision.rejected.append(assessment)
                     result.lvs.append(member)
+                    if assessment.bound:
+                        bound_rejected += 1
+            metrics.counter("mcc.bound_rejected").inc(bound_rejected)
             if nspan.enabled:
                 nspan.set(
                     assessed=len(to_assess), skipped=len(skipped),
                     accepted=len(decision.accepted),
                     rejected=len(decision.rejected),
+                    bound_rejected=bound_rejected,
                 )
 
         promoted_ids: set[int] = set()
@@ -333,8 +372,15 @@ def _emit_node_audit(
         obs.audit.record(_node_event(
             ACTION_DROPPED, key, assessment.triple, LEVEL_NODE,
             node_threshold, round(assessment.confidence, 6),
-            "C(v) below the node threshold θ",
-            CODE_NODE_BELOW_THRESHOLD,
+            (
+                "upper bound of C(v) below the node threshold θ "
+                "(authority prompt skipped)" if assessment.bound
+                else "C(v) below the node threshold θ"
+            ),
+            (
+                CODE_NODE_BOUND_BELOW_THRESHOLD if assessment.bound
+                else CODE_NODE_BELOW_THRESHOLD
+            ),
         ))
     for member in skipped_kept:
         obs.audit.record(_node_event(

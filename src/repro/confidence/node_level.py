@@ -25,6 +25,14 @@ source's consensus and the claims around the group's subjects.
 The table adds each float up over the members in group order, as a
 pass over the members for each node would, so the scores are exactly
 those of that per-node pass.
+
+Only ``Auth_LLM`` needs a prompt.  The judge's ``C_LLM`` lies in
+[0, 1], so ``Auth_LLM`` is at most :attr:`NodeScorer.auth_llm_max` and
+:meth:`NodeScorer.upper_bound` bounds ``C(v)`` from ``S_n`` and
+``Auth_hist`` alone, through the same float expression as ``C(v)``.
+``mcc()`` completes a node's assessment with its prompt
+(:meth:`NodeScorer.complete`) only when the bound leaves the decision
+open; otherwise it records the bound (:meth:`NodeScorer.bounded`).
 """
 
 from __future__ import annotations
@@ -58,6 +66,10 @@ class NodeAssessment:
     auth_hist: float
     authority: float
     confidence: float
+    #: True when the node was rejected without its authority prompt:
+    #: ``auth_llm`` is then Eq. 10's maximum, and ``authority`` and
+    #: ``confidence`` are upper bounds of ``A(v)`` and ``C(v)``.
+    bound: bool = False
 
     @property
     def value(self) -> str:
@@ -90,7 +102,13 @@ class GroupTable:
 
 
 class NodeScorer:
-    """Computes ``C(v)`` for candidate nodes of a homologous group."""
+    """Computes ``C(v)`` for candidate nodes of a homologous group.
+
+    :meth:`assess` scores a node exactly.  ``mcc()`` takes the same steps
+    one at a time: :meth:`consistency` and :meth:`auth_hist`, which need
+    no prompt, then :meth:`upper_bound`, and :meth:`complete` (the
+    prompt) or :meth:`bounded` (no prompt) as the bound decides.
+    """
 
     def __init__(
         self,
@@ -115,6 +133,8 @@ class NodeScorer:
         self.obs = obs if obs is not None else NOOP
         self._max_degree = max((graph.degree(e.eid) for e in graph.entities()),
                                default=1) or 1
+        #: ``Auth_LLM`` of the judge's highest score, ``C_LLM = 1``
+        self.auth_llm_max = self._squash(1.0)
 
     def group_table(self, group: HomologousGroup) -> GroupTable:
         """The group-wide inputs of Eqs. 8–11 for ``group``, computed once
@@ -231,6 +251,9 @@ class NodeScorer:
     def auth_llm(self, triple: Triple, table: GroupTable) -> float:
         """``Auth_LLM(v)`` (Eq. 10): sigmoid-squashed expert judgement."""
         raw = self.llm.authority(self._node_features(triple, table))
+        return self._squash(raw)
+
+    def _squash(self, raw: float) -> float:
         # Center at 0.5 so the sigmoid spreads scores on both sides of
         # its midpoint, as the paper's mean-centering of C_LLM intends.
         return 1.0 / (1.0 + math.exp(-self.beta * (raw - 0.5) * 8.0))
@@ -251,18 +274,59 @@ class NodeScorer:
     # ------------------------------------------------------------------
     def assess(self, triple: Triple, table: GroupTable) -> NodeAssessment:
         """Full node assessment ``C(v) = S_n(v) + A(v)``."""
-        s_n = self.consistency(triple, table)
-        a_llm = self.auth_llm(triple, table)
-        a_hist = self.auth_hist(triple, table)
+        return self.complete(
+            triple, table,
+            self.consistency(triple, table), self.auth_hist(triple, table),
+        )
+
+    def upper_bound(self, s_n: float, a_hist: float) -> float:
+        """``C(v)`` with ``Auth_LLM`` at its maximum, without a prompt.
+
+        Every float operation of ``C(v)`` is monotone in its inputs, so
+        no answer of the judge gives the node a higher ``C(v)``.
+        """
+        return self._combine(s_n, self.auth_llm_max, a_hist)[1]
+
+    def complete(
+        self, triple: Triple, table: GroupTable, s_n: float, a_hist: float
+    ) -> NodeAssessment:
+        """The exact assessment of a node whose ``S_n`` and ``Auth_hist``
+        are known: asks the judge for ``Auth_LLM``."""
+        return self._assessment(
+            triple, s_n, self.auth_llm(triple, table), a_hist, bound=False
+        )
+
+    def bounded(
+        self, triple: Triple, s_n: float, a_hist: float
+    ) -> NodeAssessment:
+        """The assessment of a node rejected on its :meth:`upper_bound`,
+        without a prompt."""
+        return self._assessment(
+            triple, s_n, self.auth_llm_max, a_hist, bound=True
+        )
+
+    def _combine(
+        self, s_n: float, a_llm: float, a_hist: float
+    ) -> tuple[float, float]:
+        """Eq. 9's ``A(v)`` and Algorithm 1's ``C(v) = S_n(v) + A(v)``."""
         authority = self.alpha * a_llm + (1.0 - self.alpha) * a_hist
+        return authority, s_n + authority
+
+    def _assessment(
+        self, triple: Triple, s_n: float, a_llm: float, a_hist: float,
+        bound: bool,
+    ) -> NodeAssessment:
+        authority, confidence = self._combine(s_n, a_llm, a_hist)
         metrics = self.obs.metrics
         metrics.counter("confidence.node.assessed").inc()
-        metrics.histogram("confidence.node.c_v").observe(s_n + authority)
+        if not bound:
+            metrics.histogram("confidence.node.c_v").observe(confidence)
         return NodeAssessment(
             triple=triple,
             consistency=s_n,
             auth_llm=a_llm,
             auth_hist=a_hist,
             authority=authority,
-            confidence=s_n + authority,
+            confidence=confidence,
+            bound=bound,
         )

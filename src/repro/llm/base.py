@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -362,13 +363,20 @@ class LLMClient(ABC):
 
     def authority(self, features: dict[str, float]) -> float:
         """Raw authority judgement ``C_LLM(v)`` in [0, 1] from node
-        features."""
+        features.
+
+        An answer outside [0, 1] is clamped into it, and NaN counts as 0:
+        MCC's prompt-free upper bound of ``C(v)`` assumes the range.
+        """
         prompt = (
             "### TASK: authority\n### INPUT\n"
             + json.dumps(features, sort_keys=True)
             + "\n### END\n"
         )
-        return float(self.complete(prompt, stage=Stage.AUTHORITY).text)
+        score = float(self.complete(prompt, stage=Stage.AUTHORITY).text)
+        if math.isnan(score):
+            return 0.0
+        return min(1.0, max(0.0, score))
 
     def generate_answer(self, query: str, evidence_lines: list[str]) -> str:
         """Synthesize an answer string from ``entity | attribute | value``

@@ -4,10 +4,11 @@ Hallucination mitigation is only trustworthy if it is explainable: for
 every candidate value the pipeline filters, the audit log records *which*
 confidence level fired (graph fast-path, node threshold, fallback
 promotion, skipped fast-path member), the threshold it was compared
-against and the score it got.  The per-query slice is surfaced on
-:attr:`repro.core.answer.RetrievalResult.audit` and folded into trace
-exports, so "why did MCC drop this value" is answerable without a
-debugger.
+against and the score it got (for a node rejected on its upper bound,
+without its authority prompt, that bound).  The per-query slice is
+surfaced on :attr:`repro.core.answer.RetrievalResult.audit` and folded
+into trace exports, so "why did MCC drop this value" is answerable
+without a debugger.
 
 Events carry only deterministic fields — no wall-clock timestamps — so
 audit trails are byte-comparable across seeded runs.
@@ -35,6 +36,8 @@ CODE_GRAPH_FAST_PATH = "GRAPH_FAST_PATH"
 CODE_GRAPH_CONFLICT = "GRAPH_CONFLICT"
 CODE_NODE_ABOVE_THRESHOLD = "NODE_ABOVE_THRESHOLD"
 CODE_NODE_BELOW_THRESHOLD = "NODE_BELOW_THRESHOLD"
+#: rejected on the upper bound of C(v), its authority prompt skipped.
+CODE_NODE_BOUND_BELOW_THRESHOLD = "NODE_BOUND_BELOW_THRESHOLD"
 CODE_FALLBACK_PROMOTED = "FALLBACK_PROMOTED"
 CODE_FAST_PATH_AGREES = "FAST_PATH_AGREES"
 CODE_FAST_PATH_DISAGREES = "FAST_PATH_DISAGREES"
@@ -47,6 +50,7 @@ AUDIT_CODES = frozenset({
     CODE_GRAPH_CONFLICT,
     CODE_NODE_ABOVE_THRESHOLD,
     CODE_NODE_BELOW_THRESHOLD,
+    CODE_NODE_BOUND_BELOW_THRESHOLD,
     CODE_FALLBACK_PROMOTED,
     CODE_FAST_PATH_AGREES,
     CODE_FAST_PATH_DISAGREES,

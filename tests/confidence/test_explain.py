@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.confidence import HistoryStore, NodeScorer, explain, mcc
-from repro.confidence.explain import explain_decision
+from repro.confidence.explain import explain_assessment, explain_decision
 from repro.confidence.mcc import MCCResult
 from repro.kg import KnowledgeGraph, Provenance, Triple
 from repro.linegraph import match_homologous
@@ -47,6 +47,26 @@ class TestExplain:
         report = explain(result)
         assert "rejected" in report
         assert "'1999'" in report or "'1987'" in report
+
+    def test_bound_rejected_nodes_show_bounds(self):
+        result = run_mcc([
+            ("s1", "E", "year", "2010"),
+            ("s2", "E", "year", "2010"),
+            ("s3", "E", "year", "1999"),
+            ("s4", "E", "year", "1987"),
+        ])
+        report = explain(result)
+        decision = result.decisions[0]
+        bound = [a for a in decision.rejected if a.bound]
+        assert bound
+        for assessment in bound:
+            line = explain_assessment(assessment, "rejected")
+            assert line in report
+            assert f"C(v)≤{assessment.confidence:.2f}" in line
+            assert f"Auth_LLM≤{assessment.auth_llm:.2f}" in line
+        for assessment in decision.accepted:
+            line = explain_assessment(assessment, "ACCEPTED")
+            assert "C(v)=" in line and "Auth_LLM=" in line
 
     def test_fast_path_labelled(self):
         result = run_mcc([

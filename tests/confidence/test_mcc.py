@@ -8,6 +8,8 @@ from repro.confidence import HistoryStore, NodeScorer, mcc
 from repro.kg import KnowledgeGraph, Provenance, Triple
 from repro.linegraph import match_homologous
 from repro.llm import SimulatedLLM
+from repro.llm.stage import Stage
+from repro.obs import Observability, TickClock
 from repro.util import normalize_value
 
 
@@ -129,7 +131,7 @@ class TestFallback:
 
 class TestEdgeWeights:
     """After ``mcc()`` a member's weight ``w_i`` is its ``C(v)`` when it
-    was assessed, else its source credibility."""
+    was prompted, else its source credibility."""
 
     def test_every_assessed_node_keeps_its_confidence(self):
         _, groups, scorer = build(CONFLICT)
@@ -137,8 +139,13 @@ class TestEdgeWeights:
         decision = result.decisions[0]
         assessed = decision.accepted + decision.rejected
         assert len(assessed) == len(CONFLICT)
+        bound = [a for a in assessed if a.bound]
+        assert bound and len(bound) < len(assessed)
         for assessment in assessed:
-            assert groups[0].weight(assessment.triple) == assessment.confidence
+            assert groups[0].weight(assessment.triple) == (
+                scorer.history.credibility(assessment.source_id)
+                if assessment.bound else assessment.confidence
+            )
 
     def test_skipped_nodes_hold_their_credibility(self):
         _, groups, scorer = build(CONSENSUS)
@@ -153,6 +160,39 @@ class TestEdgeWeights:
             assert groups[0].weight(member) == scorer.history.credibility(
                 member.source_id()
             )
+
+
+class TestPromptSkip:
+    """A node whose upper bound of C(v) does not clear θ is rejected
+    without its authority prompt."""
+
+    def test_bound_rejected_nodes_are_not_prompted(self):
+        _, groups, scorer = build(CONFLICT)
+        result = mcc(groups, scorer)
+        decision = result.decisions[0]
+        bound = [a for a in decision.rejected if a.bound]
+        assert bound and not any(a.bound for a in decision.accepted)
+        calls = scorer.llm.meter.stage_usage(Stage.AUTHORITY).calls
+        assert calls == result.nodes_scored - len(bound)
+        for assessment in bound:
+            assert assessment.auth_llm == scorer.auth_llm_max
+            assert assessment.confidence == scorer.upper_bound(
+                assessment.consistency, assessment.auth_hist
+            ) <= 0.7
+
+    def test_counter_and_span_count_skipped_prompts(self):
+        graph, groups, _ = build(CONFLICT)
+        obs = Observability.enable(clock=TickClock())
+        scorer = NodeScorer(graph, SimulatedLLM(seed=0), HistoryStore(),
+                            obs=obs)
+        result = mcc(groups, scorer, obs=obs)
+        bound = sum(a.bound for d in result.decisions for a in d.rejected)
+        assert bound
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["mcc.bound_rejected"] == bound
+        assert counters["confidence.node.assessed"] == result.nodes_scored
+        (span,) = [s for s in obs.tracer.walk() if s.name == "mcc.node"]
+        assert span.attrs["bound_rejected"] == bound
 
 
 class TestAblationModes:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.confidence import HistoryStore, NodeScorer
 from repro.kg import KnowledgeGraph, Provenance, Triple
 from repro.linegraph import match_homologous
-from repro.llm import SimulatedLLM
+from repro.llm import LLMClient, SimulatedLLM
 
 
 def build_graph(claims: list[tuple[str, str, str, str]]) -> KnowledgeGraph:
@@ -35,6 +37,17 @@ def conflicted():
 
 def member_with_value(group, value):
     return next(m for m in group.members if m.obj == value)
+
+
+class ScriptedJudge(LLMClient):
+    """Answers every prompt with one fixed text."""
+
+    def __init__(self, answer: str) -> None:
+        super().__init__()
+        self.answer = answer
+
+    def _generate(self, prompt: str) -> str:
+        return self.answer
 
 
 class TestConsistency:
@@ -94,6 +107,39 @@ class TestAuthority:
         table = scorer.group_table(group)
         for member in group.members:
             assert 0.0 <= scorer.auth_llm(member, table) <= 1.0
+
+    @pytest.mark.parametrize("answer, clamped", [
+        ("1.7", 1.0), ("-0.3", 0.0), ("nan", 0.0), ("inf", 1.0),
+        ("-inf", 0.0),
+    ])
+    def test_out_of_range_judge_is_clamped(self, conflicted, answer, clamped):
+        graph, group, _ = conflicted
+        scorer = NodeScorer(graph, ScriptedJudge(answer), HistoryStore())
+        assert scorer.llm.authority({"degree": 0.5}) == clamped
+        table = scorer.group_table(group)
+        for member in group.members:
+            assert scorer.auth_llm(member, table) <= scorer.auth_llm_max
+            assessment = scorer.assess(member, table)
+            assert assessment.confidence <= scorer.upper_bound(
+                assessment.consistency, assessment.auth_hist
+            )
+
+    @given(st.floats(0.0, 1.0), st.floats(0.05, 4.0),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_auth_llm_never_exceeds_its_maximum(self, raw, beta, alpha):
+        graph = build_graph([("s1", "E", "year", "2010"),
+                             ("s2", "E", "year", "2011")])
+        group = match_homologous(graph).groups[0]
+        scorer = NodeScorer(graph, ScriptedJudge(repr(raw)), HistoryStore(),
+                            alpha=alpha, beta=beta)
+        table = scorer.group_table(group)
+        for member in group.members:
+            assert scorer.auth_llm(member, table) <= scorer.auth_llm_max
+            assessment = scorer.assess(member, table)
+            assert assessment.confidence <= scorer.upper_bound(
+                assessment.consistency, assessment.auth_hist
+            )
 
     def test_auth_hist_tracks_source_history(self, conflicted):
         graph, group, _ = conflicted

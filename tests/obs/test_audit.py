@@ -6,7 +6,7 @@ from collections import Counter
 
 from repro.confidence.history import HistoryStore
 from repro.confidence.mcc import mcc
-from repro.confidence.node_level import GroupTable, NodeAssessment, NodeScorer
+from repro.confidence.node_level import GroupTable, NodeScorer
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.exec import Query
 from repro.kg import KnowledgeGraph, Provenance, Triple
@@ -29,6 +29,7 @@ from repro.obs.audit import (
     CODE_GRAPH_FAST_PATH,
     CODE_NODE_ABOVE_THRESHOLD,
     CODE_NODE_BELOW_THRESHOLD,
+    CODE_NODE_BOUND_BELOW_THRESHOLD,
     LEVEL_FALLBACK,
     LEVEL_FAST_PATH,
     LEVEL_GRAPH,
@@ -39,18 +40,26 @@ from tests.conftest import make_sources
 
 
 class StubScorer(NodeScorer):
-    """Returns a fixed confidence per value; lets tests steer MCC."""
+    """Gives each value a fixed ``C(v)``; lets tests steer MCC.
+
+    ``S_n`` is the value's score and both authorities are 0, so the
+    exact ``C(v)`` is the score.  Its upper bound is the score plus
+    ``α·auth_llm_max`` (0.4405 at the default α and β): a node whose
+    score is further than that below θ is rejected on its bound.
+    """
 
     def __init__(self, scores: dict[str, float]) -> None:
         super().__init__(KnowledgeGraph(), SimulatedLLM(seed=0), HistoryStore())
         self.scores = scores
 
-    def assess(self, triple: Triple, table: GroupTable) -> NodeAssessment:
-        conf = self.scores[triple.obj]
-        return NodeAssessment(
-            triple=triple, consistency=conf / 2.0, auth_llm=0.0,
-            auth_hist=0.0, authority=conf / 2.0, confidence=conf,
-        )
+    def consistency(self, triple: Triple, table: GroupTable) -> float:
+        return self.scores[triple.obj]
+
+    def auth_hist(self, triple: Triple, table: GroupTable) -> float:
+        return 0.0
+
+    def auth_llm(self, triple: Triple, table: GroupTable) -> float:
+        return 0.0
 
 
 def make_group(values_by_source: list[tuple[str, str]]) -> HomologousGroup:
@@ -207,6 +216,24 @@ class TestAuditCodes:
         graph2 = [e for e in obs2.audit.events if e.stage == "mcc.graph"][0]
         assert graph2.code == CODE_GRAPH_CONFLICT
         assert graph2.margin is not None and graph2.margin < 0
+
+    def test_bound_rejection_records_its_bound(self):
+        group = make_group([("s1", "2010"), ("s2", "2011")])
+        obs = enabled_obs()
+        scorer = StubScorer({"2010": 1.2, "2011": 0.1})
+        result = mcc([group], scorer, node_threshold=0.7,
+                     enable_graph_level=False, obs=obs)
+        (rejected,) = result.decisions[0].rejected
+        assert rejected.bound
+        bound = scorer.upper_bound(0.1, 0.0)
+        assert rejected.confidence == bound
+        dropped = [e for e in node_events(obs) if e.value == "2011"][0]
+        assert dropped.action == ACTION_DROPPED
+        assert dropped.level == LEVEL_NODE
+        assert dropped.code == CODE_NODE_BOUND_BELOW_THRESHOLD
+        assert dropped.score == round(bound, 6)
+        assert dropped.margin == round(round(bound, 6) - 0.7, 6) <= 0
+        assert "prompt skipped" in dropped.reason
 
     def test_fallback_promotion_code(self):
         group = make_group([("s1", "2010"), ("s2", "2011")])

@@ -6,9 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.confidence import HistoryStore, NodeScorer, mcc
+from repro.core import MultiRAG, MultiRAGConfig
+from repro.datasets import make_movies
+from repro.exec import Query
 from repro.kg import Entity, KnowledgeGraph, Provenance, Triple
 from repro.linegraph import HomologousGroup, HomologousNode, match_homologous
 from repro.llm import SimulatedLLM
+from repro.llm.stage import Stage
+from tests.confidence.mcc_oracle import mcc as oracle_mcc
 from tests.confidence.node_oracle import OracleScorer
 
 claims = st.lists(
@@ -256,3 +261,161 @@ class TestNodeLevelOracle:
             for result in results
         )
         assert production == expected
+
+
+# ----------------------------------------------------------------------
+# production MCC against the prompt-everything oracle
+# ----------------------------------------------------------------------
+alphas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+betas = st.floats(min_value=0.05, max_value=4.0)
+
+# Two groups (E1 release_year: 2010 twice, 2011, Comedy; E2 genre:
+# Comedy twice, 2011) under a non-neutral history.  At α = β = 0.5 their
+# exact C(v) are 0.993/0.982/0.480/0.246 and 0.916/0.926/0.587, and no
+# upper bound exceeds 1.111.
+SKIP_EXAMPLE = dict(
+    claim_list=[
+        ("s1", "E1", "release_year", "2010"),
+        ("s2", "E1", "release_year", "2011"),
+        ("s3", "E1", "release_year", "Comedy"),
+        ("s4", "E1", "release_year", "2010"),
+        ("s2", "E2", "genre", "Comedy"),
+        ("s3", "E2", "genre", " comedy"),
+        ("s1", "E2", "genre", "2011"),
+    ],
+    removals=[],
+    history_spec=(50, 0.5, [("s1", 30, 40), ("s3", 5, 40)]),
+    positions=[],
+)
+SKIP_OPTIONS = dict(
+    graph_threshold=0.5, enable_graph_level=False, fast_path_nodes=2,
+    hedge_margin=0.0,
+)
+
+
+def authority_calls(scorer: NodeScorer) -> int:
+    return scorer.llm.meter.stage_usage(Stage.AUTHORITY).calls
+
+
+class TestPromptSkipOracle:
+    @given(oracle_claims, st.lists(st.integers(0, 24), max_size=6),
+           oracle_history, extra_groups, mcc_options, alphas, betas)
+    # Every node bound-rejected (θ above every bound): with the fallback
+    # every node is prompted and the group answers by exact C(v) ...
+    @example(**SKIP_EXAMPLE, alpha=0.5, beta=0.5,
+             options=dict(SKIP_OPTIONS, node_threshold=1.99,
+                          fallback_best=True))
+    # ... and without it none is.
+    @example(**SKIP_EXAMPLE, alpha=0.5, beta=0.5,
+             options=dict(SKIP_OPTIONS, node_threshold=1.99,
+                          fallback_best=False))
+    # α = 0: the bound is C(v) itself.
+    @example(**SKIP_EXAMPLE, alpha=0.0, beta=0.5,
+             options=dict(SKIP_OPTIONS, node_threshold=0.7,
+                          fallback_best=True))
+    # E2's Comedy from s2 has C(v) = θ exactly: prompted (its bound
+    # clears θ) and rejected, beside an accepted and a bound-rejected
+    # node.
+    @example(**SKIP_EXAMPLE, alpha=0.5, beta=0.5,
+             options=dict(SKIP_OPTIONS, node_threshold=0.9158046426347001,
+                          fallback_best=True))
+    # α = 0 and E1's 2011 from s2 has C(v) = θ exactly, so its bound is
+    # θ too: rejected without a prompt.
+    @example(**SKIP_EXAMPLE, alpha=0.0, beta=0.5,
+             options=dict(SKIP_OPTIONS, node_threshold=0.4675925925925926,
+                          fallback_best=True))
+    # The two 2010 claims come first in to-assess order but come from
+    # sources with no track record: their bounds (0.448) do not clear θ,
+    # while 2011 (C(v) = 0.861) does.  They must not be prompted.
+    @example(
+        claim_list=[("s1", "E1", "release_year", "2010"),
+                    ("s2", "E1", "release_year", "2010"),
+                    ("s3", "E1", "release_year", "2011")],
+        removals=[], positions=[],
+        history_spec=(0, 0.5, [("s1", 0, 40), ("s2", 0, 40),
+                               ("s3", 40, 40)]),
+        alpha=0.5, beta=0.5,
+        options=dict(SKIP_OPTIONS, node_threshold=0.5, fallback_best=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mcc_equals_the_prompt_everything_oracle(
+        self, claim_list, removals, history_spec, positions, options,
+        alpha, beta,
+    ):
+        graph, history, _, groups = oracle_setup(
+            claim_list, removals, history_spec, positions
+        )
+        scorers = [
+            NodeScorer(graph, SimulatedLLM(seed=0), history,
+                       alpha=alpha, beta=beta)
+            for _ in range(2)
+        ]
+        got_groups, expected_groups = groups(), groups()
+        got = mcc(got_groups, scorers[0], **options)
+        expected = oracle_mcc(expected_groups, scorers[1], **options)
+
+        assert got.lvs == expected.lvs
+        assert got.nodes_scored == expected.nodes_scored
+        assert len(got.decisions) == len(expected.decisions)
+        theta = options["node_threshold"]
+        bound_rejected = 0
+        for g, e in zip(got.decisions, expected.decisions):
+            assert (g.group.members, g.graph_conf, g.fast_path) == \
+                (e.group.members, e.graph_conf, e.fast_path)
+            assert g.accepted == e.accepted
+            assert len(g.rejected) == len(e.rejected)
+            # A node is left unprompted exactly when its bound is ≤ θ and
+            # the fallback does not need it: some node cleared θ, or the
+            # fallback is off.
+            cleared = any(a.confidence > theta for a in e.accepted)
+            for got_node, oracle_node in zip(g.rejected, e.rejected):
+                assert got_node.bound == (
+                    scorers[0].upper_bound(oracle_node.consistency,
+                                           oracle_node.auth_hist) <= theta
+                    and (cleared or not options["fallback_best"])
+                )
+                if not got_node.bound:
+                    assert got_node == oracle_node
+                    continue
+                bound_rejected += 1
+                assert got_node.triple is oracle_node.triple
+                assert got_node.consistency == oracle_node.consistency
+                assert got_node.auth_hist == oracle_node.auth_hist
+                assert oracle_node.confidence <= got_node.confidence <= theta
+                if alpha == 0.0:
+                    assert got_node.confidence == oracle_node.confidence
+            # A prompted node's edge weight is its C(v), as in the
+            # oracle; a bound-rejected node keeps its credibility.
+            bound_ids = {id(a.triple) for a in g.rejected if a.bound}
+            for got_m, oracle_m in zip(g.group.members, e.group.members):
+                assert g.group.weight(got_m) == (
+                    history.credibility(got_m.source_id())
+                    if id(got_m) in bound_ids
+                    else e.group.weight(oracle_m)
+                )
+        assert authority_calls(scorers[1]) - authority_calls(scorers[0]) \
+            == bound_rejected
+
+
+def test_movies_run_matches_the_prompt_everything_oracle(monkeypatch):
+    """A seeded Movies run with history updates on gives the same
+    answers, texts, stage values and final history under the oracle."""
+    dataset = make_movies(scale=1.0, seed=5, n_queries=150)
+
+    def run() -> tuple[list, dict, int]:
+        rag = MultiRAG(MultiRAGConfig(seed=3))
+        rag.ingest(dataset.raw_sources())
+        results = [rag.run(Query.key(q.entity, q.attribute))
+                   for q in dataset.queries]
+        return (
+            [(r.answers, r.generated_text, r.stage_values) for r in results],
+            rag.history.export_state(),
+            rag.llm.meter.stage_usage(Stage.AUTHORITY).calls,
+        )
+
+    got, got_history, got_calls = run()
+    monkeypatch.setattr("repro.core.pipeline.mcc", oracle_mcc)
+    expected, expected_history, expected_calls = run()
+    assert got == expected
+    assert got_history == expected_history
+    assert got_calls < expected_calls
