@@ -32,9 +32,7 @@ class MCCMethod(FusionMethod):
     def setup(self, substrate: Substrate) -> None:
         super().setup(substrate)
         self.llm = substrate.fresh_llm()
-        self.history = HistoryStore(
-            init_entities=self.config.history_init_entities
-        )
+        self.history = HistoryStore()
         self.scorer = NodeScorer(
             graph=substrate.graph,
             llm=self.llm,

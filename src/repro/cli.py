@@ -87,42 +87,21 @@ def _export_obs(obs: Observability, args: argparse.Namespace) -> None:
         print(f"metrics snapshot written to {args.metrics}", file=sys.stderr)
 
 
-def _export_gateway(rag: MultiRAG, args: argparse.Namespace) -> None:
-    """Write per-stage usage and gateway event artifacts when asked.
+def _export_usage(rag: MultiRAG, args: argparse.Namespace) -> None:
+    """Write the totals and per-stage LLM usage when ``--llm-usage`` asks.
 
-    ``--llm-usage`` works for any client (every :class:`LLMClient`
-    carries a stage-keyed meter); ``--gateway-events`` additionally
-    includes breaker states and the exceptional-path event log when the
-    pipeline's client is an :class:`~repro.llm.gateway.LLMGateway`.
+    Works for any client: every :class:`LLMClient` carries a stage-keyed
+    meter.
     """
-    import json
-    from pathlib import Path
-
     if getattr(args, "llm_usage", None):
+        from pathlib import Path
+
         payload = {
             "totals": rag.llm.meter.snapshot(),
             "by_stage": rag.llm.meter.stage_snapshot(),
         }
         Path(args.llm_usage).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"per-stage LLM usage written to {args.llm_usage}",
-              file=sys.stderr)
-    if getattr(args, "gateway_events", None):
-        from repro.llm.gateway import LLMGateway
-
-        if isinstance(rag.llm, LLMGateway):
-            payload = {
-                "events": rag.llm.events_payload(),
-                "breakers": rag.llm.breaker_states(),
-            }
-        else:
-            payload = {"events": [], "breakers": {}}
-            print("warning: --gateway-events without llm routing "
-                  "(no gateway is wired); writing an empty log",
-                  file=sys.stderr)
-        Path(args.gateway_events).write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-        print(f"gateway events written to {args.gateway_events}",
               file=sys.stderr)
 
 
@@ -132,25 +111,10 @@ def _build_pipeline(
     obs: Observability | None = None,
     snapshot: str | None = None,
     update_history: bool = True,
-    llm_routing: str | None = None,
     jobs: int | None = None,
 ) -> MultiRAG:
     config = MultiRAGConfig(seed=seed, update_history=update_history)
-    if llm_routing:
-        import dataclasses
-
-        from repro.llm.gateway import parse_routing_spec
-
-        config = dataclasses.replace(
-            config, llm_routing=dict(parse_routing_spec(llm_routing))
-        )
     rag = MultiRAG.from_config(config, obs=obs, snapshot=snapshot)
-    if config.llm_routing:
-        routing = ", ".join(
-            f"{stage}={spec}"
-            for stage, spec in sorted(config.llm_routing.items())
-        )
-        print(f"llm gateway routing: {routing}", file=sys.stderr)
     sources = load_sources(directory)
     report = rag.ingest(sources, jobs=jobs)
     how = (
@@ -319,8 +283,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     """
     obs = _make_obs(args)
     rag = _build_pipeline(
-        args.directory, args.seed, obs=obs, snapshot=args.snapshot,
-        llm_routing=args.llm_routing,
+        args.directory, args.seed, obs=obs, snapshot=args.snapshot
     )
     questions = list(args.question)
     if len(questions) > 1 or args.jobs is not None:
@@ -356,7 +319,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 print(f"  [{event.level:9s}] {event.action:7s} {subject}"
                       f"{detail}  {event.reason}")
     _export_obs(obs, args)
-    _export_gateway(rag, args)
+    _export_usage(rag, args)
     return 0
 
 
@@ -415,17 +378,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         dataset = load_multihop(args.directory)
         rag = _build_pipeline(
             args.directory, args.seed, obs=obs, snapshot=args.snapshot,
-            update_history=False, llm_routing=args.llm_routing,
+            update_history=False,
         )
         _run_diagnosis(rag, dataset, args)
         _export_obs(obs, args)
-        _export_gateway(rag, args)
+        _export_usage(rag, args)
         return 0
 
     queries = load_queries(args.directory)
     rag = _build_pipeline(
         args.directory, args.seed, obs=obs, snapshot=args.snapshot,
-        update_history=not diagnosing, llm_routing=args.llm_routing,
+        update_history=not diagnosing,
     )
     report = rag.evaluate(queries, jobs=args.jobs)
     print(f"queries: {len(report.per_query)}  mean F1: {report.mean_f1:.1f}%")
@@ -445,7 +408,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print()
         print(format_metrics(obs.metrics.snapshot()))
     _export_obs(obs, args)
-    _export_gateway(rag, args)
+    _export_usage(rag, args)
     return 0
 
 
@@ -641,21 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot store directory: warm-load the ingested state on a "
         "fingerprint match, else cold-build and save it"
     )
-    routing_help = (
-        "per-stage LLM backend routing spec, e.g. "
-        "'ner=sim-small,synthesis=sim-large|sim-small' ('|' names a "
-        "fallback, '*' overrides the default backend); wires an "
-        "LLMGateway in front of the pipeline's client "
-        "(default: REPRO_LLM_ROUTING)"
-    )
     llm_usage_help = (
         "write totals + per-stage LLM usage (calls/tokens/latency) "
         "as JSON"
-    )
-    gateway_events_help = (
-        "write the gateway's exceptional-path event log (failures, "
-        "retries, hedges, breaker transitions) and final breaker "
-        "states as JSON"
     )
 
     p = sub.add_parser("ingest", help="fuse a corpus (optionally cache the graph)")
@@ -713,10 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", metavar="FILE",
                    help="write the metrics snapshot as JSON")
     p.add_argument("--snapshot", metavar="DIR", help=snapshot_help)
-    p.add_argument("--llm-routing", metavar="SPEC", help=routing_help)
     p.add_argument("--llm-usage", metavar="FILE", help=llm_usage_help)
-    p.add_argument("--gateway-events", metavar="FILE",
-                   help=gateway_events_help)
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("evaluate", help="score queries.json with MultiRAG")
@@ -737,10 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", metavar="FILE",
                    help="write the metrics snapshot as JSON")
     p.add_argument("--snapshot", metavar="DIR", help=snapshot_help)
-    p.add_argument("--llm-routing", metavar="SPEC", help=routing_help)
     p.add_argument("--llm-usage", metavar="FILE", help=llm_usage_help)
-    p.add_argument("--gateway-events", metavar="FILE",
-                   help=gateway_events_help)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser(

@@ -32,6 +32,8 @@ class SourceHistory:
 class HistoryStore:
     """Per-source historical credibility with neutral priors."""
 
+    #: the paper initializes every source with 50 historical entities
+    #: (§IV-A(c)); ``H`` of Eq. 11 starts here.
     init_entities: int = 50
     init_credibility: float = 0.5
     _sources: dict[str, SourceHistory] = field(default_factory=dict)

@@ -1,12 +1,13 @@
 """MultiRAG configuration (hyper-parameters of paper §IV-A(c)).
 
 Defaults follow the paper's experimental settings: temperature β = 0.5,
-historical-query entity count initialized to 50, graph confidence threshold
-0.5, α = 0.5 for the authority blend.  The paper quotes a node confidence
-threshold of 0.7 on its (unnormalized) score scale; this implementation's
-``C(v) = S_n(v) + A(v)`` lives in [0, 2], and the equivalent operating
-point calibrates to 1.0 (see ``benchmarks/test_ablation_thresholds.py``
-for the sweep).
+graph confidence threshold 0.5, α = 0.5 for the authority blend.  The
+paper's 50 initial historical entities per source are a constant of the
+history store (:attr:`~repro.confidence.history.HistoryStore.init_entities`).
+The paper quotes a node confidence threshold of 0.7 on its
+(unnormalized) score scale; this implementation's ``C(v) = S_n(v) + A(v)``
+lives in [0, 2], and the equivalent operating point calibrates to 1.0
+(see ``benchmarks/test_ablation_thresholds.py`` for the sweep).
 
 The three ``enable_*`` flags drive the Table III ablations:
 
@@ -22,12 +23,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
-
-if TYPE_CHECKING:
-    from repro.llm.gateway import RoutingPolicy
 
 
 def _sanitize_default() -> bool:
@@ -37,20 +34,6 @@ def _sanitize_default() -> bool:
     return os.environ.get("REPRO_SANITIZE", "").lower() not in (
         "", "0", "false", "no",
     )
-
-
-def _routing_default() -> dict[str, str]:
-    """Default for :attr:`MultiRAGConfig.llm_routing`: the
-    ``REPRO_LLM_ROUTING`` environment variable
-    (``"ner=sim-small,synthesis=sim-large|sim-small"``), so CI can run
-    whole suites through a heterogeneous gateway without touching call
-    sites — same pattern as ``REPRO_EXEC_WORKERS``/``REPRO_SANITIZE``."""
-    spec = os.environ.get("REPRO_LLM_ROUTING", "").strip()
-    if not spec:
-        return {}
-    from repro.llm.gateway import parse_routing_spec
-
-    return dict(parse_routing_spec(spec))
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,10 +51,8 @@ class MultiRAGConfig:
     #: before the newest observation are excluded.  ``None`` disables the
     #: temporal filter (timeless data).
     staleness: float | None = None
-    history_init_entities: int = 50
     fast_path_nodes: int = 2
     top_k: int = 5
-    chunk_max_tokens: int = 64
     min_sources: int = 2
     enable_mka: bool = True
     enable_graph_level: bool = True
@@ -95,22 +76,6 @@ class MultiRAGConfig:
     #: proxies and cross-worker conflicts fail loudly.  Off by default
     #: like ``debug_contracts``; defaults from ``REPRO_SANITIZE``.
     sanitize: bool = field(default_factory=_sanitize_default)
-    #: per-stage LLM backend routing, ``stage -> "backend[|fallback]"``
-    #: with ``"*"`` overriding the default backend.  Non-empty wires an
-    #: :class:`~repro.llm.gateway.LLMGateway` in front of the pipeline's
-    #: client; empty (the default) keeps the bare client.  Defaults from
-    #: ``REPRO_LLM_ROUTING`` (see :func:`_routing_default`).
-    llm_routing: dict[str, str] = field(default_factory=_routing_default)
-    #: per-stage gateway knobs, ``stage -> {"max_calls", "max_tokens",
-    #: "max_attempts", "hedge_after_s"}`` — runtime quotas for the
-    #: statically certified call bounds, retry caps and hedge deadlines.
-    llm_stage_limits: dict[str, dict[str, float]] = field(
-        default_factory=dict
-    )
-    #: consecutive backend failures before its circuit breaker trips.
-    llm_breaker_threshold: int = 3
-    #: simulated seconds an open breaker waits before half-opening.
-    llm_breaker_cooldown_s: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -126,8 +91,6 @@ class MultiRAGConfig:
             raise ConfigError(
                 f"graph_threshold must lie in [0, 1], got {self.graph_threshold}"
             )
-        if self.history_init_entities < 0:
-            raise ConfigError("history_init_entities must be non-negative")
         if self.fast_path_nodes < 1:
             raise ConfigError("fast_path_nodes must be at least 1")
         if self.hedge_margin < 0.0:
@@ -140,39 +103,11 @@ class MultiRAGConfig:
             raise ConfigError("min_sources must be at least 2")
         if self.n_shards < 1:
             raise ConfigError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.llm_breaker_threshold < 1:
-            raise ConfigError("llm_breaker_threshold must be at least 1")
-        if self.llm_breaker_cooldown_s < 0.0:
-            raise ConfigError("llm_breaker_cooldown_s must be non-negative")
-        if (self.llm_stage_limits and not self.llm_routing):
-            raise ConfigError(
-                "llm_stage_limits requires llm_routing (the gateway "
-                "enforces per-stage limits; set llm_routing={'*': "
-                "'default'} for default routing with limits)"
-            )
 
     @property
     def enable_mcc(self) -> bool:
         """True when at least one confidence stage is active."""
         return self.enable_graph_level or self.enable_node_level
-
-    def routing_policy(self) -> "RoutingPolicy | None":
-        """The gateway routing policy, or ``None`` when no routing is
-        configured (the pipeline then keeps its bare client).
-
-        Raises:
-            ConfigError: on unknown stages, backends or limit keys.
-        """
-        if not self.llm_routing:
-            return None
-        from repro.llm.gateway import RoutingPolicy
-
-        return RoutingPolicy.from_mappings(
-            self.llm_routing,
-            self.llm_stage_limits,
-            breaker_threshold=self.llm_breaker_threshold,
-            breaker_cooldown_s=self.llm_breaker_cooldown_s,
-        )
 
     def without_mka(self) -> "MultiRAGConfig":
         return replace(self, enable_mka=False)

@@ -44,7 +44,6 @@ from repro.lint.contracts import check_mcc_result, check_mlg, check_ranked_answe
 from repro.linegraph.homologous import HomologousGroup, HomologousNode
 from repro.linegraph.mlg import MultiSourceLineGraph
 from repro.llm.base import LLMClient
-from repro.llm.gateway import LLMGateway, build_gateway
 from repro.llm.generation import EvidenceItem, generate_trustworthy_answer
 from repro.llm.simulated import SimulatedLLM
 from repro.metrics import f1_score, mean
@@ -146,24 +145,14 @@ class MultiRAG:
         self.config = config or MultiRAGConfig()
         self.obs = obs if obs is not None else NOOP
         self.snapshots = self._as_store(snapshot)
-        base_llm = llm or SimulatedLLM(
+        self.llm = llm or SimulatedLLM(
             seed=self.config.seed,
             extraction_noise=self.config.extraction_noise,
         )
-        routing = self.config.routing_policy()
-        if routing is not None and not isinstance(base_llm, LLMGateway):
-            # Wrap the client in the stage-routing gateway.  Backends are
-            # derived *from* the configured client (same seed, noise and
-            # knowledge), so routing redirects cost models and failure
-            # behavior, never completion text.
-            base_llm = build_gateway(base_llm, routing, obs=self.obs)
-        self.llm = base_llm
-        self.history = HistoryStore(
-            init_entities=self.config.history_init_entities
-        )
+        self.history = HistoryStore()
         self.engine = DataFusionEngine(
             llm=self.llm,
-            chunker=SentenceChunker(max_tokens=self.config.chunk_max_tokens),
+            chunker=SentenceChunker(),
             standardize=True,
             obs=self.obs,
         )
@@ -852,9 +841,8 @@ class MultiRAG:
     def absorb_view(self, view: "MultiRAG") -> None:
         """Fold a :meth:`worker_view`'s meter and telemetry back in.
 
-        Routes through :meth:`LLMClient.absorb` so stateful clients (the
-        gateway) can also collect worker-side event logs alongside the
-        usage merge.
+        Routes through :meth:`LLMClient.absorb`, which merges the view's
+        usage into this client's meter.
 
         Raises:
             StateError: if the view's tracer still has an open span.

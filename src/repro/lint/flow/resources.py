@@ -2,7 +2,7 @@
 
 Every pipeline stage and every baseline spends LLM calls through the one
 sanctioned seam — :meth:`repro.llm.base.LLMClient.complete`, which
-routes through ``_account`` and the ``UsageMeter``.  This module
+records every call in the ``UsageMeter``.  This module
 recovers, statically, where those calls can fire and how many can fire
 *per query*:
 
@@ -80,9 +80,9 @@ LLM_API_STAGES: dict[str, str] = {
 
 #: transport methods below the UsageMeter seam; calling them from
 #: pipeline code bypasses accounting entirely (RES001).  ``transport`` is
-#: the (text, latency) seam the gateway and the cache layer route
-#: through — metered exactly once by the wrapper that owns the call, so
-#: any use *above* the client stack is a bypass too.
+#: the (text, latency) seam the cache layer overrides — metered exactly
+#: once by the ``complete`` that owns the call, so any use *above* the
+#: client stack is a bypass too.
 RAW_TRANSPORT = frozenset({"_generate", "transport"})
 
 #: symbolic corpus parameters the certified bounds range over.  The
@@ -1333,7 +1333,7 @@ def _has_eviction_seam(
 def llm_call_report(program: Program) -> dict[str, object]:
     """The ``repro lint --graph llm`` payload: the complete call-site
     inventory keyed by algorithm → entry → stage, with wrapper-chain
-    metadata — the routing table a multi-backend gateway consumes."""
+    metadata."""
     table = program.symtab
     llm_classes = llm_client_classes(program)
     clients: list[dict[str, object]] = []
@@ -1417,9 +1417,9 @@ def llm_bounds_payload(program: Program) -> dict[str, object]:
     document committed to ``results/llm_call_bounds.json``.
 
     Each algorithm row carries the total per-query bound plus a
-    ``stages`` breakdown — one certified bound per stage tag — which is
-    what the gateway's per-stage runtime quotas
-    (``MultiRAGConfig.llm_stage_limits``) are calibrated against.
+    ``stages`` breakdown — one certified bound per stage tag, the
+    static counterpart of :meth:`UsageMeter.stage_snapshot`'s per-stage
+    call counts.
     """
     bounds: dict[str, dict[str, object]] = {}
     for budget in compute_entry_budgets(program):

@@ -50,7 +50,9 @@ def _local_repro_error_subclasses(
     tree: ast.Module, known: frozenset[str]
 ) -> frozenset[str]:
     """Classes defined in ``tree`` that (transitively) extend a known
-    ReproError subclass — e.g. ``BudgetExceededError`` in llm/gateway.py."""
+    ReproError subclass — a class shaped like
+    ``EntityNotFoundError(GraphError)`` of :mod:`repro.errors`, declared
+    in any other module."""
     bases: dict[str, list[str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):

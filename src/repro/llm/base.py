@@ -9,9 +9,8 @@ principled basis even though no real model is being called.
 
 Every completion carries a :class:`~repro.llm.stage.Stage` tag naming the
 pipeline stage that issued it.  The tag drives per-stage usage attribution
-(:attr:`UsageMeter.by_stage`), per-stage routing and budgets in the
-gateway (:mod:`repro.llm.gateway`), and the statically certified call
-bounds (``repro.lint`` RES rules).  The tag is a required argument of
+(:attr:`UsageMeter.by_stage`) and the statically certified call bounds
+(``repro.lint`` RES rules).  The tag is a required argument of
 :meth:`LLMClient.complete`, passed through unchanged, so no call can
 escape attribution.
 """
@@ -241,8 +240,8 @@ class LLMClient(ABC):
     below), which takes a ``stage`` tag.  Subclasses customize the
     *transport* layer — :meth:`_generate` for the text and
     :meth:`transport` when they also control accounted latency (the
-    cache layer's free hits, the gateway's backend routing) — and
-    inherit tagging, accounting and the helper prompts unchanged.
+    cache layer's free hits) — and inherit tagging, accounting and the
+    helper prompts unchanged.
     """
 
     def __init__(
@@ -278,53 +277,33 @@ class LLMClient(ABC):
         WITHOUT metering it.
 
         This is the seam between generation and accounting: wrappers
-        that change the cost of a call (cache hits at latency zero, the
-        gateway routing to a backend with its own cost model) override
-        this — or :meth:`_generate` when only the text changes — and the
-        caller (:meth:`complete`, or the gateway on behalf of a backend)
-        does exactly one :meth:`_account` with the returned latency.
+        that change the cost of a call (cache hits at latency zero)
+        override this — or :meth:`_generate` when only the text changes
+        — and :meth:`complete` meters the returned latency exactly once.
         """
         text = self._generate(prompt)
         return text, self.latency_for(prompt, text)
 
-    def _account(
-        self,
-        prompt: str,
-        text: str,
-        stage: Stage,
-        latency_s: float | None = None,
-    ) -> LLMResponse:
-        """Record one completion's usage and build its response."""
-        prompt_tokens = count_tokens(prompt)
-        completion_tokens = count_tokens(text)
-        latency = (
-            latency_s if latency_s is not None
-            else self.base_latency_s
-            + self.latency_per_token_s * (prompt_tokens + completion_tokens)
-        )
+    def complete(self, prompt: str, stage: Stage) -> LLMResponse:
+        """Run one completion and record its usage under ``stage``."""
+        text, latency = self.transport(prompt)
         if self.wall_latency_scale > 0.0:
             time.sleep(latency * self.wall_latency_scale)
         response = LLMResponse(
             text=text,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
+            prompt_tokens=count_tokens(prompt),
+            completion_tokens=count_tokens(text),
             latency_s=latency,
         )
         self.meter.record(stage, response)
         return response
 
-    def complete(self, prompt: str, stage: Stage) -> LLMResponse:
-        """Run one completion and record its usage under ``stage``."""
-        text, latency = self.transport(prompt)
-        return self._account(prompt, text, stage, latency_s=latency)
-
     # ------------------------------------------------------------------
     # semantic helpers (render prompt -> complete -> parse)
     #
     # These live on the base class so every client — the simulated
-    # model, the cache layer, the gateway — exposes the same stage-tagged
-    # oracle roles, and routing policies apply uniformly no matter which
-    # wrapper the pipeline holds.
+    # model and the cache layer — exposes the same stage-tagged oracle
+    # roles, whichever of them the pipeline holds.
     # ------------------------------------------------------------------
     def extract_entities(self, text: str) -> list[dict[str, str]]:
         """NER over ``text``; returns ``[{"name", "type"}, ...]``."""
@@ -405,8 +384,8 @@ class LLMClient(ABC):
         and side-effect-free per prompt — but accounts into its own
         meter, which the exec engine later folds back via
         :meth:`absorb`.  ``obs`` rebinds telemetry for clients that
-        carry an observability handle (the cache layer, the gateway), so
-        workers never write the parent's sinks concurrently.
+        carry an observability handle (the cache layer), so workers
+        never write the parent's sinks concurrently.
         """
         clone = copy.copy(self)
         clone.meter = UsageMeter()
@@ -417,12 +396,9 @@ class LLMClient(ABC):
     def absorb(self, worker: "LLMClient") -> None:
         """Fold a worker clone produced by :meth:`split` back in.
 
-        The base protocol merges usage; stateful wrappers (the gateway)
-        extend it to also collect worker-side event logs.  Mutable
-        *behavioral* state (circuit breakers, scripted failure counters)
-        is deliberately NOT folded back: every worker view starts from
-        the parent's state at split time, which is what keeps ``jobs=1``
-        and ``jobs=4`` runs byte-identical regardless of task completion
+        Only usage is merged: every worker view starts from the parent's
+        state at split time, which is what keeps ``jobs=1`` and
+        ``jobs=4`` runs byte-identical regardless of task completion
         order.
         """
         self.meter.merge(worker.meter)

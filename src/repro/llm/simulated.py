@@ -261,4 +261,4 @@ class SimulatedLLM(LLMClient):
     # ``generate_answer``, ``parametric_answer``) live on
     # :class:`~repro.llm.base.LLMClient` — they render the same prompt
     # strings this model dispatches on, tagged with their pipeline stage,
-    # so every wrapper (cache, budget, gateway) exposes them uniformly.
+    # so a wrapper such as the cache layer exposes them unchanged.

@@ -3,12 +3,11 @@
 Every LLM interaction in the reproduction belongs to one pipeline stage
 (NER, triple extraction, standardization, relevance scoring, authority
 scoring, answer synthesis, parametric recall).  :class:`Stage` names
-them as a closed enum so the transport layer can route, meter and budget
-per stage: the gateway (:mod:`repro.llm.gateway`) picks a backend per
-stage, :class:`~repro.llm.base.UsageMeter` attributes usage per stage,
-and the static resource analysis certifies per-stage call bounds.  Every
-completion names its member explicitly: there is no default stage, and a
-plain string is not accepted in its place.
+them as a closed enum so the transport layer can meter and bound calls
+per stage: :class:`~repro.llm.base.UsageMeter` attributes usage per
+stage, and the static resource analysis certifies per-stage call bounds.
+Every completion names its member explicitly: there is no default stage,
+and a plain string is not accepted in its place.
 
 This module is a leaf: it must not import anything from the rest of
 :mod:`repro.llm` (``base`` imports it).
@@ -23,8 +22,8 @@ class Stage(str, enum.Enum):
     """One pipeline stage an LLM call is issued from.
 
     The enum inherits ``str`` so stage tags serialize naturally into
-    meter snapshots, routing-policy JSON and fingerprint payloads; the
-    ``.value`` strings are the stable wire names.
+    meter snapshots and the certified bounds table; the ``.value``
+    strings are the stable wire names.
     """
 
     NER = "ner"
@@ -41,7 +40,3 @@ class Stage(str, enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.value
 
-
-#: every stage value, in enum declaration order — the canonical ordering
-#: for reports, bounds tables and routing-policy serialization.
-STAGE_VALUES: tuple[str, ...] = tuple(stage.value for stage in Stage)

@@ -109,20 +109,6 @@ def _llm_identity(llm: Any) -> dict[str, Any]:
     inner = getattr(llm, "inner", None)
     if isinstance(inner, LLMClient):
         identity["inner"] = _llm_identity(inner)
-    # A gateway's behavior is the product of its routing policy and every
-    # registered backend: the same default client behind a different
-    # routing table can spend different simulated latency per stage, so
-    # both must enter the fingerprint.
-    backends = getattr(llm, "backends", None)
-    if isinstance(backends, dict) and backends:
-        identity["backends"] = {
-            str(name): _llm_identity(client)
-            for name, client in sorted(backends.items())
-            if isinstance(client, LLMClient)
-        }
-    policy = getattr(llm, "policy", None)
-    if policy is not None and hasattr(policy, "to_jsonable"):
-        identity["policy"] = _jsonable(policy.to_jsonable())
     return identity
 
 

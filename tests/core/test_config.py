@@ -14,14 +14,12 @@ class TestValidation:
         assert config.alpha == 0.5
         assert config.beta == 0.5
         assert config.graph_threshold == 0.5
-        assert config.history_init_entities == 50
 
     @pytest.mark.parametrize("field,value", [
         ("alpha", -0.1), ("alpha", 1.1),
         ("beta", 0.0), ("beta", -1.0),
         ("node_threshold", -0.1), ("node_threshold", 2.1),
         ("graph_threshold", 1.5),
-        ("history_init_entities", -1),
         ("fast_path_nodes", 0),
         ("hedge_margin", -0.01),
         ("top_k", 0),

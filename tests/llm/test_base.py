@@ -7,9 +7,7 @@ import pytest
 from repro.llm import (
     CachingLLM,
     LLMClient,
-    LLMGateway,
     LLMResponse,
-    ScriptedFlakyLLM,
     SimulatedLLM,
     Stage,
     UsageMeter,
@@ -92,8 +90,6 @@ class TestUsageMeter:
 CLIENTS = {
     "simulated": lambda: SimulatedLLM(seed=0),
     "caching": lambda: CachingLLM(SimulatedLLM(seed=0)),
-    "flaky": lambda: ScriptedFlakyLLM(SimulatedLLM(seed=0)),
-    "gateway": lambda: LLMGateway({"default": SimulatedLLM(seed=0)}),
 }
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from repro.llm.stage import STAGE_VALUES, Stage
+from repro.llm.stage import Stage
+
+VALUES = tuple(stage.value for stage in Stage)
 
 
 class TestEnum:
     def test_values_are_the_wire_names(self):
-        assert STAGE_VALUES == (
+        assert VALUES == (
             "ner", "triple", "std", "relevance", "authority",
             "synthesis", "parametric", "other",
         )
@@ -17,5 +19,5 @@ class TestEnum:
         assert f"{Stage.SYNTHESIS}" == "synthesis"
 
     def test_values_are_unique(self):
-        assert len(set(STAGE_VALUES)) == len(STAGE_VALUES)
+        assert len(set(VALUES)) == len(VALUES)
 

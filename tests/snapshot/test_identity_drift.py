@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import inspect
 
-from repro.llm import CachingLLM, ScriptedFlakyLLM, SimulatedLLM
-from repro.llm.gateway import RoutingPolicy, build_gateway
+from repro.llm import CachingLLM, SimulatedLLM
 from repro.snapshot.fingerprint import _llm_identity
 
 
@@ -67,13 +66,12 @@ def test_each_identity_attr_distinguishes_clients():
 def test_wrappers_recurse_through_inner():
     inner_a = SimulatedLLM(seed=1)
     inner_b = SimulatedLLM(seed=2)
-    for wrap in (CachingLLM, ScriptedFlakyLLM):
-        wrapped_a = _llm_identity(wrap(inner_a))
-        wrapped_b = _llm_identity(wrap(inner_b))
-        assert wrapped_a["inner"] == _llm_identity(inner_a)
-        assert wrapped_a != wrapped_b, (
-            f"{wrap.__name__} identity ignores the wrapped client"
-        )
+    wrapped_a = _llm_identity(CachingLLM(inner_a))
+    wrapped_b = _llm_identity(CachingLLM(inner_b))
+    assert wrapped_a["inner"] == _llm_identity(inner_a)
+    assert wrapped_a != wrapped_b, (
+        "CachingLLM identity ignores the wrapped client"
+    )
 
 
 def test_nested_wrappers_keep_the_full_chain():
@@ -84,41 +82,3 @@ def test_nested_wrappers_keep_the_full_chain():
     assert identity["inner"]["inner"]["class"] == "SimulatedLLM"
     assert identity["inner"]["inner"]["seed"] == 9
 
-
-def test_gateway_identity_covers_backends_and_policy():
-    policy = RoutingPolicy.from_mappings({"*": "default",
-                                          "ner": "sim-small"})
-    gateway = build_gateway(SimulatedLLM(seed=5), policy)
-    identity = _llm_identity(gateway)
-    assert identity["class"] == "LLMGateway"
-    assert identity["policy"] == policy.to_jsonable()
-    assert set(identity["backends"]) == {"default", "sim-small"}
-    assert identity["backends"]["default"]["seed"] == 5
-
-
-def test_routing_changes_change_the_fingerprint_identity():
-    # Two behaviorally different routings must never share a snapshot
-    # fingerprint — warm-loading across a policy change would silently
-    # resurrect state produced under different budgets/backends.
-    base = _llm_identity(build_gateway(
-        SimulatedLLM(seed=5), RoutingPolicy.from_mappings({"*": "default"})
-    ))
-    rerouted = _llm_identity(build_gateway(
-        SimulatedLLM(seed=5),
-        RoutingPolicy.from_mappings({"*": "default", "ner": "sim-small"}),
-    ))
-    limited = _llm_identity(build_gateway(
-        SimulatedLLM(seed=5),
-        RoutingPolicy.from_mappings({"*": "default"},
-                                    {"ner": {"max_calls": 3}}),
-    ))
-    assert base != rerouted
-    assert base != limited
-    assert rerouted != limited
-
-
-def test_gateway_backend_seed_changes_the_identity():
-    policy = RoutingPolicy.from_mappings({"*": "default"})
-    a = _llm_identity(build_gateway(SimulatedLLM(seed=1), policy))
-    b = _llm_identity(build_gateway(SimulatedLLM(seed=2), policy))
-    assert a != b

@@ -148,16 +148,7 @@ class TestSanitize:
         assert "worker(s)" in capsys.readouterr().out
 
 
-class TestGatewayFlags:
-    def test_evaluate_with_routing_is_byte_identical(self, corpus, capsys):
-        main(["evaluate", str(corpus)])
-        off = capsys.readouterr().out
-        assert main(["evaluate", str(corpus),
-                     "--llm-routing", "*=default"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == off
-        assert "llm gateway routing" in captured.err
-
+class TestUsageFlag:
     def test_llm_usage_written_for_any_client(self, corpus, tmp_path):
         usage_file = tmp_path / "usage.json"
         assert main(["evaluate", str(corpus),
@@ -168,43 +159,6 @@ class TestGatewayFlags:
         for usage in payload["by_stage"].values():
             assert set(usage) == {"calls", "prompt_tokens",
                                   "completion_tokens", "simulated_latency_s"}
-
-    def test_gateway_events_with_routing(self, corpus, tmp_path):
-        events_file = tmp_path / "events.json"
-        assert main(["evaluate", str(corpus),
-                     "--llm-routing", "*=default,synthesis=sim-large|sim-small",
-                     "--gateway-events", str(events_file)]) == 0
-        payload = json.loads(events_file.read_text())
-        assert payload["events"] == []  # healthy run: no exceptional paths
-        assert payload["breakers"] == {"default": "closed",
-                                       "sim-large": "closed",
-                                       "sim-small": "closed"}
-
-    def test_gateway_events_without_routing_warns(self, corpus, tmp_path,
-                                                  capsys):
-        events_file = tmp_path / "events.json"
-        assert main(["evaluate", str(corpus),
-                     "--gateway-events", str(events_file)]) == 0
-        assert "no gateway is wired" in capsys.readouterr().err
-        assert json.loads(events_file.read_text()) == {"events": [],
-                                                       "breakers": {}}
-
-    def test_query_accepts_routing(self, corpus, capsys):
-        manifest = json.loads((corpus / "queries.json").read_text())
-        question = manifest["queries"][0]["text"]
-        assert main(["query", str(corpus), question,
-                     "--llm-routing", "*=default"]) == 0
-        assert capsys.readouterr().out.startswith("answer:")
-
-    def test_bad_routing_spec_is_a_config_error(self, corpus, capsys):
-        assert main(["evaluate", str(corpus),
-                     "--llm-routing", "nonsense"]) == 2
-        assert "malformed routing entry" in capsys.readouterr().err
-
-    def test_unknown_backend_is_a_config_error(self, corpus, capsys):
-        assert main(["evaluate", str(corpus),
-                     "--llm-routing", "*=gpt-17"]) == 2
-        assert "unknown LLM backend" in capsys.readouterr().err
 
 
 class TestErrors:
