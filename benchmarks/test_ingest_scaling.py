@@ -1,4 +1,4 @@
-"""Ingest scaling — sharded parallel ingest over workers × corpus scale.
+"""Ingest scaling — parallel ingest over workers × corpus scale.
 
 ROADMAP item 2 asks for paper-scale and 10×-paper-scale corpora with
 tracked throughput and memory ceilings.  This benchmark sweeps the
@@ -7,10 +7,10 @@ generated hotpot corpus at three scales (the generator defaults sit
 ``10x_paper`` is ``corpus_scale=200``) and enforces three contracts:
 
 * **Parallel throughput** — with simulated per-call wall latency (the
-  regime sharded ingest exists for: extraction calls that wait on a
+  regime parallel ingest exists for: extraction calls that wait on a
   backend), 4 workers must ingest the 1× hotpot corpus ≥ 2.5× faster
-  than 1 worker, and the sharded parallel graph must be byte-identical
-  to the sequential one.
+  than 1 worker, and the parallel graph must be byte-identical to the
+  sequential one.
 * **Memory ceilings** — tracemalloc heap peaks at 1× and paper scale,
   plus the process peak RSS after the 10×-paper ingest, must stay under
   the committed ceilings; a superlinear memory regression fails here
@@ -43,8 +43,6 @@ from .test_perf_hotpath import REGRESSION_TOLERANCE, _check_against_baseline
 #: ISSUE acceptance: ≥ this speedup at 4 workers on the 1× hotpot corpus.
 MIN_PARALLEL_SPEEDUP = 2.5
 
-N_SHARDS = 4
-
 #: corpus_scale knobs: generator defaults are ~20× below the paper.
 PAPER_SCALE = 20.0
 TENX_PAPER_SCALE = 200.0
@@ -70,7 +68,7 @@ def _corpus(scale: float):
 
 
 def _ingest(sources, *, jobs, latency=0.0):
-    rag = MultiRAG.from_config(MultiRAGConfig(seed=0, n_shards=N_SHARDS))
+    rag = MultiRAG.from_config(MultiRAGConfig(seed=0))
     rag.llm.wall_latency_scale = latency
     start = time.perf_counter()
     rag.ingest(sources, jobs=jobs)
@@ -162,7 +160,7 @@ def test_ingest_scaling(benchmark):
         [[r["scale"], r["jobs"], r["chunks"], f"{r['seconds']:.2f}",
           f"{r['chunks_per_s']:.0f}", f"{r['speedup']:.2f}x"]
          for r in data["workers"]],
-        title="Sharded ingest: worker scaling (simulated call latency)",
+        title="Parallel ingest: worker scaling (simulated call latency)",
     ))
     print(format_table(
         ["scale", "heap peak (MB)", "ceiling (MB)"],

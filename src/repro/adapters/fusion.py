@@ -6,15 +6,16 @@ documents are chunked and handed to the LLM extractor, and everything ends
 up in one unified, provenance-carrying :class:`KnowledgeGraph` plus a chunk
 corpus shared by all retrieval methods.
 
-Fusion can run *sharded and parallel*: with an
-:class:`~repro.exec.plan.ExecutionPlan` and ``n_shards > 1`` the LLM
+Fusion can run *parallel*: with an
+:class:`~repro.exec.plan.ExecutionPlan` of more than one worker the LLM
 extraction work — by far the dominant ingest cost — fans out over the
-exec engine's bounded worker pool, one task per substrate shard.  The
-parallel path is byte-identical to the sequential one: extraction is a
-pure function of ``(chunk, provenance)``, each worker runs against its
-own LLM clone (``llm.split()``), worker meters are absorbed in shard
-order at the merge barrier, and the fold into the graph replays the
-exact sequential source/chunk order on the coordinating thread.
+exec engine's bounded worker pool, whole text documents dealt
+round-robin into one task per worker.  The parallel path is
+byte-identical to the sequential one: extraction is a pure function of
+``(chunk, provenance)``, each worker runs against its own LLM clone
+(``llm.split()``), worker meters are absorbed in task order at the merge
+barrier, and the fold into the graph replays the exact sequential
+source/chunk order on the coordinating thread.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.adapters.base import AdapterOutput, RawSource, get_adapter
 from repro.exec.engine import execute
 from repro.exec.plan import ExecutionPlan
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.shard import ShardedKnowledgeGraph, shard_of
 from repro.kg.storage import NormalizedRecord
 from repro.kg.triple import Entity, Provenance, Triple
 from repro.llm.base import LLMClient
@@ -81,36 +81,27 @@ class DataFusionEngine:
         graph_name: str = "fused",
         *,
         plan: ExecutionPlan | None = None,
-        n_shards: int = 1,
     ) -> FusionResult:
         """Run ``D_Fusion = ⋃ A_i(D_i)`` over ``sources``.
 
-        ``n_shards`` selects the substrate partitioning (a pure layout
-        property); a ``plan`` with more than one worker additionally fans
-        the per-chunk LLM extraction out over the exec engine, one task
-        per shard, with byte-identical results to the sequential path.
+        A ``plan`` with more than one worker fans the per-chunk LLM
+        extraction out over the exec engine, one task per worker, with
+        byte-identical results to the sequential path.
 
         Raises:
             UnknownFormatError: if a source declares a format with no adapter.
             AdapterError: if a source payload does not match its format.
             ExtractionError: if LLM extraction fails on an unstructured chunk.
             EntityNotFoundError: if entity registration meets a dangling id.
-            GraphError: if ``n_shards`` is not a positive integer.
             ConfigError: if ``plan`` carries an invalid worker or batch
                 configuration.
         """
         start = time.perf_counter()
-        if n_shards > 1:
-            graph: KnowledgeGraph = ShardedKnowledgeGraph(
-                name=graph_name, n_shards=n_shards
-            )
-        else:
-            graph = KnowledgeGraph(name=graph_name)
+        graph = KnowledgeGraph(name=graph_name)
         result = FusionResult(graph=graph)
 
-        workers = plan.workers if plan is not None else 1
-        if workers > 1 and n_shards > 1:
-            self._fuse_parallel(sources, graph, result, plan, n_shards)
+        if plan is not None and plan.workers > 1:
+            self._fuse_parallel(sources, graph, result, plan)
         else:
             self._fuse_sequential(sources, graph, result)
 
@@ -195,22 +186,21 @@ class DataFusionEngine:
         sources: list[RawSource],
         graph: KnowledgeGraph,
         result: FusionResult,
-        plan: ExecutionPlan | None,
-        n_shards: int,
+        plan: ExecutionPlan,
     ) -> None:
-        """Shard-parallel fusion, byte-identical to the sequential loop.
+        """Parallel fusion, byte-identical to the sequential loop.
 
         Three phases.  *Plan* (coordinating thread): parse every adapter
-        and chunk every document in source order, building the global
-        extraction task list exactly as the sequential loop would visit
-        it.  *Extract* (worker pool): tasks are bucketed per shard by the
-        stable document hash; each shard task runs the pure per-chunk
-        extractor against a private LLM clone, and the merge barrier
-        absorbs worker meters back in shard order.  *Fold* (coordinating
-        thread): replay the sequential source/chunk order, inserting
-        parsed triples and the reassembled extractions into the graph —
-        insertion order, entity registration order and all metric totals
-        match the sequential path element for element.
+        and chunk every document in source order, listing each text
+        document's extraction units exactly as the sequential loop would
+        visit them.  *Extract* (worker pool): whole documents are dealt
+        round-robin in submit order into one task per worker; each task
+        runs the pure per-chunk extractor against a private LLM clone,
+        and the merge barrier absorbs worker meters back in task order.
+        *Fold* (coordinating thread): replay the sequential source/chunk
+        order, inserting parsed triples and the reassembled extractions
+        into the graph — insertion order, entity registration order and
+        all metric totals match the sequential path element for element.
 
         Raises:
             UnknownFormatError: if a source declares a format with no adapter.
@@ -223,7 +213,8 @@ class DataFusionEngine:
         metrics = self.obs.metrics
 
         parsed: list[tuple[RawSource, AdapterOutput, list[list[Chunk]]]] = []
-        extract_tasks: list[tuple[Chunk, Provenance]] = []
+        # each text document's extraction units, in submit order
+        documents: list[list[tuple[Chunk, Provenance]]] = []
         for raw in sources:
             adapter = get_adapter(raw.fmt)
             output = adapter.parse(raw)
@@ -234,58 +225,53 @@ class DataFusionEngine:
                 )
                 per_doc.append(chunks)
                 if raw.fmt == "text":
-                    for chunk in chunks:
-                        extract_tasks.append((chunk, Provenance(
+                    documents.append([
+                        (chunk, Provenance(
                             source_id=raw.source_id,
                             domain=raw.domain,
                             fmt=raw.fmt,
                             chunk_id=chunk.chunk_id,
-                        )))
+                        ))
+                        for chunk in chunks
+                    ])
             parsed.append((raw, output, per_doc))
 
-        # Bucket extraction units per shard by document so chunks of one
-        # document stay on one worker; bucket membership is a pure
-        # function of ids, never of scheduling.
-        buckets: list[list[int]] = [[] for _ in range(n_shards)]
-        for task_idx, (chunk, _prov) in enumerate(extract_tasks):
-            shard = shard_of(f"{chunk.source_id}/{chunk.doc_id}", n_shards)
-            buckets[shard].append(task_idx)
-        extractions: list[ExtractionResult | None] = [None] * len(extract_tasks)
+        # Task ``b`` extracts documents ``b, b + n, b + 2n, ...``: the
+        # chunks of one document stay on one worker, and membership is a
+        # function of submit order, never of scheduling.
+        n_tasks = min(plan.workers, len(documents))
+        extracted: list[list[ExtractionResult]] = [[] for _ in documents]
 
-        def _context(shard: int) -> tuple[LLMClient, SchemaFreeExtractor]:
+        def _context(task: int) -> tuple[LLMClient, SchemaFreeExtractor]:
             worker = self.llm.split()
             return worker, SchemaFreeExtractor(worker)
 
         def _run(
-            ctx: tuple[LLMClient, SchemaFreeExtractor], shard: int
-        ) -> list[tuple[int, ExtractionResult]]:
-            # Workers only read the shared task/bucket lists (frozen
-            # before submission) and write their private output list.
+            ctx: tuple[LLMClient, SchemaFreeExtractor], task: int
+        ) -> list[list[ExtractionResult]]:
+            # Workers only read the shared document list (frozen before
+            # submission) and return their own results.
             _worker, extractor = ctx
-            out: list[tuple[int, ExtractionResult]] = []
-            for task_idx in buckets[shard]:
-                chunk, provenance = extract_tasks[task_idx]
-                out.append((task_idx, extractor.extract(chunk.text, provenance)))
-            return out
+            return [
+                [extractor.extract(chunk.text, prov) for chunk, prov in doc]
+                for doc in documents[task::n_tasks]
+            ]
 
         def _merge(
             ctx: tuple[LLMClient, SchemaFreeExtractor],
-            out: list[tuple[int, ExtractionResult]],
-            shard: int,
+            out: list[list[ExtractionResult]],
+            task: int,
         ) -> None:
             worker, _extractor = ctx
             self.llm.absorb(worker)
-            for task_idx, extraction in out:
-                extractions[task_idx] = extraction
+            extracted[task::n_tasks] = out
 
         with self.obs.tracer.span(
-            "fusion.parallel", n_shards=n_shards,
-            num_tasks=len(extract_tasks),
+            "fusion.parallel", num_tasks=n_tasks,
+            num_documents=len(documents),
         ) as span:
             usage_before = self.llm.meter.checkpoint()
-            execute(
-                n_shards, plan, run=_run, context=_context, merge=_merge
-            )
+            execute(n_tasks, plan, run=_run, context=_context, merge=_merge)
             if span.enabled:
                 span.set(**self.llm.meter.delta(usage_before))
 
@@ -293,7 +279,7 @@ class DataFusionEngine:
         # source still gets its adapter span (the span taxonomy is the
         # same at every worker count); per-source LLM usage lives on the
         # fusion.parallel span above, where the calls actually ran.
-        cursor = 0
+        doc_results = iter(extracted)
         for raw, output, per_doc in parsed:
             adapter = get_adapter(raw.fmt)
             with self.obs.tracer.span(f"adapter:{raw.fmt}") as span:
@@ -305,10 +291,7 @@ class DataFusionEngine:
                 for chunks in per_doc:
                     result.chunks.extend(chunks)
                     if raw.fmt == "text":
-                        for _chunk in chunks:
-                            extraction = extractions[cursor]
-                            cursor += 1
-                            assert extraction is not None  # merge filled all
+                        for extraction in next(doc_results):
                             graph.add_triples(extraction.triples)
                             for entity in extraction.entities:
                                 graph.add_entity(entity)
@@ -333,8 +316,6 @@ class DataFusionEngine:
         All distinct mentions (subjects and objects) are standardized in
         batches through the LLM; the graph is rebuilt with canonical names
         so homologous matching sees one spelling per real-world entity.
-        The rebuild goes through :meth:`KnowledgeGraph.fresh_like`, so a
-        sharded graph stays sharded.
         """
         mentions: list[str] = []
         seen: set[str] = set()
@@ -349,7 +330,7 @@ class DataFusionEngine:
             batch = mentions[i : i + batch_size]
             mapping.update(self.llm.standardize("", batch))
 
-        canonical = graph.fresh_like()
+        canonical = KnowledgeGraph(name=graph.name)
         for triple in graph.triples():
             canonical.add_triple(
                 Triple(

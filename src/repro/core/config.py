@@ -65,12 +65,6 @@ class MultiRAGConfig:
     debug_contracts: bool = False
     seed: int = 0
     extraction_noise: float = 0.05
-    #: entity-hash shard count of the knowledge substrate.  Sharding is a
-    #: layout/parallelism knob only — query and evaluate output is
-    #: byte-identical for any value — but it partitions the snapshot
-    #: files and bounds how wide ``ingest(jobs=N)`` can fan extraction
-    #: out, so it participates in the snapshot fingerprint.
-    n_shards: int = 4
     #: wire the runtime race sanitizer (:mod:`repro.san`) into the
     #: pipeline: worker views wrap their shared attributes in recording
     #: proxies and cross-worker conflicts fail loudly.  Off by default
@@ -101,8 +95,6 @@ class MultiRAGConfig:
             raise ConfigError("top_k must be at least 1")
         if self.min_sources < 2:
             raise ConfigError("min_sources must be at least 2")
-        if self.n_shards < 1:
-            raise ConfigError(f"n_shards must be >= 1, got {self.n_shards}")
 
     @property
     def enable_mcc(self) -> bool:

@@ -232,7 +232,7 @@ class MultiRAG:
         runs and its result is saved for the next process.
 
         ``jobs`` / ``batch_size`` / ``plan`` parallelize the extraction
-        phase of a cold build across the graph's shards (``plan`` wins
+        phase of a cold build over whole documents (``plan`` wins
         when given; otherwise ``jobs`` or the ``REPRO_EXEC_WORKERS`` /
         ``REPRO_EXEC_BATCH_SIZE`` environment overrides).  The result is
         byte-identical to the sequential build — parallelism changes
@@ -247,7 +247,6 @@ class MultiRAG:
                 snapshot cannot be written to the store.
             ConfigError: if ``jobs`` / ``batch_size`` (or their
                 environment overrides) are not positive integers.
-            GraphError: if the configured shard count is invalid.
         """
         perf.clear_caches()
         if plan is None and (
@@ -373,8 +372,8 @@ class MultiRAG:
         """The full knowledge-construction build (no snapshot involved).
 
         ``plan`` (when given, with ``workers > 1``) parallelizes the
-        extraction phase across the sharded graph's partitions; the fused
-        result is byte-identical to the sequential build.
+        extraction phase, one task per worker; the fused result is
+        byte-identical to the sequential build.
 
         Raises:
             UnknownFormatError: if a source declares a format with no adapter.
@@ -385,9 +384,7 @@ class MultiRAG:
         start = time.perf_counter()
         usage_before = self.llm.meter.checkpoint()
         with self.obs.tracer.span("ingest", num_sources=len(sources)) as span:
-            self.fusion = self.engine.fuse(
-                sources, plan=plan, n_shards=self.config.n_shards
-            )
+            self.fusion = self.engine.fuse(sources, plan=plan)
             graph = self.fusion.graph
             self.retriever = MultiSourceRetriever(obs=self.obs)
             self.retriever.add_chunks(self.fusion.chunks)

@@ -1,11 +1,8 @@
 """Knowledge-graph substrate: triples, entities, graphs and JSON-LD storage."""
 
-from repro.kg.columnar import ColumnarStore
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.schema import KIND_VALIDATORS, Schema
-from repro.kg.shard import ShardedKnowledgeGraph, partition_indices, shard_of
+from repro.kg.schema import Schema
 from repro.kg.temporal import TemporalStore, TimestampedClaim, latest_consensus
-from repro.kg.query import PatternQuery, TriplePattern, chain_query, is_variable
 from repro.kg.storage import (
     JSONLD_CONTEXT,
     NormalizedRecord,
@@ -18,21 +15,12 @@ from repro.kg.storage import (
 from repro.kg.triple import Entity, Provenance, Triple
 
 __all__ = [
-    "ColumnarStore",
-    "KIND_VALIDATORS",
     "Schema",
     "Entity",
-    "PatternQuery",
-    "TriplePattern",
-    "chain_query",
-    "is_variable",
     "JSONLD_CONTEXT",
     "KnowledgeGraph",
     "NormalizedRecord",
     "Provenance",
-    "ShardedKnowledgeGraph",
-    "partition_indices",
-    "shard_of",
     "TemporalStore",
     "TimestampedClaim",
     "Triple",

@@ -147,15 +147,6 @@ class KnowledgeGraph:
             self._by_key[t.key()].append(idx)
             self._by_source[t.source_id()].append(idx)
 
-    def fresh_like(self) -> "KnowledgeGraph":
-        """An empty graph of the same concrete type and layout.
-
-        Rebuild passes (entity standardization, snapshot compaction) use
-        this instead of constructing ``KnowledgeGraph`` directly so a
-        sharded graph stays sharded through the rebuild.
-        """
-        return KnowledgeGraph(name=self.name)
-
     def remove_triple(self, triple: Triple) -> bool:
         """Remove one stored triple (identity match).  Lazy deletion: the
         index slot is tombstoned, not compacted."""

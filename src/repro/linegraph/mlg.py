@@ -21,7 +21,6 @@ import time
 from collections import defaultdict
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.shard import partition_indices
 from repro.kg.triple import Triple
 from repro.linegraph.homologous import (
     HomologousGroup,
@@ -91,22 +90,6 @@ class MultiSourceLineGraph:
     def min_sources(self) -> int:
         """The homologous-matching threshold this MLG was built with."""
         return self._min_sources
-
-    def shard_partition(self, n_shards: int) -> list[list[int]]:
-        """Group indexes per substrate shard, keyed by group entity.
-
-        A group lives on the shard of its *entity* — the same
-        :func:`repro.kg.shard.shard_of` bucket its member triples'
-        subjects hash to — so the per-shard snapshot files and per-shard
-        cache invalidation see a consistent partitioning across the
-        graph and the MLG.  Each bucket lists global positions in
-        ``self.groups`` in ascending order; concatenating the buckets
-        sorted by position reproduces construction order exactly.
-
-        Raises:
-            GraphError: if ``n_shards`` is not a positive integer.
-        """
-        return partition_indices((g.entity for g in self.groups), n_shards)
 
     @property
     def line_graph(self) -> LineGraph:

@@ -14,9 +14,9 @@ subsequent processes warm-load it instead of rebuilding:
 * ``MultiRAG.ingest(sources, snapshot=...)`` wires both into the
   pipeline: fingerprint hit → warm load, miss → cold build + save.
 
-Format v2 adds *delta layers*: ``MultiRAG.add_source`` appends a
-content-addressed layer (one source descriptor plus the shard-partitioned
-increments it produced) instead of invalidating the whole fingerprint.
+*Delta layers* record increments: ``MultiRAG.add_source`` appends a
+content-addressed layer (one source descriptor plus the increments it
+produced) instead of invalidating the whole fingerprint.
 :meth:`~repro.snapshot.store.SnapshotStore.load` walks the layer chain
 back to its base and replays each layer;
 :meth:`~repro.snapshot.store.SnapshotStore.compact` squashes a chain back

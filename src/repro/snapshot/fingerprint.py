@@ -25,10 +25,11 @@ if TYPE_CHECKING:  # a type-only edge: core imports snapshot, never back
 
 #: Bump whenever the on-disk layout or any serialized structure changes;
 #: old snapshots then fingerprint-miss instead of loading wrongly.
-#: v2: shard-partitioned graph/MLG files, delta layers, source
-#: descriptors in the manifest (v1 snapshots raise a migration error
-#: telling the operator to re-ingest or ``snapshot gc`` the old store).
-SNAPSHOT_FORMAT_VERSION = 2
+#: v2: delta layers and source descriptors in the manifest.  v3: one
+#: ``graph.json`` and one ``mlg.json`` per base snapshot, in insertion
+#: and construction order.  Older snapshots raise a migration error
+#: telling the operator to re-ingest and remove the old store.
+SNAPSHOT_FORMAT_VERSION = 3
 
 
 def _jsonable(value: Any) -> Any:

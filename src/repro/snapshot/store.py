@@ -1,29 +1,24 @@
 """On-disk snapshot store: serialize/restore a fully ingested pipeline.
 
-Format v2 knows two kinds of content-addressed directory, both named by
+Format v3 knows two kinds of content-addressed directory, both named by
 their fingerprint (see :mod:`repro.snapshot.fingerprint`):
 
-**Base snapshots** hold a complete ingested state, partitioned by the
-substrate's entity-hash shards:
+**Base snapshots** hold a complete ingested state:
 
 ``manifest.json``
-    format version, ``kind: "base"``, shard count, component counts,
-    the source descriptors the state was built from.
-``graph-meta.json`` / ``graph-shard-NN.json``
-    the fused knowledge graph.  Entities and the graph name live in the
-    meta file; triples are partitioned into one columnar file per shard
-    (parallel ``idx`` / ``subject`` / ``predicate`` / ``obj`` /
-    ``prov_id`` lists plus a per-shard deduplicated provenance table).
-    ``idx`` carries each triple's *global insertion index*, so merging
-    the shard files by index reproduces the exact order every secondary
-    index and the MLG group enumeration derive from; the merged list is
-    handed to :meth:`~repro.kg.graph.KnowledgeGraph.bulk_restore`.
-``mlg-meta.json`` / ``mlg-shard-NN.json``
-    homologous groups partitioned by the *group entity's* shard, in
-    flattened columnar arrays (members and weights referenced by global
-    triple index, per-group slices by offset arrays); each group carries
-    its global position so the loader reassembles ``mlg.groups`` in the
-    original order.  Isolated claims stay in the meta file.
+    format version, ``kind: "base"``, component counts, the source
+    descriptors the state was built from.
+``graph.json``
+    the fused knowledge graph: its name, its entities and its triples
+    as columns in insertion order (parallel ``subject`` / ``predicate``
+    / ``obj`` / ``prov_id`` lists plus a deduplicated provenance
+    table).  Insertion order is the order every secondary index and the
+    MLG group enumeration derive from; the list is handed to
+    :meth:`~repro.kg.graph.KnowledgeGraph.bulk_restore` as is.
+``mlg.json``
+    the homologous groups in construction order, in flattened columnar
+    arrays (members and weights referenced by triple index, per-group
+    slices by offset arrays), and the isolated claims.
 ``records.json`` / ``chunks.json``
     normalized records and the chunk corpus.
 ``retriever.json`` + ``vector_matrix.npy`` / ``vector_idf.npy``
@@ -37,8 +32,8 @@ substrate's entity-hash shards:
 **Delta layers** record one ``add_source`` increment instead of a full
 state.  A layer directory holds a manifest (``kind: "delta"``, the parent
 fingerprint, the one source descriptor it adds) and ``layer.json`` (the
-standardized triples the source contributed with their shard ids, its
-chunks, its normalized record, and the post-update history state).
+standardized triples the source contributed, its chunks, its
+normalized record, and the post-update history state).
 :meth:`SnapshotStore.load` follows parent pointers back to the base,
 validates the *entire* chain up front — a missing or corrupt middle
 layer raises :class:`~repro.errors.SnapshotError` naming that layer,
@@ -48,6 +43,11 @@ through the same incremental code paths ``add_source`` used
 folds every layer's chunks onto the restored retrieval indexes in one
 ``MultiSourceRetriever.build``.  :meth:`SnapshotStore.compact`
 squashes a chain back into a base snapshot under the same fingerprint.
+
+The manifest's counts are checked against ``graph.json`` and
+``mlg.json`` on load, so a short file raises
+:class:`~repro.errors.SnapshotError` naming it instead of restoring part
+of a graph.
 
 Writes are atomic at directory granularity: everything lands in a
 ``.tmp.<fingerprint>`` sibling first and is renamed into place with
@@ -81,7 +81,6 @@ from repro.adapters.fusion import FusionResult
 from repro.confidence.history import HistoryStore
 from repro.errors import GraphError, SnapshotError
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.shard import ShardedKnowledgeGraph, shard_of
 from repro.kg.storage import NormalizedRecord
 from repro.kg.triple import Entity, Provenance, Triple
 from repro.linegraph.homologous import HomologousGroup, HomologousNode
@@ -251,13 +250,13 @@ class SnapshotStore:
         """
         Raises:
             SnapshotError: on a format-version mismatch, with migration
-                guidance for pre-v2 artifacts.
+                guidance for artifacts of an older format.
         """
         version = manifest.get("format_version")
         if version == SNAPSHOT_FORMAT_VERSION:
             return
         hint = (
-            " (pre-v2 snapshots cannot be migrated in place: re-ingest "
+            " (older snapshots cannot be migrated in place: re-ingest "
             "to write a fresh snapshot, then remove the old directory)"
             if isinstance(version, int) and version < SNAPSHOT_FORMAT_VERSION
             else ""
@@ -289,23 +288,24 @@ class SnapshotStore:
 
         Raises:
             SnapshotError: if the snapshot directory cannot be written.
-            GraphError: never in practice — triple sharding re-validates
-                the shard count the graph was built with.
         """
         graph = fusion.graph
         triples = list(graph.triples())
         triple_index = {t: i for i, t in enumerate(triples)}
-        n_shards = getattr(graph, "n_shards", 1)
 
         def _populate(tmp: Path) -> None:
-            self._write_graph_files(tmp, graph, triples, n_shards)
+            self._write_json(tmp / "graph.json", {
+                "name": graph.name,
+                "entities": [e.to_dict() for e in graph.entities()],
+                "triples": self._triple_cols(triples),
+            })
             self._write_json(tmp / "records.json", [
                 r.to_dict() for r in fusion.records
             ])
             self._write_json(tmp / "chunks.json", [
                 self._chunk_doc(c) for c in fusion.chunks
             ])
-            self._write_mlg_files(tmp, mlg, triples, triple_index, n_shards)
+            self._write_mlg_file(tmp, mlg, triple_index)
 
             retriever_state = retriever.export_state()
             _, matrix, idf = retriever._dense.export_state()
@@ -322,7 +322,6 @@ class SnapshotStore:
                 "format_version": SNAPSHOT_FORMAT_VERSION,
                 "kind": "base",
                 "fingerprint": fingerprint,
-                "n_shards": n_shards,
                 "fusion": {
                     "build_time_s": fusion.build_time_s,
                     "extraction_calls": fusion.extraction_calls,
@@ -368,19 +367,16 @@ class SnapshotStore:
         Raises:
             SnapshotError: if ``parent`` does not exist in the store, or
                 the layer directory cannot be written.
-            GraphError: never in practice — triple sharding re-validates
-                the base snapshot's shard count.
         """
         if not self.has(parent):
             raise SnapshotError(
                 f"cannot write layer {fingerprint}: parent snapshot "
                 f"{parent} is not in the store"
             )
-        n_shards = self._chain_n_shards(parent)
 
         def _populate(tmp: Path) -> None:
             self._write_json(tmp / "layer.json", {
-                "triples": self._triple_cols(triples, n_shards),
+                "triples": self._triple_cols(triples),
                 "chunks": [self._chunk_doc(c) for c in chunks],
                 "record": record.to_dict() if record is not None else None,
                 "history": history.export_state(),
@@ -390,7 +386,6 @@ class SnapshotStore:
                 "kind": "delta",
                 "fingerprint": fingerprint,
                 "parent": parent,
-                "n_shards": n_shards,
                 "source": descriptor.to_doc(),
                 "counts": {
                     "triples": len(triples),
@@ -416,8 +411,6 @@ class SnapshotStore:
         Raises:
             SnapshotError: if the chain is missing/corrupt, or the
                 compacted snapshot cannot be written.
-            GraphError: never in practice — the re-save re-validates the
-                loaded graph's shard count.
         """
         state = self.load(fingerprint)
         return self.save(
@@ -429,15 +422,6 @@ class SnapshotStore:
             llm_cache=state.llm_cache,
             sources=state.sources,
         )
-
-    def _chain_n_shards(self, fingerprint: str) -> int:
-        """The shard count of ``fingerprint``'s base snapshot.
-
-        Raises:
-            SnapshotError: if the chain is missing or corrupt.
-        """
-        base = self.chain(fingerprint)[0]
-        return int(base.get("n_shards", 1))
 
     def _install(
         self, fingerprint: str, populate: Callable[[Path], None]
@@ -506,52 +490,43 @@ class SnapshotStore:
         )
 
     @staticmethod
-    def _triple_cols(
-        triples: list[Triple], n_shards: int, indexes: list[int] | None = None
-    ) -> dict[str, Any]:
+    def _triple_cols(triples: list[Triple]) -> dict[str, Any]:
         """Columnar triple arrays with a deduplicated provenance table.
 
         All triples extracted from one source record share a single
         :class:`Provenance` value, so the side table is typically an
         order of magnitude smaller than the triple list; ``prov_id`` is
-        ``-1`` for provenance-free triples.  ``indexes`` (the triples'
-        global insertion positions) rides along for shard files.
+        ``-1`` for provenance-free triples.
         """
         subjects: list[str] = []
         predicates: list[str] = []
         objs: list[str] = []
         prov_ids: list[int] = []
-        shards: list[int] = []
         prov_index: dict[Provenance, int] = {}
         for t in triples:
             subjects.append(t.subject)
             predicates.append(t.predicate)
             objs.append(t.obj)
-            shards.append(shard_of(t.subject, n_shards))
             prov = t.provenance
             if prov is None:
                 prov_ids.append(-1)
             else:
                 prov_ids.append(prov_index.setdefault(prov, len(prov_index)))
-        doc: dict[str, Any] = {
+        return {
             "subject": subjects,
             "predicate": predicates,
             "obj": objs,
             "prov_id": prov_ids,
-            "shard": shards,
             "prov_table": [
                 [p.source_id, p.domain, p.fmt, p.chunk_id, p.record_id,
                  p.observed_at]
                 for p in prov_index
             ],
         }
-        if indexes is not None:
-            doc["idx"] = indexes
-        return doc
 
     @staticmethod
     def _triples_from_cols(cols: dict[str, Any]) -> list[Triple]:
-        """Inverse of :meth:`_triple_cols` (without global indexes).
+        """Inverse of :meth:`_triple_cols`.
 
         Raises:
             KeyError: if a required column is missing.
@@ -572,93 +547,49 @@ class SnapshotStore:
             )
         ]
 
-    def _write_graph_files(
-        self,
-        tmp: Path,
-        graph: KnowledgeGraph,
-        triples: list[Triple],
-        n_shards: int,
-    ) -> None:
-        """One columnar triple file per shard plus the shared meta file."""
-        shard_triples: list[list[Triple]] = [[] for _ in range(n_shards)]
-        shard_indexes: list[list[int]] = [[] for _ in range(n_shards)]
-        for idx, t in enumerate(triples):
-            shard = shard_of(t.subject, n_shards)
-            shard_triples[shard].append(t)
-            shard_indexes[shard].append(idx)
-        for shard in range(n_shards):
-            self._write_json(
-                tmp / f"graph-shard-{shard:02d}.json",
-                self._triple_cols(
-                    shard_triples[shard], n_shards, shard_indexes[shard]
-                ),
-            )
-        self._write_json(tmp / "graph-meta.json", {
-            "name": graph.name,
-            "n_shards": n_shards,
-            "num_triples": len(triples),
-            "entities": [e.to_dict() for e in graph.entities()],
-        })
-
-    def _write_mlg_files(
+    def _write_mlg_file(
         self,
         tmp: Path,
         mlg: MultiSourceLineGraph | None,
-        triples: list[Triple],
         triple_index: dict[Triple, int],
-        n_shards: int,
     ) -> None:
-        """Per-shard homologous-group files plus the shared meta file.
+        """The homologous groups in order, as flattened columnar arrays.
 
-        Groups are partitioned by their entity's shard; each shard file
-        flattens its groups' members and weights into shared arrays
-        sliced by offset (``member_off[g] : member_off[g + 1]``) and
-        records every group's global position (``order``), so the loader
-        sees a handful of long arrays per shard and reassembles the
-        global group list exactly.
+        Members and weights of every group share one array each, sliced
+        by offset (``member_off[g] : member_off[g + 1]``), so the loader
+        sees a handful of long arrays instead of one object per group.
         """
         if mlg is None:
-            self._write_json(tmp / "mlg-meta.json", {"enabled": False})
+            self._write_json(tmp / "mlg.json", {"enabled": False})
             return
-        per_shard = mlg.shard_partition(n_shards)
-        for shard in range(n_shards):
-            keys: list[list[str]] = []
-            snodes: list[list[Any]] = []
-            order: list[int] = []
-            member_idx: list[int] = []
-            member_off = [0]
-            weight_idx: list[int] = []
-            weight_val: list[float] = []
-            weight_off = [0]
-            for gi in per_shard[shard]:
-                g = mlg.groups[gi]
-                order.append(gi)
-                keys.append([g.key[0], g.key[1]])
-                s = g.snode
-                snodes.append(
-                    [s.name, s.entity, dict(s.meta), s.num, s.confidence]
-                )
-                member_idx.extend(triple_index[m] for m in g.members)
-                member_off.append(len(member_idx))
-                for t, w in g.weights.items():
-                    weight_idx.append(triple_index[t])
-                    weight_val.append(w)
-                weight_off.append(len(weight_idx))
-            self._write_json(tmp / f"mlg-shard-{shard:02d}.json", {
-                "order": order,
-                "keys": keys,
-                "snodes": snodes,
-                "member_idx": member_idx,
-                "member_off": member_off,
-                "weight_idx": weight_idx,
-                "weight_val": weight_val,
-                "weight_off": weight_off,
-            })
-        self._write_json(tmp / "mlg-meta.json", {
+        keys: list[list[str]] = []
+        snodes: list[list[Any]] = []
+        member_idx: list[int] = []
+        member_off = [0]
+        weight_idx: list[int] = []
+        weight_val: list[float] = []
+        weight_off = [0]
+        for g in mlg.groups:
+            keys.append([g.key[0], g.key[1]])
+            s = g.snode
+            snodes.append([s.name, s.entity, dict(s.meta), s.num, s.confidence])
+            member_idx.extend(triple_index[m] for m in g.members)
+            member_off.append(len(member_idx))
+            for t, w in g.weights.items():
+                weight_idx.append(triple_index[t])
+                weight_val.append(w)
+            weight_off.append(len(weight_idx))
+        self._write_json(tmp / "mlg.json", {
             "enabled": True,
             "min_sources": mlg.min_sources,
-            "num_groups": len(mlg.groups),
             "isolated": [triple_index[t] for t in mlg.isolated],
+            "keys": keys,
+            "snodes": snodes,
+            "member_idx": member_idx,
+            "member_off": member_off,
+            "weight_idx": weight_idx,
+            "weight_val": weight_val,
+            "weight_off": weight_off,
         })
 
     @staticmethod
@@ -784,9 +715,8 @@ class SnapshotStore:
         """
         fingerprint = str(manifest.get("fingerprint", ""))
         snap_dir = self._dir(fingerprint)
-        n_shards = int(manifest.get("n_shards", 1))
 
-        graph, triples = self._restore_graph(snap_dir, fingerprint, n_shards)
+        graph, triples = self._restore_graph(snap_dir, fingerprint, manifest)
 
         records = [
             NormalizedRecord.from_dict(doc)
@@ -822,7 +752,7 @@ class SnapshotStore:
         retriever.restore_state(chunks, retriever_state, matrix, idf)
 
         mlg, mlg_stats = self._restore_mlg(
-            snap_dir, fingerprint, graph, triples, manifest, n_shards
+            snap_dir, fingerprint, graph, triples, manifest
         )
 
         history = HistoryStore().restore_state(
@@ -858,51 +788,39 @@ class SnapshotStore:
         )
 
     def _restore_graph(
-        self, snap_dir: Path, fingerprint: str, n_shards: int
+        self, snap_dir: Path, fingerprint: str, manifest: dict[str, Any]
     ) -> tuple[KnowledgeGraph, list[Triple]]:
-        """Merge the per-shard triple files and bulk-load the graph.
+        """Decode ``graph.json`` and bulk-load the graph.
 
-        Each shard file carries its triples' global insertion indexes;
-        scattering every shard's triples into one list by index restores
-        the saving graph's exact insertion order, so
+        The triples are stored in the saving graph's insertion order, so
         :meth:`KnowledgeGraph.bulk_restore` reproduces every secondary
         index without re-running per-triple deduplication.
 
         Raises:
-            SnapshotError: if any shard file or the meta file is missing
-                or corrupt (the error names the file).
+            SnapshotError: if ``graph.json`` is missing or corrupt, or
+                holds another number of triples than the manifest counts
+                (the error names the file).
         """
-        meta = self._read_json(snap_dir / "graph-meta.json", fingerprint)
+        doc = self._read_json(snap_dir / "graph.json", fingerprint)
+        num_triples = manifest.get("counts", {}).get("triples")
         try:
-            num_triples = int(meta["num_triples"])
-            entities = [
-                Entity.from_dict(edoc) for edoc in meta.get("entities", [])
-            ]
-            merged: list[Triple | None] = [None] * num_triples
-            for shard in range(n_shards):
-                shard_name = f"graph-shard-{shard:02d}.json"
-                cols = self._read_json(snap_dir / shard_name, fingerprint)
-                shard_triples = self._triples_from_cols(cols)
-                for idx, triple in zip(cols["idx"], shard_triples):
-                    merged[idx] = triple
-            if any(t is None for t in merged):
+            triples = self._triples_from_cols(doc["triples"])
+            if len(triples) != num_triples:
                 raise SnapshotError(
-                    f"snapshot {fingerprint}: graph shard files do not "
-                    f"cover all {num_triples} triples"
+                    f"snapshot {fingerprint}: graph.json holds "
+                    f"{len(triples)} triples, the manifest counts "
+                    f"{num_triples!r}"
                 )
-            triples: list[Triple] = merged  # type: ignore[assignment]
-            if n_shards > 1:
-                graph: KnowledgeGraph = ShardedKnowledgeGraph(
-                    name=meta.get("name", "fused"), n_shards=n_shards
-                )
-            else:
-                graph = KnowledgeGraph(name=meta.get("name", "fused"))
+            entities = [
+                Entity.from_dict(edoc) for edoc in doc.get("entities", [])
+            ]
+            graph = KnowledgeGraph(name=doc.get("name", "fused"))
             graph.bulk_restore(triples, entities)
         except (GraphError, IndexError, KeyError, TypeError, ValueError) as exc:
-            # SnapshotError (raised by _read_json and the coverage check)
+            # SnapshotError (raised by _read_json and the length check)
             # is not in this tuple, so it propagates with its own message.
             raise SnapshotError(
-                f"snapshot {fingerprint}: corrupt graph serialization: {exc!r}"
+                f"snapshot {fingerprint}: corrupt graph.json: {exc!r}"
             ) from exc
         return graph, triples
 
@@ -913,66 +831,61 @@ class SnapshotStore:
         graph: KnowledgeGraph,
         triples: list[Triple],
         manifest: dict[str, Any],
-        n_shards: int,
     ) -> tuple[MultiSourceLineGraph | None, dict[str, float]]:
-        """Merge the per-shard group files back into global group order.
+        """Decode ``mlg.json`` back into the groups in construction order.
 
         Raises:
-            SnapshotError: if any shard file or the meta file is missing
-                or corrupt.
+            SnapshotError: if ``mlg.json`` is missing or corrupt, or holds
+                another number of groups than the manifest counts (the
+                error names the file).
         """
-        meta = self._read_json(snap_dir / "mlg-meta.json", fingerprint)
-        if not meta.get("enabled"):
+        doc = self._read_json(snap_dir / "mlg.json", fingerprint)
+        if not doc.get("enabled"):
             return None, {}
+        num_groups = manifest.get("counts", {}).get("groups")
         try:
-            num_groups = int(meta["num_groups"])
-            merged: list[HomologousGroup | None] = [None] * num_groups
-            for shard in range(n_shards):
-                shard_name = f"mlg-shard-{shard:02d}.json"
-                doc = self._read_json(snap_dir / shard_name, fingerprint)
-                member_idx = doc["member_idx"]
-                member_off = doc["member_off"]
-                weight_idx = doc["weight_idx"]
-                weight_val = doc["weight_val"]
-                weight_off = doc["weight_off"]
-                for gi, (pos, key, sdoc) in enumerate(zip(
-                    doc["order"], doc["keys"], doc["snodes"]
-                )):
-                    snode = HomologousNode(
-                        name=sdoc[0],
-                        entity=sdoc[1],
-                        meta=dict(sdoc[2]),
-                        num=int(sdoc[3]),
-                        confidence=sdoc[4],
-                    )
-                    members = [
-                        triples[i]
-                        for i in member_idx[member_off[gi]:member_off[gi + 1]]
-                    ]
-                    group = HomologousGroup(
-                        key=(key[0], key[1]), snode=snode, members=members
-                    )
-                    weights = group.weights
-                    for i, w in zip(
-                        weight_idx[weight_off[gi]:weight_off[gi + 1]],
-                        weight_val[weight_off[gi]:weight_off[gi + 1]],
-                    ):
-                        weights[triples[i]] = float(w)
-                    merged[pos] = group
-            if any(g is None for g in merged):
-                raise SnapshotError(
-                    f"snapshot {fingerprint}: MLG shard files do not "
-                    f"cover all {num_groups} groups"
+            member_idx = doc["member_idx"]
+            member_off = doc["member_off"]
+            weight_idx = doc["weight_idx"]
+            weight_val = doc["weight_val"]
+            weight_off = doc["weight_off"]
+            groups: list[HomologousGroup] = []
+            for gi, (key, sdoc) in enumerate(zip(doc["keys"], doc["snodes"])):
+                snode = HomologousNode(
+                    name=sdoc[0],
+                    entity=sdoc[1],
+                    meta=dict(sdoc[2]),
+                    num=int(sdoc[3]),
+                    confidence=sdoc[4],
                 )
-            groups: list[HomologousGroup] = merged  # type: ignore[assignment]
-            isolated = [triples[i] for i in meta["isolated"]]
+                members = [
+                    triples[i]
+                    for i in member_idx[member_off[gi]:member_off[gi + 1]]
+                ]
+                group = HomologousGroup(
+                    key=(key[0], key[1]), snode=snode, members=members
+                )
+                weights = group.weights
+                for i, w in zip(
+                    weight_idx[weight_off[gi]:weight_off[gi + 1]],
+                    weight_val[weight_off[gi]:weight_off[gi + 1]],
+                ):
+                    weights[triples[i]] = float(w)
+                groups.append(group)
+            if len(groups) != num_groups:
+                raise SnapshotError(
+                    f"snapshot {fingerprint}: mlg.json holds {len(groups)} "
+                    f"MLG groups, the manifest counts {num_groups!r}"
+                )
+            isolated = [triples[i] for i in doc["isolated"]]
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(
-                f"snapshot {fingerprint}: corrupt MLG serialization: {exc!r}"
+                f"snapshot {fingerprint}: corrupt MLG serialization in "
+                f"mlg.json: {exc!r}"
             ) from exc
         mlg = MultiSourceLineGraph.restore(
             graph,
-            min_sources=int(meta.get("min_sources", 2)),
+            min_sources=int(doc.get("min_sources", 2)),
             groups=groups,
             isolated=isolated,
         )

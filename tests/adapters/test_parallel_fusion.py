@@ -1,4 +1,4 @@
-"""Sharded parallel extraction is byte-identical to the sequential path."""
+"""Parallel extraction is byte-identical to the sequential path."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.core.pipeline import MultiRAG
 from repro.datasets.books import make_books
 from repro.datasets.multihop import make_hotpotqa_like
 from repro.exec import ExecutionPlan, as_query
-from repro.kg import ShardedKnowledgeGraph
 
 
 @pytest.fixture(scope="module")
@@ -17,17 +16,21 @@ def dataset():
     return make_books(scale=0.3, seed=2, n_queries=8)
 
 
-def _ingest(dataset, *, jobs=None, n_shards=4):
-    config = MultiRAGConfig(seed=2, n_shards=n_shards)
-    rag = MultiRAG.from_config(config)
+def _ingest(dataset, *, jobs=None):
+    rag = MultiRAG.from_config(MultiRAGConfig(seed=2))
     rag.ingest(dataset.raw_sources(), jobs=jobs)
     return rag
 
 
+#: 2 is the bench's ingest width; 3 deals the documents into uneven tasks.
+WORKER_COUNTS = [2, 3, 4]
+
+
 class TestParallelIngestIdentity:
-    def test_graph_identical_across_workers(self, dataset):
+    @pytest.mark.parametrize("jobs", WORKER_COUNTS)
+    def test_graph_identical_across_workers(self, dataset, jobs):
         seq = _ingest(dataset)
-        par = _ingest(dataset, jobs=4)
+        par = _ingest(dataset, jobs=jobs)
         assert list(seq.fusion.graph.triples()) == list(
             par.fusion.graph.triples()
         )
@@ -47,25 +50,6 @@ class TestParallelIngestIdentity:
         )
         assert seq == par
 
-    def test_sharded_matches_unsharded(self, dataset):
-        queries = [as_query(q) for q in dataset.queries]
-        unsharded = _ingest(dataset, n_shards=1)
-        sharded = _ingest(dataset, jobs=4, n_shards=4)
-        assert list(unsharded.fusion.graph.triples()) == list(
-            sharded.fusion.graph.triples()
-        )
-        assert unsharded.evaluate(queries).to_json(
-            drop_timing=True
-        ) == sharded.evaluate(queries).to_json(drop_timing=True)
-
-    def test_graph_type_follows_config(self, dataset):
-        assert isinstance(
-            _ingest(dataset, n_shards=4).fusion.graph, ShardedKnowledgeGraph
-        )
-        assert not isinstance(
-            _ingest(dataset, n_shards=1).fusion.graph, ShardedKnowledgeGraph
-        )
-
     def test_env_override_requests_plan(self, dataset, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "4")
         par = _ingest(dataset)
@@ -76,8 +60,7 @@ class TestParallelIngestIdentity:
         )
 
     def test_explicit_plan(self, dataset):
-        config = MultiRAGConfig(seed=2, n_shards=4)
-        rag = MultiRAG.from_config(config)
+        rag = MultiRAG.from_config(MultiRAGConfig(seed=2))
         rag.ingest(
             dataset.raw_sources(),
             plan=ExecutionPlan(workers=3, batch_size=8),
@@ -90,14 +73,15 @@ class TestParallelIngestIdentity:
 class TestTextCorpusParallelism:
     """The unstructured corpus exercises the per-chunk extraction fan-out."""
 
-    def test_hotpot_ingest_identical_across_workers(self):
+    @pytest.mark.parametrize("jobs", WORKER_COUNTS)
+    def test_hotpot_ingest_identical_across_workers(self, jobs):
         dataset = make_hotpotqa_like(n_queries=8, seed=0)
-        config = MultiRAGConfig(seed=0, n_shards=4)
+        config = MultiRAGConfig(seed=0)
 
         seq = MultiRAG.from_config(config)
         seq.ingest(dataset.sources)
         par = MultiRAG.from_config(config)
-        par.ingest(dataset.sources, jobs=4)
+        par.ingest(dataset.sources, jobs=jobs)
 
         assert list(seq.fusion.graph.triples()) == list(
             par.fusion.graph.triples()

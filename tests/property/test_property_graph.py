@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kg import KnowledgeGraph, Provenance, Triple
-from repro.kg.shard import ShardedKnowledgeGraph
 from repro.linegraph import LineGraph, MultiSourceLineGraph, match_homologous
 
 names = st.sampled_from(["a", "b", "c", "d", "e", "f"])
@@ -56,23 +55,23 @@ class TestGraphInvariants:
     def test_degree_matches_incidence(self, ops):
         """``degree`` is a literal count of live incident triples after
         any sequence of adds and removes, a self-loop counted twice."""
-        for graph in (KnowledgeGraph(), ShardedKnowledgeGraph(n_shards=3)):
-            for add, triple, pick in ops:
-                if add:
-                    graph.add_triple(triple)
-                    continue
-                # Even picks remove a stored claim; odd ones try the
-                # drawn triple, which may not be stored.
-                stored = list(graph.triples())
-                graph.remove_triple(
-                    stored[pick % len(stored)] if stored and pick % 2 == 0
-                    else triple
-                )
-            live = list(graph.triples())
-            for node in ["a", "b", "c", "d", "e", "f", "unknown"]:
-                assert graph.degree(node) == sum(
-                    (t.subject == node) + (t.obj == node) for t in live
-                )
+        graph = KnowledgeGraph()
+        for add, triple, pick in ops:
+            if add:
+                graph.add_triple(triple)
+                continue
+            # Even picks remove a stored claim; odd ones try the drawn
+            # triple, which may not be stored.
+            stored = list(graph.triples())
+            graph.remove_triple(
+                stored[pick % len(stored)] if stored and pick % 2 == 0
+                else triple
+            )
+        live = list(graph.triples())
+        for node in ["a", "b", "c", "d", "e", "f", "unknown"]:
+            assert graph.degree(node) == sum(
+                (t.subject == node) + (t.obj == node) for t in live
+            )
 
 
 class TestBySubjects:
@@ -88,20 +87,18 @@ class TestBySubjects:
     def test_live_triples_of_subjects_in_insertion_order(
         self, items, subjects, removals, re_add
     ):
-        graphs = [build_graph(items), ShardedKnowledgeGraph(n_shards=3)]
-        graphs[1].add_triples(items)
-        for graph in graphs:
-            stored = list(graph.triples())
-            dropped = [stored[i] for i in dict.fromkeys(removals)
-                       if i < len(stored)]
-            for triple in dropped:
-                assert graph.remove_triple(triple)
-            if re_add and dropped:
-                # a re-added claim is live again, at the end of the order
-                assert graph.add_triple(dropped[0])
-            wanted = set(subjects)
-            expected = [t for t in graph.triples() if t.subject in wanted]
-            assert graph.by_subjects(subjects) == expected
+        graph = build_graph(items)
+        stored = list(graph.triples())
+        dropped = [stored[i] for i in dict.fromkeys(removals)
+                   if i < len(stored)]
+        for triple in dropped:
+            assert graph.remove_triple(triple)
+        if re_add and dropped:
+            # a re-added claim is live again, at the end of the order
+            assert graph.add_triple(dropped[0])
+        wanted = set(subjects)
+        expected = [t for t in graph.triples() if t.subject in wanted]
+        assert graph.by_subjects(subjects) == expected
 
 
 class TestHomologousInvariants:

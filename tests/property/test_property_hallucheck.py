@@ -1,4 +1,4 @@
-"""Property-based tests for hallucination checking and pattern queries."""
+"""Property-based tests for hallucination checking."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval import check_answer, decompose_answer
-from repro.kg import KnowledgeGraph, PatternQuery, Provenance, Triple, TriplePattern
+from repro.kg import KnowledgeGraph, Provenance, Triple
 
 values = st.sampled_from(["2010", "2011", "drama", "Alice Adams", "x1"])
 claims = st.lists(
@@ -50,45 +50,3 @@ class TestHallucheckProperties:
         check = check_answer(graph, "E", "a", "; ".join(asserted))
         assert all(v.verdict == "fabricated" for v in check.verdicts)
 
-
-triples = st.lists(
-    st.tuples(
-        st.sampled_from(["a", "b", "c"]),
-        st.sampled_from(["p", "q"]),
-        st.sampled_from(["a", "b", "c", "d"]),
-    ),
-    max_size=15,
-)
-
-
-class TestPatternQueryProperties:
-    @given(triples)
-    @settings(max_examples=80, deadline=None)
-    def test_wildcard_query_returns_every_statement(self, spo_list):
-        graph = KnowledgeGraph()
-        for s, p, o in spo_list:
-            graph.add_triple(Triple(s, p, o, Provenance(source_id="s")))
-        q = PatternQuery([TriplePattern("?s", "?p", "?o")])
-        bindings = {
-            (b["?s"], b["?p"], b["?o"]) for b in q.evaluate(graph)
-        }
-        assert bindings == {t.spo() for t in graph.triples()}
-
-    @given(triples)
-    @settings(max_examples=80, deadline=None)
-    def test_ground_queries_match_containment(self, spo_list):
-        graph = KnowledgeGraph()
-        for s, p, o in spo_list:
-            graph.add_triple(Triple(s, p, o, Provenance(source_id="s")))
-        for s, p, o in spo_list[:5]:
-            q = PatternQuery([TriplePattern(s, p, o)])
-            assert q.evaluate(graph) == [{}]
-
-    @given(triples)
-    @settings(max_examples=50, deadline=None)
-    def test_limit_respected(self, spo_list):
-        graph = KnowledgeGraph()
-        for s, p, o in spo_list:
-            graph.add_triple(Triple(s, p, o, Provenance(source_id="s")))
-        q = PatternQuery([TriplePattern("?s", "?p", "?o")])
-        assert len(q.evaluate(graph, limit=2)) <= 2

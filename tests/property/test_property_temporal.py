@@ -1,12 +1,10 @@
-"""Property-based tests for the temporal store and the columnar store."""
+"""Property-based tests for the temporal store."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kg.columnar import ColumnarStore
-from repro.kg.storage import NormalizedRecord
 from repro.kg.temporal import TemporalStore, TimestampedClaim, latest_consensus
 
 observations = st.lists(
@@ -65,44 +63,3 @@ class TestTemporalProperties:
         else:
             assert winner is None
 
-
-record_contents = st.dictionaries(
-    st.sampled_from(["col_a", "col_b", "col_c"]),
-    st.lists(st.sampled_from(["x", "y", "z", "10", "2010"]), max_size=6),
-    min_size=1, max_size=3,
-)
-
-
-class TestColumnarProperties:
-    @staticmethod
-    def _store_with(tables, directory) -> ColumnarStore:
-        store = ColumnarStore(directory)
-        for i, cols in enumerate(tables):
-            store.write_record(NormalizedRecord(
-                record_id=f"rec-{i}", domain="d", name="n", jsonld={},
-                cols_index=cols,
-            ))
-        return store
-
-    @given(st.lists(record_contents, min_size=1, max_size=5))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_every_column(self, tables):
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as directory:
-            store = self._store_with(tables, directory)
-            for i, cols in enumerate(tables):
-                for column, values in cols.items():
-                    assert store.read_column(f"rec-{i}", column) == values
-
-    @given(st.lists(record_contents, min_size=1, max_size=5))
-    @settings(max_examples=50, deadline=None)
-    def test_distinct_matches_union(self, tables):
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as directory:
-            store = self._store_with(tables, directory)
-            expected: set[str] = set()
-            for cols in tables:
-                expected.update(cols.get("col_a", ()))
-            assert store.distinct("col_a") == expected

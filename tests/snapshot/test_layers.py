@@ -1,6 +1,6 @@
 """Delta-layer chains: add_source persistence, identity, failure modes.
 
-The layer contract (satellites of the sharded-substrate PR):
+The layer contract:
 
 * ``add_source`` on a snapshot-backed pipeline appends a content-addressed
   delta layer instead of invalidating the fingerprint;
@@ -61,6 +61,17 @@ def _config():
     # affected groups (rounds=1) while a cold build calibrates globally,
     # so history-on runs agree in rankings but not in raw tallies.
     return MultiRAGConfig(seed=1, update_history=False)
+
+
+def _keys(doc):
+    """Every dict key anywhere inside a decoded JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _keys(value)
 
 
 def _build_chain(dataset, tmp_path, n_extra=1):
@@ -167,6 +178,29 @@ class TestLayeredLoadIdentity:
         assert report.loaded_from_snapshot
         assert report.snapshot_layers == 0
         assert _evaluate(warm, dataset) == cold_json
+
+    def test_compacted_base_has_the_v3_file_set(self, dataset, tmp_path):
+        _rag, _sources, fps = _build_chain(dataset, tmp_path, n_extra=2)
+        snaps = tmp_path / "snaps"
+        store = SnapshotStore(snaps)
+        docs = [store.manifest(fp) for fp in fps] + [
+            json.loads((snaps / fp / "layer.json").read_text())
+            for fp in fps[1:]
+        ]
+        store.compact(fps[-1])
+        base = snaps / fps[-1]
+        docs += [store.manifest(fps[-1])] + [
+            json.loads((base / name).read_text())
+            for name in ("graph.json", "mlg.json")
+        ]
+        assert sorted(p.name for p in base.iterdir()) == [
+            "chunks.json", "graph.json", "history.json", "manifest.json",
+            "mlg.json", "records.json", "retriever.json", "vector_idf.npy",
+            "vector_matrix.npy",
+        ]
+        assert not {"n_shards", "shard", "idx", "order"} & set(
+            key for doc in docs for key in _keys(doc)
+        )
 
 
 class TestSubjectIndexParity:

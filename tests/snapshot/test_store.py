@@ -175,18 +175,40 @@ class TestCorruption:
     def test_version_mismatch(self, corpus, tmp_path):
         store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
         manifest = json.loads((snap_dir / "manifest.json").read_text())
-        manifest["format_version"] = SNAPSHOT_FORMAT_VERSION + 1
-        (snap_dir / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="format version"):
-            store.load(fp)
+        # a v2 store (per-shard graph and MLG files) is refused with the
+        # migration hint, never read as v3
+        for version, hint in [
+            (SNAPSHOT_FORMAT_VERSION + 1, "format version"),
+            (2, "format version 2; .* re-ingest to write a fresh snapshot"),
+        ]:
+            manifest["format_version"] = version
+            (snap_dir / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(SnapshotError, match=hint):
+                store.load(fp)
 
     def test_truncated_json(self, corpus, tmp_path):
         store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
-        payload = (snap_dir / "graph-shard-00.json").read_text()
-        (snap_dir / "graph-shard-00.json").write_text(
-            payload[: len(payload) // 2]
-        )
-        with pytest.raises(SnapshotError, match="corrupt"):
+        payload = (snap_dir / "graph.json").read_text()
+        (snap_dir / "graph.json").write_text(payload[: len(payload) // 2])
+        with pytest.raises(SnapshotError, match="corrupt graph.json"):
+            store.load(fp)
+
+    def test_short_graph_file_names_itself(self, corpus, tmp_path):
+        store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
+        doc = json.loads((snap_dir / "graph.json").read_text())
+        for column in ("subject", "predicate", "obj", "prov_id"):
+            doc["triples"][column].pop()
+        (snap_dir / "graph.json").write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match="graph.json holds"):
+            store.load(fp)
+
+    def test_short_mlg_file_names_itself(self, corpus, tmp_path):
+        store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
+        doc = json.loads((snap_dir / "mlg.json").read_text())
+        for column in ("keys", "snodes"):
+            doc[column].pop()
+        (snap_dir / "mlg.json").write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match="mlg.json holds"):
             store.load(fp)
 
     def test_missing_component(self, corpus, tmp_path):
@@ -203,15 +225,10 @@ class TestCorruption:
 
     def test_out_of_range_mlg_member(self, corpus, tmp_path):
         store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
-        # find a shard file that actually holds a group with members
-        for shard_file in sorted(snap_dir.glob("mlg-shard-*.json")):
-            doc = json.loads(shard_file.read_text())
-            if doc["member_idx"]:
-                doc["member_idx"][0] = 10**9
-                shard_file.write_text(json.dumps(doc))
-                break
-        else:
-            pytest.fail("no MLG shard file with members found")
+        doc = json.loads((snap_dir / "mlg.json").read_text())
+        assert doc["member_idx"], "the corpus should yield MLG groups"
+        doc["member_idx"][0] = 10**9
+        (snap_dir / "mlg.json").write_text(json.dumps(doc))
         with pytest.raises(SnapshotError, match="MLG"):
             store.load(fp)
 
