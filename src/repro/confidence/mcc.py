@@ -17,9 +17,9 @@ homologous groups:
    not clear θ is rejected without its authority prompt, unless nothing
    in its group clears θ and the fallback must rank the group by exact
    ``C(v)``.  The decisions are Algorithm 1's; the rejected node keeps
-   its bound as its ``confidence``.  After the pass, each prompted
-   member's edge weight is its ``C(v)`` and every other member's is its
-   source credibility.
+   its bound as its ``confidence``.  Definition 4's edge weight ``w_i``
+   of a member is its source credibility, which the group table reads
+   from the history; nothing writes weights onto the group.
 
 Both stages can be disabled independently for the Table III ablations
 (``w/o Graph Level`` / ``w/o Node Level`` / ``w/o MCC``).
@@ -210,10 +210,6 @@ def mcc(
 
         with obs.tracer.span("mcc.node", key=key) as nspan:
             table = scorer.group_table(group)
-            # Definition 4's edge weight w_i: each member's source
-            # credibility, then C(v) for the members prompted below.
-            for member, weight in zip(group.members, table.credibility):
-                group.set_weight(member, weight)
             # S_n and Auth_hist need no prompt.  A node whose upper bound
             # of C(v) does not clear θ is rejected whatever the judge
             # answers.
@@ -236,7 +232,6 @@ def mcc(
                 member, s_n, a_hist = partial[i]
                 if not deferred[i] or (fallback_best and not any_accepted):
                     assessment = scorer.complete(member, table, s_n, a_hist)
-                    group.set_weight(member, assessment.confidence)
                     if assessment.confidence > node_threshold:
                         any_accepted = True
                 else:

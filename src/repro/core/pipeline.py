@@ -611,8 +611,13 @@ class MultiRAG:
             return self._run_chain(query.hops)
         return self._run_text(query.question)
 
-    def _run_text(self, question: str) -> RetrievalResult:
+    def _run_text(
+        self, question: str, generate: bool = True
+    ) -> RetrievalResult:
         """Answer ``question`` through the full MKLGP flow.
+
+        With ``generate`` false the synthesis step is skipped and
+        ``generated_text`` stays empty.
 
         Raises:
             StateError: if called before :meth:`ingest`.
@@ -671,14 +676,15 @@ class MultiRAG:
                 result.stage_values["before_node_filtering"] = []
                 result.stage_values["after_node_filtering"] = []
 
-            with self.obs.tracer.span("generate") as gen_span:
-                gen_before = self.llm.meter.checkpoint()
-                result.generated_text = self._generate(question, result)
-                if gen_span.enabled:
-                    gen_span.set(
-                        num_answers=len(result.answers),
-                        **self.llm.meter.delta(gen_before),
-                    )
+            if generate:
+                with self.obs.tracer.span("generate") as gen_span:
+                    gen_before = self.llm.meter.checkpoint()
+                    result.generated_text = self._generate(question, result)
+                    if gen_span.enabled:
+                        gen_span.set(
+                            num_answers=len(result.answers),
+                            **self.llm.meter.delta(gen_before),
+                        )
             if span.enabled:
                 span.set(
                     intent=logic_form.intent,
@@ -708,8 +714,10 @@ class MultiRAG:
 
         ``None`` as a hop's entity means "the top answer of the previous
         hop" — the bridge-entity pattern of HotpotQA/2Wiki questions.
-        The returned result carries the final hop's answers; traces of all
-        hops are concatenated.
+        The returned result carries the final hop's answers and the only
+        generated text: earlier hops feed the chain through their MCC
+        ranking, so they skip synthesis.  Traces of all hops are
+        concatenated.
 
         Raises:
             StateError: if called before :meth:`ingest`.
@@ -721,14 +729,17 @@ class MultiRAG:
         trace: list[str] = []
         total_qt = 0.0
         total_pt = 0.0
-        for entity, attribute in hops:  # repro-lint: loop-bound[H] — one retrieval round per query hop
+        last = len(hops) - 1
+        for hop, (entity, attribute) in enumerate(hops):  # repro-lint: loop-bound[H] — one retrieval round per query hop
             if entity is None:
                 if result is None or not result.answers:
                     empty = RetrievalResult(query=f"? | {attribute}")
                     empty.trace = trace + ["chain broken: no bridge answer"]
                     return empty
                 entity = result.answers[0].value
-            result = self._run_text(f"{entity} | {attribute}")
+            result = self._run_text(
+                f"{entity} | {attribute}", generate=hop == last
+            )
             trace.extend(result.trace)
             total_qt += result.query_time_s
             total_pt += result.prompt_time_s
@@ -1100,12 +1111,9 @@ class MultiRAG:
             meta={"domain": first.provenance.domain if first.provenance else ""},
             num=len(candidates),
         )
-        group = HomologousGroup(
+        return HomologousGroup(
             key=first.key(), snode=snode, members=list(candidates)
         )
-        for member in candidates:
-            group.set_weight(member, 1.0)
-        return group
 
     def _run_mcc(self, groups: list[HomologousGroup]) -> MCCResult:
         assert self.scorer is not None

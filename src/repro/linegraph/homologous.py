@@ -34,12 +34,18 @@ class HomologousNode:
 
 @dataclass(slots=True)
 class HomologousGroup:
-    """One homologous subgraph: center node + member triples + edge weights."""
+    """One homologous subgraph: center node + member triples.
+
+    Definition 4's edge weight ``w_i`` of a member is its source's
+    credibility, which node-level MCC reads from the
+    :class:`~repro.confidence.history.HistoryStore` once per group
+    (:meth:`~repro.confidence.node_level.NodeScorer.group_table`); no
+    copy lives on the group.
+    """
 
     key: tuple[str, str]
     snode: HomologousNode
     members: list[Triple] = field(default_factory=list)
-    weights: dict[Triple, float] = field(default_factory=dict)
 
     @property
     def entity(self) -> str:
@@ -58,12 +64,6 @@ class HomologousGroup:
     def line_subgraph(self) -> LineGraph:
         """The homologous triple line subgraph (complete, per Fig. 4)."""
         return LineGraph(self.members)
-
-    def set_weight(self, triple: Triple, weight: float) -> None:
-        self.weights[triple] = weight  # repro-lint: ignore[CONC001,RES004] — CONC: the query path only weights groups it constructed for that retrieval (MultiRAG._as_group); ingest-time groups are weighted before workers exist. RES: keys are confined to the group's member triples, so the map is bounded by the substrate and entries are overwritten, not accumulated
-
-    def weight(self, triple: Triple) -> float:
-        return self.weights.get(triple, 1.0)
 
 
 @dataclass(slots=True)
@@ -100,10 +100,9 @@ def match_homologous(
                       if members[0].provenance else ""},
                 num=len(members),
             )
-            group = HomologousGroup(key=key, snode=snode, members=list(members))
-            for member in members:
-                group.set_weight(member, 1.0)
-            result.groups.append(group)
+            result.groups.append(
+                HomologousGroup(key=key, snode=snode, members=list(members))
+            )
         else:
             result.isolated.extend(members)
     return result

@@ -153,7 +153,6 @@ class MultiSourceLineGraph:
             if group is not None:
                 if triple not in group.members:
                     group.members.append(triple)
-                    group.set_weight(triple, 1.0)
                     group.snode.num = len(group.members)
                     stats["joined"] += 1
                 continue
@@ -169,8 +168,6 @@ class MultiSourceLineGraph:
                     num=len(members),
                 )
                 group = HomologousGroup(key=key, snode=snode, members=members)
-                for member in members:
-                    group.set_weight(member, 1.0)
                 self.groups.append(group)
                 self._group_by_key[key] = group
                 self._groups_by_entity[key[0]].append(group)

@@ -149,10 +149,6 @@ class UsageMeter:
             response
         )
 
-    def stage_usage(self, stage: Stage) -> StageUsage:
-        """The accumulated usage of one stage (zeros when unseen)."""
-        return self.by_stage.get(stage.value, StageUsage())
-
     def snapshot(self) -> dict[str, float]:
         return {
             "calls": self.calls,

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, defaultdict
-from typing import Generic, TypeVar
+from collections import defaultdict
+from typing import Generic, Mapping, Sequence, TypeVar
 
 from repro.retrieval.tokenize import term_counts, tokenize
 from repro.retrieval.vector_index import SearchHit
@@ -58,7 +58,7 @@ class BM25Index(Generic[T]):
         self._items: list[T] = []
         #: the term-count table, one row per document in document order;
         #: rows past ``len(self._doc_len)`` are not folded in yet.
-        self._doc_tokens: list[Counter[str]] = []
+        self._doc_tokens: Sequence[Mapping[str, int]] = []
         self._doc_len: list[int] = []
         #: running sum of ``_doc_len``
         self._total_len = 0
@@ -76,24 +76,18 @@ class BM25Index(Generic[T]):
         self._clear()
         return self.fold(items, term_counts(texts))
 
-    @property
-    def doc_counts(self) -> list[Counter[str]]:
-        """The term-count table: one ``Counter`` per document, in order."""
-        return self._doc_tokens
-
     def fold(
-        self, items: list[T], counts: list[Counter[str]]
+        self, items: list[T], counts: Sequence[Mapping[str, int]]
     ) -> "BM25Index[T]":
         """Bring the index up to ``items``, whose term counts are ``counts``.
 
         ``counts`` is the whole term-count table, the one this index last
-        folded with more rows appended (it becomes :attr:`doc_counts`);
-        rows already folded in are not read again.  The new rows append
-        their integer statistics: postings, document lengths and the
-        running length total.  Every idf and impact depends on N and the
-        mean length, so those are recomputed over all postings, with the
-        one-shot build's float expressions, so every float equals that
-        build's.
+        folded with more rows appended (the index keeps it); rows already
+        folded in are not read again.  The new rows append their integer
+        statistics: postings, document lengths and the running length
+        total.  Every idf and impact depends on N and the mean length, so
+        those are recomputed over all postings, with the one-shot build's
+        float expressions, so every float equals that build's.
         """
         if len(items) != len(counts):
             raise ValueError("items and counts must have equal length")
@@ -147,47 +141,6 @@ class BM25Index(Generic[T]):
 
     def __len__(self) -> int:
         return len(self._items)
-
-    # ------------------------------------------------------------------
-    # snapshot (de)serialization
-    # ------------------------------------------------------------------
-    def export_state(self) -> dict[str, object]:
-        """JSON-serializable internal state (items serialized by caller).
-
-        Impact tables are omitted: they are a pure function of the
-        exported fields and :meth:`restore_state` recomputes them, so the
-        artifact stays smaller and cannot desynchronize.
-        """
-        return {
-            "k1": self.k1,
-            "b": self.b,
-            "doc_tokens": [dict(c) for c in self._doc_tokens],
-            "doc_len": list(self._doc_len),
-            "avg_len": self._avg_len,
-            "postings": {t: list(d) for t, d in self._postings.items()},
-            "idf": dict(self._idf),
-        }
-
-    def restore_state(self, items: list[T], state: dict[str, object]) -> "BM25Index[T]":
-        """Inverse of :meth:`export_state`; ``items`` supplied by caller.
-
-        Dict key orders in ``state`` are preserved verbatim (JSON objects
-        keep insertion order), so a restored index iterates its postings
-        and idf tables exactly like the freshly built one.
-        """
-        self.k1 = float(state["k1"])  # type: ignore[arg-type]
-        self.b = float(state["b"])  # type: ignore[arg-type]
-        self._items = list(items)
-        self._doc_tokens = [Counter(d) for d in state["doc_tokens"]]  # type: ignore[union-attr]
-        self._doc_len = [int(n) for n in state["doc_len"]]  # type: ignore[union-attr]
-        self._total_len = sum(self._doc_len)
-        self._avg_len = float(state["avg_len"])  # type: ignore[arg-type]
-        self._postings = defaultdict(list)
-        for term, docs in state["postings"].items():  # type: ignore[union-attr]
-            self._postings[term] = [int(d) for d in docs]
-        self._idf = {t: float(v) for t, v in state["idf"].items()}  # type: ignore[union-attr]
-        self._rebuild_impacts()
-        return self
 
     def score(self, query: str, doc_id: int) -> float:
         """BM25 score of one indexed document against ``query``.

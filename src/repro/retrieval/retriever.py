@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from collections import defaultdict
+from typing import Any, Mapping
 
 from repro.obs.context import NOOP, Observability
 from repro.retrieval.bm25 import BM25Index
@@ -36,6 +37,9 @@ class MultiSourceRetriever:
         self._chunks: list[Chunk] = []
         self._dense: VectorIndex[Chunk] = VectorIndex()
         self._sparse: BM25Index[Chunk] = BM25Index()
+        #: the term-count table: one row of term counts per chunk, in
+        #: chunk order; chunks past its end are not counted yet.
+        self._counts: list[Mapping[str, int]] = []
         self._built = False
 
     def add_chunks(self, chunks: list[Chunk]) -> None:
@@ -56,56 +60,56 @@ class MultiSourceRetriever:
         return view
 
     def export_state(self) -> dict[str, object]:
-        """Snapshot form of mode/config plus the BM25 internals.
+        """Snapshot form: mode, ``rrf_k`` and the term-count table.
 
-        Chunks and the dense index's numpy arrays are serialized by the
-        snapshot store itself (chunks are shared objects; arrays need
-        binary files), so this carries only the JSON-friendly parts.
+        The table has one row per chunk, in chunk order, each row's terms
+        in first-seen order; chunks not folded in yet are counted here.
+        Chunks themselves are serialized by the snapshot store.  Nothing
+        else is: :meth:`restore_state` and one :meth:`build` make every
+        index again from the table.
         """
+        counts = self._counts
+        rows = counts + term_counts(c.text for c in self._chunks[len(counts):])
         return {
             "mode": self.mode,
             "rrf_k": self.rrf_k,
-            "built": self._built,
-            "bm25": self._sparse.export_state(),
-            "vector_meta": self._dense.export_state()[0],
+            "term_counts": [dict(row) for row in rows],
         }
 
     def restore_state(
-        self,
-        chunks: list[Chunk],
-        state: dict[str, object],
-        matrix: object,
-        idf: object,
+        self, chunks: list[Chunk], state: Mapping[str, Any]
     ) -> "MultiSourceRetriever":
-        """Inverse of :meth:`export_state` — no index rebuild happens.
+        """Inverse of :meth:`export_state`, up to the indexes: the chunks
+        and their term counts are staged on empty indexes, and the next
+        :meth:`build` folds them in without tokenizing a chunk.
 
-        A later :meth:`build` folds new chunks onto the restored indexes.
+        The rows of ``state["term_counts"]`` become the table as they
+        are, so each must be a ``dict`` of term counts (the snapshot
+        store checks that before calling this).
         """
         self.mode = str(state["mode"])
-        self.rrf_k = int(state["rrf_k"])  # type: ignore[arg-type]
+        self.rrf_k = int(state["rrf_k"])
         self._chunks = list(chunks)
-        self._sparse = BM25Index[Chunk]().restore_state(chunks, state["bm25"])  # type: ignore[arg-type]
-        self._dense = VectorIndex[Chunk]().restore_state(
-            chunks, state["vector_meta"], matrix, idf  # type: ignore[arg-type]
-        )
-        self._built = bool(state["built"])
+        self._counts = list(state["term_counts"])
+        self._dense = VectorIndex[Chunk]()
+        self._sparse = BM25Index[Chunk]()
+        self._built = False
         return self
 
     def build(self) -> "MultiSourceRetriever":
         """Fold the chunks staged since the last build into both indexes.
 
-        Each new chunk is tokenized and counted once, into the BM25
-        index's term-count table, which both indexes read; earlier chunks
-        are not read again.  The indexes then recompute what depends on
-        the whole corpus (BM25 idf and impacts, the dense vocabulary, IDF
-        and matrix), so the result equals a one-shot build over every
-        chunk.
+        Each new chunk is tokenized and counted once, into the term-count
+        table, which both indexes read; earlier chunks are not read
+        again.  The indexes then recompute what depends on the whole
+        corpus (BM25 idf and impacts, the dense vocabulary, IDF and
+        matrix), so the result equals a one-shot build over every chunk.
         """
-        counts = self._sparse.doc_counts
+        counts = self._counts
         counts.extend(term_counts(c.text for c in self._chunks[len(counts):]))
         self._sparse.fold(self._chunks, counts)
         self._dense.fold(self._chunks, counts)
-        self._built = True  # repro-lint: ignore[CONC001] — the fold runs only from ingest, add_source and the chain loader, before any worker view exists
+        self._built = True  # repro-lint: ignore[CONC001] — the fold runs only from ingest, add_source and the snapshot loader, before any worker view exists
         return self
 
     def __len__(self) -> int:

@@ -58,35 +58,6 @@ class VectorIndex(Generic[T]):
     def __len__(self) -> int:
         return len(self._items)
 
-    # ------------------------------------------------------------------
-    # snapshot (de)serialization
-    # ------------------------------------------------------------------
-    def export_state(
-        self,
-    ) -> tuple[dict[str, object], "np.ndarray | None", "np.ndarray"]:
-        """Snapshot form: vectorizer metadata, matrix and IDF arrays.
-
-        The matrix is ``None`` for an empty corpus.  Items are serialized
-        by the caller (they are shared chunk objects).
-        """
-        meta, idf = self._vectorizer.export_state()
-        return ({"vectorizer": meta}, self._matrix, idf)
-
-    def restore_state(
-        self,
-        items: list[T],
-        meta: dict[str, object],
-        matrix: "np.ndarray | None",
-        idf: "np.ndarray",
-    ) -> "VectorIndex[T]":
-        """Inverse of :meth:`export_state`; ``items`` supplied by caller."""
-        self._items = list(items)
-        self._vectorizer.restore_state(meta["vectorizer"], idf)  # type: ignore[arg-type]
-        self._matrix = (
-            np.asarray(matrix, dtype=np.float64) if matrix is not None else None
-        )
-        return self
-
     def search(self, query: str, k: int = 5) -> list[SearchHit[T]]:
         """Top-``k`` items by cosine similarity to ``query``.
 

@@ -139,44 +139,13 @@ class TfidfVectorizer:
         return self._normalized(matrix)
 
     def _normalized(self, matrix: np.ndarray) -> np.ndarray:
-        """IDF-weight the raw ``1 + log tf`` rows of ``matrix`` (in place)
-        and scale each row to unit L2 norm."""
+        """IDF-weight the raw ``1 + log tf`` rows of ``matrix`` and scale
+        each row to unit L2 norm, in place; returns ``matrix``."""
         matrix *= self.idf
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        return matrix / norms
-
-    def export_state(self) -> tuple[dict[str, object], np.ndarray]:
-        """Snapshot form: JSON metadata plus the float64 IDF vector.
-
-        The IDF array travels as a numpy array (saved with ``np.save``)
-        so every float round-trips bit-exactly.
-        """
-        return (
-            {
-                "min_df": self.min_df,
-                "fitted": self._fitted,
-                "vocabulary": list(self.vocabulary),
-            },
-            self.idf,
-        )
-
-    def restore_state(
-        self, meta: dict[str, object], idf: np.ndarray
-    ) -> "TfidfVectorizer":
-        """Inverse of :meth:`export_state`.
-
-        The cached entries start empty, so the next :meth:`fold` reads
-        every row of its table once.
-        """
-        self._clear()
-        self.min_df = int(meta["min_df"])  # type: ignore[arg-type]
-        self._fitted = bool(meta["fitted"])
-        self.vocabulary = {
-            term: i for i, term in enumerate(meta["vocabulary"])  # type: ignore[arg-type]
-        }
-        self.idf = np.asarray(idf, dtype=np.float64)
-        return self
+        matrix /= norms
+        return matrix
 
     def transform_one(self, text: str) -> np.ndarray:
         """Embed a single text as a 1-D L2-normalized TF-IDF vector.

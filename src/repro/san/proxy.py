@@ -31,7 +31,7 @@ from repro.san.events import READ, WRITE, AccessEvent, AccessLog
 MUTATOR_NAMES = frozenset({
     "add", "append", "appendleft", "clear", "discard", "extend",
     "extendleft", "insert", "merge", "pop", "popitem", "remove",
-    "setdefault", "set_weight", "update",
+    "setdefault", "update",
 })
 
 _SLOTS = ("_san_target", "_san_log", "_san_worker", "_san_label")

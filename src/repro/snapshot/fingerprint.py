@@ -27,9 +27,11 @@ if TYPE_CHECKING:  # a type-only edge: core imports snapshot, never back
 #: old snapshots then fingerprint-miss instead of loading wrongly.
 #: v2: delta layers and source descriptors in the manifest.  v3: one
 #: ``graph.json`` and one ``mlg.json`` per base snapshot, in insertion
-#: and construction order.  Older snapshots raise a migration error
-#: telling the operator to re-ingest and remove the old store.
-SNAPSHOT_FORMAT_VERSION = 3
+#: and construction order.  v4: ``retriever.json`` holds only the
+#: term-count table the indexes are rebuilt from, and ``mlg.json`` no
+#: edge weights.  Older snapshots raise a migration error telling the
+#: operator to re-ingest and remove the old store.
+SNAPSHOT_FORMAT_VERSION = 4
 
 
 def _jsonable(value: Any) -> Any:

@@ -1,6 +1,6 @@
 """On-disk snapshot store: serialize/restore a fully ingested pipeline.
 
-Format v3 knows two kinds of content-addressed directory, both named by
+Format v4 knows two kinds of content-addressed directory, both named by
 their fingerprint (see :mod:`repro.snapshot.fingerprint`):
 
 **Base snapshots** hold a complete ingested state:
@@ -17,13 +17,15 @@ their fingerprint (see :mod:`repro.snapshot.fingerprint`):
     :meth:`~repro.kg.graph.KnowledgeGraph.bulk_restore` as is.
 ``mlg.json``
     the homologous groups in construction order, in flattened columnar
-    arrays (members and weights referenced by triple index, per-group
-    slices by offset arrays), and the isolated claims.
+    arrays (members referenced by triple index, per-group slices by an
+    offset array), and the isolated claims.
 ``records.json`` / ``chunks.json``
     normalized records and the chunk corpus.
-``retriever.json`` + ``vector_matrix.npy`` / ``vector_idf.npy``
-    retrieval mode, the BM25 internals (impacts are recomputed on load),
-    and the pre-normalized TF-IDF matrix, bit-exact via ``np.save``.
+``retriever.json``
+    retrieval mode, ``rrf_k`` and the term-count table: one row per
+    chunk, in chunk order, each row's terms in first-seen order.  Every
+    index is rebuilt from it on load, by the fold ``ingest`` and
+    ``add_source`` use, so no index state is stored.
 ``history.json``
     the calibrated per-source credibility tallies.
 ``llm_cache.json`` (optional)
@@ -40,14 +42,17 @@ layer raises :class:`~repro.errors.SnapshotError` naming that layer,
 never a partial graph — then restores the base and replays each layer
 through the same incremental code paths ``add_source`` used
 (``bulk_append`` + ``MultiSourceLineGraph.add_triples``), and at the end
-folds every layer's chunks onto the restored retrieval indexes in one
-``MultiSourceRetriever.build``.  :meth:`SnapshotStore.compact`
-squashes a chain back into a base snapshot under the same fingerprint.
+folds the base's term counts and every layer's chunks into the retrieval
+indexes in one ``MultiSourceRetriever.build``; a base load runs the same
+fold on the base's counts alone.  Either way the fold runs inside
+:meth:`SnapshotStore.load`, before the pipeline answers a query.
+:meth:`SnapshotStore.compact` squashes a chain back into a base snapshot
+under the same fingerprint.
 
-The manifest's counts are checked against ``graph.json`` and
-``mlg.json`` on load, so a short file raises
+The manifest's counts are checked against ``graph.json``, ``mlg.json``
+and ``retriever.json`` on load, so a short file raises
 :class:`~repro.errors.SnapshotError` naming it instead of restoring part
-of a graph.
+of a graph or an index.
 
 Writes are atomic at directory granularity: everything lands in a
 ``.tmp.<fingerprint>`` sibling first and is renamed into place with
@@ -60,9 +65,9 @@ Dotted work-area names are invisible to :meth:`SnapshotStore.fingerprints`
 and reclaimed by :meth:`SnapshotStore.gc`.
 
 Floats survive exactly: JSON numbers round-trip ``float64`` through
-``repr``, and numpy arrays travel in binary.  Dict insertion orders are
-preserved end to end (JSON objects keep order), which is what makes a
-warm-loaded pipeline byte-identical to the cold-built one.
+``repr``.  Dict insertion orders are preserved end to end (JSON objects
+keep order), which is what makes a warm-loaded pipeline byte-identical
+to the cold-built one.
 """
 
 from __future__ import annotations
@@ -74,8 +79,6 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
-
-import numpy as np
 
 from repro.adapters.fusion import FusionResult
 from repro.confidence.history import HistoryStore
@@ -307,13 +310,7 @@ class SnapshotStore:
             ])
             self._write_mlg_file(tmp, mlg, triple_index)
 
-            retriever_state = retriever.export_state()
-            _, matrix, idf = retriever._dense.export_state()
-            self._write_json(tmp / "retriever.json", retriever_state)
-            np.save(tmp / "vector_idf.npy", idf, allow_pickle=False)
-            if matrix is not None:
-                np.save(tmp / "vector_matrix.npy", matrix, allow_pickle=False)
-
+            self._write_json(tmp / "retriever.json", retriever.export_state())
             self._write_json(tmp / "history.json", history.export_state())
             if llm_cache is not None:
                 self._write_json(tmp / "llm_cache.json", llm_cache)
@@ -334,7 +331,6 @@ class SnapshotStore:
                     "groups": len(mlg.groups) if mlg else 0,
                 },
                 "has_llm_cache": llm_cache is not None,
-                "has_matrix": matrix is not None,
                 "mlg_stats": mlg.stats() if mlg else {},
                 "sources": [d.to_doc() for d in sources or []],
             })
@@ -555,9 +551,9 @@ class SnapshotStore:
     ) -> None:
         """The homologous groups in order, as flattened columnar arrays.
 
-        Members and weights of every group share one array each, sliced
-        by offset (``member_off[g] : member_off[g + 1]``), so the loader
-        sees a handful of long arrays instead of one object per group.
+        The members of every group share one array, sliced by offset
+        (``member_off[g] : member_off[g + 1]``), so the loader sees a
+        handful of long arrays instead of one object per group.
         """
         if mlg is None:
             self._write_json(tmp / "mlg.json", {"enabled": False})
@@ -566,19 +562,12 @@ class SnapshotStore:
         snodes: list[list[Any]] = []
         member_idx: list[int] = []
         member_off = [0]
-        weight_idx: list[int] = []
-        weight_val: list[float] = []
-        weight_off = [0]
         for g in mlg.groups:
             keys.append([g.key[0], g.key[1]])
             s = g.snode
             snodes.append([s.name, s.entity, dict(s.meta), s.num, s.confidence])
             member_idx.extend(triple_index[m] for m in g.members)
             member_off.append(len(member_idx))
-            for t, w in g.weights.items():
-                weight_idx.append(triple_index[t])
-                weight_val.append(w)
-            weight_off.append(len(weight_idx))
         self._write_json(tmp / "mlg.json", {
             "enabled": True,
             "min_sources": mlg.min_sources,
@@ -587,9 +576,6 @@ class SnapshotStore:
             "snodes": snodes,
             "member_idx": member_idx,
             "member_off": member_off,
-            "weight_idx": weight_idx,
-            "weight_val": weight_val,
-            "weight_off": weight_off,
         })
 
     @staticmethod
@@ -652,9 +638,6 @@ class SnapshotStore:
             })
 
         state = self._load_base(base_manifest, obs=obs)
-        if not layers:
-            return state
-
         fusion = state.fusion
         graph = fusion.graph
         descriptors = list(state.sources)
@@ -689,13 +672,22 @@ class SnapshotStore:
                         f"malformed source descriptor: missing {exc}"
                     ) from exc
 
-        # One fold of every layer's chunks onto the restored indexes: only
-        # the new chunks are tokenized, and the indexes equal those that
-        # add_source's per-call folds reach.
+        # One fold of the restored counts and every layer's chunks (none on
+        # a base load): only the layers' chunks are tokenized, and the
+        # indexes equal those that add_source's per-call folds reach.
         state.retriever.add_chunks(
             [c for layer in layers for c in layer["chunks"]]
         )
-        state.retriever.build()
+        try:
+            state.retriever.build()
+        except (TypeError, ValueError) as exc:
+            # a count that is not an integer
+            raise SnapshotError(
+                f"snapshot {fingerprint}: corrupt term-count table in "
+                f"retriever.json: {exc!r}"
+            ) from exc
+        if not layers:
+            return state
         state.history = HistoryStore().restore_state(layers[-1]["history"])
 
         tip_manifest = layers[-1]["manifest"]
@@ -709,6 +701,9 @@ class SnapshotStore:
         self, manifest: dict[str, Any], obs: Observability | None = None
     ) -> LoadedState:
         """Restore one base snapshot from its (already read) manifest.
+
+        The retriever comes back staged, not built: :meth:`load` runs its
+        one fold.
 
         Raises:
             SnapshotError: if the artifact is corrupt or incomplete.
@@ -734,22 +729,9 @@ class SnapshotStore:
             extraction_calls=int(manifest["fusion"]["extraction_calls"]),
         )
 
-        retriever_state = self._read_json(
-            snap_dir / "retriever.json", fingerprint
+        retriever = self._restore_retriever(
+            snap_dir, fingerprint, manifest, chunks, obs
         )
-        try:
-            idf = np.load(snap_dir / "vector_idf.npy", allow_pickle=False)
-            matrix = (
-                np.load(snap_dir / "vector_matrix.npy", allow_pickle=False)
-                if manifest.get("has_matrix")
-                else None
-            )
-        except (OSError, ValueError) as exc:
-            raise SnapshotError(
-                f"snapshot {fingerprint}: corrupt dense-index arrays: {exc}"
-            ) from exc
-        retriever = MultiSourceRetriever(obs=obs if obs is not None else NOOP)
-        retriever.restore_state(chunks, retriever_state, matrix, idf)
 
         mlg, mlg_stats = self._restore_mlg(
             snap_dir, fingerprint, graph, triples, manifest
@@ -786,6 +768,42 @@ class SnapshotStore:
             sources=sources,
             num_layers=0,
         )
+
+    def _restore_retriever(
+        self,
+        snap_dir: Path,
+        fingerprint: str,
+        manifest: dict[str, Any],
+        chunks: list[Chunk],
+        obs: Observability | None,
+    ) -> MultiSourceRetriever:
+        """Decode ``retriever.json``: the chunks and their term counts,
+        staged for the one fold :meth:`load` runs.
+
+        Raises:
+            SnapshotError: if ``retriever.json`` is missing or corrupt, or
+                holds another number of term-count rows than the manifest
+                counts chunks (the error names the file).
+        """
+        doc = self._read_json(snap_dir / "retriever.json", fingerprint)
+        num_chunks = manifest.get("counts", {}).get("chunks")
+        try:
+            rows = doc["term_counts"]
+            if len(rows) != num_chunks:
+                raise SnapshotError(
+                    f"snapshot {fingerprint}: retriever.json holds "
+                    f"{len(rows)} term-count rows, the manifest counts "
+                    f"{num_chunks!r} chunks"
+                )
+            if not all(type(row) is dict for row in rows):
+                raise ValueError("a term-count row is not an object")
+            return MultiSourceRetriever(
+                obs=obs if obs is not None else NOOP
+            ).restore_state(chunks, doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(
+                f"snapshot {fingerprint}: corrupt retriever.json: {exc!r}"
+            ) from exc
 
     def _restore_graph(
         self, snap_dir: Path, fingerprint: str, manifest: dict[str, Any]
@@ -846,9 +864,6 @@ class SnapshotStore:
         try:
             member_idx = doc["member_idx"]
             member_off = doc["member_off"]
-            weight_idx = doc["weight_idx"]
-            weight_val = doc["weight_val"]
-            weight_off = doc["weight_off"]
             groups: list[HomologousGroup] = []
             for gi, (key, sdoc) in enumerate(zip(doc["keys"], doc["snodes"])):
                 snode = HomologousNode(
@@ -862,16 +877,9 @@ class SnapshotStore:
                     triples[i]
                     for i in member_idx[member_off[gi]:member_off[gi + 1]]
                 ]
-                group = HomologousGroup(
+                groups.append(HomologousGroup(
                     key=(key[0], key[1]), snode=snode, members=members
-                )
-                weights = group.weights
-                for i, w in zip(
-                    weight_idx[weight_off[gi]:weight_off[gi + 1]],
-                    weight_val[weight_off[gi]:weight_off[gi + 1]],
-                ):
-                    weights[triples[i]] = float(w)
-                groups.append(group)
+                ))
             if len(groups) != num_groups:
                 raise SnapshotError(
                     f"snapshot {fingerprint}: mlg.json holds {len(groups)} "

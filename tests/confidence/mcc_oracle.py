@@ -152,13 +152,8 @@ def mcc(
 
         with obs.tracer.span("mcc.node", key=key) as nspan:
             table = scorer.group_table(group)
-            # Definition 4's edge weight w_i: each member's source
-            # credibility, then C(v) for the members assessed below.
-            for member, weight in zip(group.members, table.credibility):
-                group.set_weight(member, weight)
             for member in to_assess:  # repro-lint: loop-bound[C] — at most the candidate claims of one key
                 assessment = scorer.assess(member, table)
-                group.set_weight(member, assessment.confidence)
                 result.nodes_scored += 1
                 if assessment.confidence > node_threshold:
                     decision.accepted.append(assessment)

@@ -129,39 +129,6 @@ class TestFallback:
         assert len(wide.accepted_assessments()) == 2
 
 
-class TestEdgeWeights:
-    """After ``mcc()`` a member's weight ``w_i`` is its ``C(v)`` when it
-    was prompted, else its source credibility."""
-
-    def test_every_assessed_node_keeps_its_confidence(self):
-        _, groups, scorer = build(CONFLICT)
-        result = mcc(groups, scorer)
-        decision = result.decisions[0]
-        assessed = decision.accepted + decision.rejected
-        assert len(assessed) == len(CONFLICT)
-        bound = [a for a in assessed if a.bound]
-        assert bound and len(bound) < len(assessed)
-        for assessment in assessed:
-            assert groups[0].weight(assessment.triple) == (
-                scorer.history.credibility(assessment.source_id)
-                if assessment.bound else assessment.confidence
-            )
-
-    def test_skipped_nodes_hold_their_credibility(self):
-        _, groups, scorer = build(CONSENSUS)
-        for i, (source, *_) in enumerate(CONSENSUS):
-            scorer.history.seed(source, i, 10)
-        result = mcc(groups, scorer)
-        decision = result.decisions[0]
-        assessed = {id(a.triple) for a in decision.accepted + decision.rejected}
-        skipped = [m for m in groups[0].members if id(m) not in assessed]
-        assert len(skipped) == 1
-        for member in skipped:
-            assert groups[0].weight(member) == scorer.history.credibility(
-                member.source_id()
-            )
-
-
 class TestPromptSkip:
     """A node whose upper bound of C(v) does not clear θ is rejected
     without its authority prompt."""
@@ -172,7 +139,7 @@ class TestPromptSkip:
         decision = result.decisions[0]
         bound = [a for a in decision.rejected if a.bound]
         assert bound and not any(a.bound for a in decision.accepted)
-        calls = scorer.llm.meter.stage_usage(Stage.AUTHORITY).calls
+        calls = scorer.llm.meter.by_stage[Stage.AUTHORITY.value].calls
         assert calls == result.nodes_scored - len(bound)
         for assessment in bound:
             assert assessment.auth_llm == scorer.auth_llm_max

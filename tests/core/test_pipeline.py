@@ -7,6 +7,7 @@ import pytest
 from repro.adapters import RawSource
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.exec import Query
+from repro.llm.stage import Stage
 
 
 class TestIngest:
@@ -86,7 +87,10 @@ class TestQuery:
 
 
 class TestQueryChain:
-    def test_two_hop_chain(self, sources):
+    HOPS = [("Inception", "directed_by"), (None, "born_in")]
+
+    @staticmethod
+    def _bio_pipeline(sources):
         extra = RawSource(
             "src-bio", "wiki", "text", "bio",
             "Christopher Nolan was born in London. "
@@ -94,19 +98,32 @@ class TestQueryChain:
         )
         rag = MultiRAG(MultiRAGConfig(extraction_noise=0.0))
         rag.ingest(sources + [extra])
-        result = rag.run(Query.chain([
-            ("Inception", "directed_by"),
-            (None, "born_in"),
-        ]))
+        return rag
+
+    def test_two_hop_chain(self, sources):
+        rag = self._bio_pipeline(sources)
+        result = rag.run(Query.chain(self.HOPS))
         assert {a.value for a in result.answers} == {"London"}
 
+    def test_only_the_final_hop_generates(self, sources):
+        rag = self._bio_pipeline(sources)
+        before = rag.llm.meter.checkpoint()
+        result = rag.run(Query.chain(self.HOPS))
+        usage = rag.llm.meter.stage_delta(before)
+        assert usage[Stage.SYNTHESIS.value].calls == 1
+        assert "London" in result.generated_text
+
     def test_broken_chain(self, pipeline):
+        before = pipeline.llm.meter.checkpoint()
         result = pipeline.run(Query.chain([
             ("Inception", "nonexistent_attr"),
             (None, "born_in"),
         ]))
         assert result.answers == []
         assert any("chain broken" in t for t in result.trace)
+        assert result.generated_text == ""
+        usage = pipeline.llm.meter.stage_delta(before)
+        assert Stage.SYNTHESIS.value not in usage
 
 
 class TestHistoryIntegration:

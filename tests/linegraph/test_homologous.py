@@ -31,19 +31,6 @@ class TestMatchHomologous:
         assert sorted(group.values()) == ["2010", "2010", "2011"]
         assert group.sources() == {"s1", "s2", "s3"}
 
-    def test_default_weights(self, tiny_graph):
-        result = match_homologous(tiny_graph)
-        group = result.groups[0]
-        for member in group.members:
-            assert group.weight(member) == 1.0
-
-    def test_weight_set_and_get(self, tiny_graph):
-        result = match_homologous(tiny_graph)
-        group = result.groups[0]
-        member = group.members[0]
-        group.set_weight(member, 0.25)
-        assert group.weight(member) == 0.25
-
     def test_min_sources_threshold(self, tiny_graph):
         result = match_homologous(tiny_graph, min_sources=3)
         keys = {g.key for g in result.groups}

@@ -111,13 +111,13 @@ class TestStageAttribution:
         meter.record(Stage.NER, LLMResponse("x", 10, 5, 0.2))
         meter.record(Stage.NER, LLMResponse("y", 1, 1, 0.1))
         meter.record(Stage.SYNTHESIS, LLMResponse("z", 2, 2, 0.1))
-        ner = meter.stage_usage(Stage.NER)
+        ner = meter.by_stage[Stage.NER.value]
         assert ner.calls == 2
         assert ner.prompt_tokens == 11
         assert ner.completion_tokens == 6
         assert ner.total_tokens == 17
         assert ner.simulated_latency_s == pytest.approx(0.3)
-        assert meter.stage_usage(Stage.AUTHORITY).calls == 0
+        assert Stage.AUTHORITY.value not in meter.by_stage
 
     def test_stage_snapshot_is_sorted_and_json_ready(self):
         meter = UsageMeter()
@@ -165,9 +165,9 @@ class TestStageAttribution:
         worker.record(Stage.NER, LLMResponse("y", 3, 4, 0.2))
         worker.record(Stage.STD, LLMResponse("z", 5, 6, 0.3))
         meter.merge(worker)
-        assert meter.stage_usage(Stage.NER).calls == 2
-        assert meter.stage_usage(Stage.NER).prompt_tokens == 4
-        assert meter.stage_usage(Stage.STD).calls == 1
+        assert meter.by_stage[Stage.NER.value].calls == 2
+        assert meter.by_stage[Stage.NER.value].prompt_tokens == 4
+        assert meter.by_stage[Stage.STD.value].calls == 1
 
 
 class TestDeterminism:

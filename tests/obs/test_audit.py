@@ -70,10 +70,7 @@ def make_group(values_by_source: list[tuple[str, str]]) -> HomologousGroup:
     ]
     snode = HomologousNode(name="attr", entity="E", meta={},
                            num=len(members))
-    group = HomologousGroup(key=("E", "attr"), snode=snode, members=members)
-    for member in members:
-        group.set_weight(member, 1.0)
-    return group
+    return HomologousGroup(key=("E", "attr"), snode=snode, members=members)
 
 
 def enabled_obs() -> Observability:

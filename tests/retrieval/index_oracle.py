@@ -8,7 +8,9 @@ kept verbatim: every text is tokenized and counted again, and BM25
 impacts come from the per-posting loop over the count table.  Identity
 tests diff the fold against them with ``==`` on exact floats.
 
-Each function takes the object it builds first, in place of ``self``.
+Each build function takes the object it builds first, in place of
+``self``.  :func:`bm25_state` and :func:`dense_state` are the views of
+an index that identity tests compare.
 """
 
 from __future__ import annotations
@@ -119,3 +121,34 @@ def retriever_build(chunks: list[Chunk], mode: str = "hybrid") -> MultiSourceRet
     retriever._sparse = bm25_build(BM25Index(), list(chunks), texts)
     retriever._built = True
     return retriever
+
+
+def bm25_state(index) -> tuple:
+    """A BM25 index's folded state, every dict order included: its term
+    counts, lengths, average length, postings, idf, impacts and max
+    impacts."""
+    n = len(index._doc_len)
+    return (
+        [list(c.items()) for c in index._doc_tokens[:n]],
+        index._doc_len,
+        index._avg_len,
+        [(term, list(docs)) for term, docs in index._postings.items()],
+        list(index._idf.items()),
+        [(term, list(per_doc.items()))
+         for term, per_doc in index._impacts.items()],
+        list(index._max_impact.items()),
+    )
+
+
+def dense_state(index) -> tuple:
+    """A dense index's vocabulary (in column order), and the bytes of its
+    IDF vector and matrix."""
+    vectorizer = index._vectorizer
+    matrix = index._matrix
+    return (
+        vectorizer._fitted,
+        list(vectorizer.vocabulary.items()),
+        vectorizer.idf.dtype, vectorizer.idf.shape, vectorizer.idf.tobytes(),
+        None if matrix is None
+        else (matrix.dtype, matrix.shape, matrix.tobytes()),
+    )

@@ -3,12 +3,13 @@
 ``MultiSourceRetriever.build`` folds only the chunks staged since the
 last build into both indexes.  A random sequence of ``add_chunks`` and
 ``build`` calls, with ``export_state`` → ``restore_state`` round trips
-(the chain-load path) between them, must leave exactly the state the
-one-shot build of ``tests/retrieval/index_oracle.py`` makes over the
-same chunk list: BM25 statistics, idf, impacts (dict orders included)
-and max impacts; dense vocabulary, IDF and matrix bytes; and the hits
-and scores of ``retrieve()`` in every mode.  Floats are compared with
-``==`` on purpose.
+(the snapshot path: only the term-count table survives) between them,
+must leave exactly the state the one-shot build of
+``tests/retrieval/index_oracle.py`` makes over the same chunk list: BM25
+statistics, idf, impacts (dict orders included) and max impacts; dense
+vocabulary, IDF and matrix bytes; and the hits and scores of
+``retrieve()`` in every mode.  Floats are compared with ``==`` on
+purpose.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import importlib
 import json
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +25,7 @@ from repro.retrieval.chunking import Chunk
 from repro.retrieval.retriever import MultiSourceRetriever
 from repro.retrieval.tokenize import STOPWORDS
 from tests.retrieval import index_oracle as oracle
+from tests.retrieval.index_oracle import bm25_state, dense_state
 
 # the package re-exports the function under the module's name
 tokenize_module = importlib.import_module("repro.retrieval.tokenize")
@@ -67,40 +68,14 @@ def _chunks(texts: list[str], start: int) -> list[Chunk]:
 
 
 def _roundtrip(retriever: MultiSourceRetriever) -> MultiSourceRetriever:
-    """Export and restore as the snapshot store does: JSON state, arrays
-    copied."""
+    """Export and restore through JSON, as the snapshot store does."""
     state = json.loads(json.dumps(retriever.export_state(), ensure_ascii=False))
-    _, matrix, idf = retriever._dense.export_state()
-    return MultiSourceRetriever(mode=retriever.mode).restore_state(
-        retriever.chunks, state,
-        None if matrix is None else matrix.copy(), idf.copy(),
-    )
+    return MultiSourceRetriever().restore_state(retriever.chunks, state)
 
 
-def bm25_state(index) -> tuple:
-    n = len(index._doc_len)
-    return (
-        [dict(c) for c in index._doc_tokens[:n]],
-        index._doc_len,
-        index._avg_len,
-        [(term, list(docs)) for term, docs in index._postings.items()],
-        list(index._idf.items()),
-        [(term, list(per_doc.items()))
-         for term, per_doc in index._impacts.items()],
-        list(index._max_impact.items()),
-    )
-
-
-def dense_state(index) -> tuple:
-    vectorizer = index._vectorizer
-    matrix = index._matrix
-    return (
-        vectorizer._fitted,
-        list(vectorizer.vocabulary.items()),
-        vectorizer.idf.dtype, vectorizer.idf.shape, vectorizer.idf.tobytes(),
-        None if matrix is None
-        else (matrix.dtype, matrix.shape, matrix.tobytes()),
-    )
+def _rows(retriever: MultiSourceRetriever) -> list:
+    """The exported term-count table, each row's term order included."""
+    return [list(row.items()) for row in retriever.export_state()["term_counts"]]
 
 
 def _hits(retriever: MultiSourceRetriever, mode: str) -> list:
@@ -115,7 +90,7 @@ def assert_matches_oracle(retriever: MultiSourceRetriever) -> None:
     expected = oracle.retriever_build(retriever.chunks)
     assert bm25_state(retriever._sparse) == bm25_state(expected._sparse)
     assert dense_state(retriever._dense) == dense_state(expected._dense)
-    assert retriever.export_state()["bm25"] == expected.export_state()["bm25"]
+    assert _rows(retriever) == _rows(expected)
     mode = retriever.mode
     for each in MODES:
         assert _hits(retriever, each) == _hits(expected, each)
@@ -188,9 +163,20 @@ class TestFoldReadsOnlyNewChunks:
 
 
 def test_restore_does_no_fold_setup():
-    retriever = MultiSourceRetriever()
+    """A restore stages the counts on empty indexes; the next build folds
+    them in."""
+    retriever = MultiSourceRetriever(mode="rrf", rrf_k=7)
     retriever.add_chunks(_chunks(["alpha beta", "beta"], 0))
     retriever.build()
     restored = _roundtrip(retriever)
-    assert np.array_equal(restored._dense._matrix, retriever._dense._matrix)
+    assert (restored.mode, restored.rrf_k) == ("rrf", 7)
+    assert restored._counts == retriever._counts
+    assert not restored._built
+    assert restored._sparse._doc_len == []
+    assert restored._dense._matrix is None
     assert restored._dense._vectorizer._n_docs == 0
+    restored.build()
+    assert bm25_state(restored._sparse) == bm25_state(retriever._sparse)
+    assert dense_state(restored._dense) == dense_state(retriever._dense)
+    for mode in MODES:
+        assert _hits(restored, mode) == _hits(retriever, mode)

@@ -27,6 +27,7 @@ from repro.errors import SnapshotError
 from repro.exec import Query, as_query
 from repro.linegraph import LineGraph
 from repro.snapshot import SnapshotStore
+from tests.retrieval.index_oracle import bm25_state, dense_state
 
 retriever_module = importlib.import_module("repro.retrieval.retriever")
 
@@ -72,6 +73,17 @@ def _keys(doc):
     elif isinstance(doc, list):
         for value in doc:
             yield from _keys(value)
+
+
+def _assert_same_indexes(got, live):
+    """``got`` holds the retrieval indexes of ``live``: the same chunks,
+    BM25 state (postings in order, idf, impacts, average length) and
+    dense vocabulary, IDF and matrix bytes."""
+    assert got._built and live._built
+    assert (got.mode, got.rrf_k) == (live.mode, live.rrf_k)
+    assert got.chunks == live.chunks
+    assert bm25_state(got._sparse) == bm25_state(live._sparse)
+    assert dense_state(got._dense) == dense_state(live._dense)
 
 
 def _build_chain(dataset, tmp_path, n_extra=1):
@@ -179,7 +191,7 @@ class TestLayeredLoadIdentity:
         assert report.snapshot_layers == 0
         assert _evaluate(warm, dataset) == cold_json
 
-    def test_compacted_base_has_the_v3_file_set(self, dataset, tmp_path):
+    def test_compacted_base_has_the_v4_file_set(self, dataset, tmp_path):
         _rag, _sources, fps = _build_chain(dataset, tmp_path, n_extra=2)
         snaps = tmp_path / "snaps"
         store = SnapshotStore(snaps)
@@ -193,14 +205,18 @@ class TestLayeredLoadIdentity:
             json.loads((base / name).read_text())
             for name in ("graph.json", "mlg.json")
         ]
+        # no index arrays: the loader rebuilds every index from the
+        # term counts in retriever.json
         assert sorted(p.name for p in base.iterdir()) == [
             "chunks.json", "graph.json", "history.json", "manifest.json",
-            "mlg.json", "records.json", "retriever.json", "vector_idf.npy",
-            "vector_matrix.npy",
+            "mlg.json", "records.json", "retriever.json",
         ]
-        assert not {"n_shards", "shard", "idx", "order"} & set(
-            key for doc in docs for key in _keys(doc)
-        )
+        retriever_doc = json.loads((base / "retriever.json").read_text())
+        assert sorted(retriever_doc) == ["mode", "rrf_k", "term_counts"]
+        assert not {
+            "n_shards", "shard", "idx", "order", "has_matrix",
+            "weight_idx", "weight_val", "weight_off",
+        } & set(key for doc in docs for key in _keys(doc))
 
 
 class TestSubjectIndexParity:
@@ -280,12 +296,25 @@ class TestWorkNotDone:
         assert tokenized == [
             c.text for c in live.retriever.chunks[base_chunks:]
         ]
-        assert json.dumps(chained.retriever.export_state()) == json.dumps(
-            live.retriever.export_state()
-        )
-        _, chained_matrix, _ = chained.retriever._dense.export_state()
-        _, live_matrix, _ = live.retriever._dense.export_state()
-        assert chained_matrix.tobytes() == live_matrix.tobytes()
+        _assert_same_indexes(chained.retriever, live.retriever)
+
+
+class TestRetrieverRebuild:
+    """A load rebuilds the retrieval indexes from the stored term counts,
+    inside the load, equal to the saving pipeline's live indexes."""
+
+    def test_base_load(self, dataset, tmp_path):
+        live = MultiRAG.from_config(_config(), snapshot=tmp_path / "snaps")
+        assert not live.ingest(dataset.raw_sources()).loaded_from_snapshot
+        warm = MultiRAG.from_config(_config(), snapshot=tmp_path / "snaps")
+        assert warm.ingest(dataset.raw_sources()).loaded_from_snapshot
+        _assert_same_indexes(warm.retriever, live.retriever)
+
+    def test_chain_load(self, dataset, tmp_path):
+        live, sources, _ = _build_chain(dataset, tmp_path, n_extra=2)
+        chained = MultiRAG.from_config(_config(), snapshot=tmp_path / "snaps")
+        assert chained.ingest(sources).snapshot_layers == 2
+        _assert_same_indexes(chained.retriever, live.retriever)
 
 
 class TestBrokenChains:

@@ -64,7 +64,6 @@ class TestRoundTrip:
         for g1, g2 in zip(rag1.mlg.groups, rag2.mlg.groups):
             assert g2.key == g1.key
             assert g2.members == g1.members
-            assert g2.weights == g1.weights
         assert rag2.mlg.isolated == rag1.mlg.isolated
 
     def test_mka_disabled_round_trips(self, corpus, tmp_path):
@@ -175,10 +174,12 @@ class TestCorruption:
     def test_version_mismatch(self, corpus, tmp_path):
         store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
         manifest = json.loads((snap_dir / "manifest.json").read_text())
-        # a v2 store (per-shard graph and MLG files) is refused with the
-        # migration hint, never read as v3
+        # a v3 store (index arrays in .npy files) or a v2 one (per-shard
+        # graph and MLG files) is refused with the migration hint, never
+        # read as v4
         for version, hint in [
             (SNAPSHOT_FORMAT_VERSION + 1, "format version"),
+            (3, "format version 3; .* re-ingest to write a fresh snapshot"),
             (2, "format version 2; .* re-ingest to write a fresh snapshot"),
         ]:
             manifest["format_version"] = version
@@ -217,10 +218,21 @@ class TestCorruption:
         with pytest.raises(SnapshotError, match="missing"):
             store.load(fp)
 
-    def test_corrupt_matrix(self, corpus, tmp_path):
+    @pytest.mark.parametrize("row", [["alpha", "beta"], {"alpha": "x"}])
+    def test_corrupt_term_counts(self, corpus, tmp_path, row):
         store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
-        (snap_dir / "vector_matrix.npy").write_bytes(b"not a npy file")
-        with pytest.raises(SnapshotError, match="dense-index"):
+        doc = json.loads((snap_dir / "retriever.json").read_text())
+        doc["term_counts"][0] = row
+        (snap_dir / "retriever.json").write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match="retriever.json"):
+            store.load(fp)
+
+    def test_short_term_counts_name_the_file(self, corpus, tmp_path):
+        store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
+        doc = json.loads((snap_dir / "retriever.json").read_text())
+        doc["term_counts"].pop()
+        (snap_dir / "retriever.json").write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match="retriever.json holds"):
             store.load(fp)
 
     def test_out_of_range_mlg_member(self, corpus, tmp_path):
