@@ -14,8 +14,6 @@ Shape assertions (the paper's qualitative claims):
 
 from __future__ import annotations
 
-import dataclasses
-
 from collections import defaultdict
 
 from repro.eval import format_table, run_fusion_method, build_substrate
@@ -38,7 +36,17 @@ def run_table2():
 
 def test_table2_multi_source_fusion(benchmark):
     rows = once(benchmark, run_table2)
-    dump_results("table2", [dataclasses.asdict(r) for r in rows])
+    # Setup and query times are wall clock and move on every run; only
+    # the deterministic columns are committed, so an unchanged file means
+    # unchanged results.
+    dump_results("table2", [
+        {
+            "dataset": r.dataset, "config": r.config, "method": r.method,
+            "f1": r.f1, "prompt_time_s": r.prompt_time_s,
+            "queries": r.queries,
+        }
+        for r in rows
+    ])
 
     by_config = defaultdict(dict)
     for row in rows:

@@ -11,7 +11,8 @@ Shape assertions:
 * w/o MKA is drastically slower (the paper's QT blow-up: retrieval +
   per-query LLM extraction replaces the O(1) line-graph lookup) and
   loses F1;
-* w/o MCC has the worst F1 (unfiltered conflicts) and near-zero PT;
+* w/o MCC has the worst F1 (unfiltered conflicts) and sends no
+  authority prompt, so its PT is below full's;
 * w/o Node Level sits between w/o MCC and full (graph level alone cannot
   resolve local conflicts);
 * w/o Graph Level pays more PT than full (no coarse-to-fine fast path).
@@ -25,6 +26,7 @@ from repro.core import MultiRAG, MultiRAGConfig
 from repro.datasets import make_books, make_movies, make_stocks
 from repro.eval import format_table
 from repro.exec import Query
+from repro.llm.stage import Stage
 from repro.metrics import f1_score, mean
 
 from .common import dump_results, once
@@ -63,8 +65,10 @@ def run_ablations():
             ]
             qt = time.perf_counter() - start
             pt = rag.llm.meter.simulated_latency_s - pt_before
+            authority = rag.llm.meter.by_stage.get(Stage.AUTHORITY.value)
             results[(dataset_name, label)] = {
                 "f1": 100.0 * mean(scores), "qt": qt, "pt": pt,
+                "authority_calls": authority.calls if authority else 0,
             }
     return results
 
@@ -105,9 +109,11 @@ def test_table3_ablations(benchmark):
         assert no_mka["pt"] > 2.0 * full["pt"], dataset
         assert no_mka["qt"] > 1.5 * full["qt"], dataset
 
-        # w/o MCC: cheapest and least accurate.
+        # w/o MCC: cheapest and least accurate.  It asks the judge
+        # nothing, so its PT is synthesis alone.
         assert no_mcc["f1"] <= no_node["f1"] + 1e-9, dataset
-        assert no_mcc["pt"] < 0.3 * full["pt"], dataset
+        assert no_mcc["authority_calls"] == 0, dataset
+        assert no_mcc["pt"] < full["pt"], dataset
 
         # w/o Graph Level: no fast path => more node scoring LLM calls.
         assert no_graph["pt"] > full["pt"], dataset

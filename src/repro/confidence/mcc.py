@@ -17,9 +17,12 @@ homologous groups:
    not clear θ is rejected without its authority prompt, unless nothing
    in its group clears θ and the fallback must rank the group by exact
    ``C(v)``.  The decisions are Algorithm 1's; the rejected node keeps
-   its bound as its ``confidence``.  Definition 4's edge weight ``w_i``
-   of a member is its source credibility, which the group table reads
-   from the history; nothing writes weights onto the group.
+   its bound as its ``confidence``.  Each distinct authority prompt is
+   sent once per group: nodes with equal features, as the sources that
+   claim one value mostly have, share the judge's answer.  Definition
+   4's edge weight ``w_i`` of a member is its source credibility, which
+   the group table reads from the history; nothing writes weights onto
+   the group.
 
 Both stages can be disabled independently for the Table III ablations
 (``w/o Graph Level`` / ``w/o Node Level`` / ``w/o MCC``).
@@ -31,7 +34,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.confidence.graph_level import graph_confidence
-from repro.confidence.node_level import NodeAssessment, NodeScorer
+from repro.confidence.node_level import (
+    AuthorityAnswers,
+    NodeAssessment,
+    NodeScorer,
+)
 from repro.kg.triple import Triple
 from repro.linegraph.homologous import HomologousGroup
 from repro.obs.audit import (
@@ -227,11 +234,17 @@ def mcc(
             # group by exact C(v).
             order = sorted(range(len(partial)), key=deferred.__getitem__)
             assessed: dict[int, NodeAssessment] = {}
+            # Each distinct prompt goes to the judge once per group.
+            answers: AuthorityAnswers = {}
+            prompted = 0
             any_accepted = False
             for i in order:  # repro-lint: loop-bound[C] — at most the candidate claims of one key
                 member, s_n, a_hist = partial[i]
                 if not deferred[i] or (fallback_best and not any_accepted):
-                    assessment = scorer.complete(member, table, s_n, a_hist)
+                    assessment = scorer.complete(
+                        member, table, s_n, a_hist, answers
+                    )
+                    prompted += 1
                     if assessment.confidence > node_threshold:
                         any_accepted = True
                 else:
@@ -249,13 +262,15 @@ def mcc(
                     result.lvs.append(member)
                     if assessment.bound:
                         bound_rejected += 1
+            shared = prompted - len(answers)
             metrics.counter("mcc.bound_rejected").inc(bound_rejected)
+            metrics.counter("mcc.shared_prompts").inc(shared)
             if nspan.enabled:
                 nspan.set(
                     assessed=len(to_assess), skipped=len(skipped),
                     accepted=len(decision.accepted),
                     rejected=len(decision.rejected),
-                    bound_rejected=bound_rejected,
+                    bound_rejected=bound_rejected, shared=shared,
                 )
 
         promoted_ids: set[int] = set()

@@ -33,6 +33,12 @@ Only ``Auth_LLM`` needs a prompt.  The judge's ``C_LLM`` lies in
 ``mcc()`` completes a node's assessment with its prompt
 (:meth:`NodeScorer.complete`) only when the bound leaves the decision
 open; otherwise it records the bound (:meth:`NodeScorer.bounded`).
+
+The prompt carries the node's features and nothing else, and every
+source that claims the same value in a group usually has the same
+features.  ``mcc()`` passes :meth:`NodeScorer.complete` one
+:data:`AuthorityAnswers` memo per group, so each distinct prompt goes
+to the judge once per group and its ``Auth_LLM`` is reused.
 """
 
 from __future__ import annotations
@@ -54,6 +60,11 @@ from repro.util import normalize_value
 #: A subject's live claims counted by object and by ``(predicate,
 #: object)``, and the live claims whose object it is, counted by subject.
 ClaimCounts = tuple[Counter[str], Counter[tuple[str, str]], Counter[str]]
+
+#: ``Auth_LLM`` by authority prompt, each prompt keyed by the items of
+#: the feature dict that :meth:`~repro.llm.base.LLMClient.authority`
+#: renders.
+AuthorityAnswers = dict[tuple[tuple[str, float], ...], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,10 +259,28 @@ class NodeScorer:
             "path_support": path_support,
         }
 
-    def auth_llm(self, triple: Triple, table: GroupTable) -> float:
-        """``Auth_LLM(v)`` (Eq. 10): sigmoid-squashed expert judgement."""
-        raw = self.llm.authority(self._node_features(triple, table))
-        return self._squash(raw)
+    def auth_llm(
+        self, triple: Triple, table: GroupTable,
+        answers: AuthorityAnswers | None = None,
+    ) -> float:
+        """``Auth_LLM(v)`` (Eq. 10): sigmoid-squashed expert judgement.
+
+        The judge answers the same prompt the same way, so a node whose
+        prompt is already in ``answers`` takes that answer without a
+        prompt; a new prompt's answer is added to ``answers``.
+        """
+        features = self._node_features(triple, table)
+        if answers is None:
+            answers = {}
+        # The key stands for the prompt's content.  ``_node_features``
+        # builds its keys in one order, and no feature can be -0.0 (equal
+        # to 0.0 but rendered apart) or NaN (unequal to itself), so two
+        # keys are equal exactly when the rendered prompts are.
+        key = tuple(features.items())
+        a_llm = answers.get(key)
+        if a_llm is None:
+            a_llm = answers[key] = self._squash(self.llm.authority(features))
+        return a_llm
 
     def _squash(self, raw: float) -> float:
         # Center at 0.5 so the sigmoid spreads scores on both sides of
@@ -288,12 +317,15 @@ class NodeScorer:
         return self._combine(s_n, self.auth_llm_max, a_hist)[1]
 
     def complete(
-        self, triple: Triple, table: GroupTable, s_n: float, a_hist: float
+        self, triple: Triple, table: GroupTable, s_n: float, a_hist: float,
+        answers: AuthorityAnswers | None = None,
     ) -> NodeAssessment:
         """The exact assessment of a node whose ``S_n`` and ``Auth_hist``
-        are known: asks the judge for ``Auth_LLM``."""
+        are known: asks the judge for ``Auth_LLM``, unless ``answers``
+        already holds the answer to the node's prompt."""
         return self._assessment(
-            triple, s_n, self.auth_llm(triple, table), a_hist, bound=False
+            triple, s_n, self.auth_llm(triple, table, answers), a_hist,
+            bound=False,
         )
 
     def bounded(

@@ -41,6 +41,16 @@ class LLMResponse:
     latency_s: float
 
 
+def _to_ns(seconds: float) -> int:
+    """An accounted latency as a whole number of nanoseconds.
+
+    The meters add latencies up as these integers, so a total does not
+    depend on the order or grouping of the additions: worker meters
+    merged in any split add up to the sequential total exactly.
+    """
+    return round(seconds * 1e9)
+
+
 @dataclass(frozen=True, slots=True)
 class StageUsage:
     """Accumulated usage of one pipeline stage (immutable value).
@@ -53,7 +63,12 @@ class StageUsage:
     calls: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    simulated_latency_s: float = 0.0
+    #: summed :func:`_to_ns` of the stage's completion latencies
+    latency_ns: int = 0
+
+    @property
+    def simulated_latency_s(self) -> float:
+        return self.latency_ns / 1e9
 
     def plus(self, response: LLMResponse) -> "StageUsage":
         """A new entry with ``response`` folded in."""
@@ -63,9 +78,7 @@ class StageUsage:
             completion_tokens=(
                 self.completion_tokens + response.completion_tokens
             ),
-            simulated_latency_s=(
-                self.simulated_latency_s + response.latency_s
-            ),
+            latency_ns=self.latency_ns + _to_ns(response.latency_s),
         )
 
     def merged(self, other: "StageUsage") -> "StageUsage":
@@ -74,9 +87,7 @@ class StageUsage:
             calls=self.calls + other.calls,
             prompt_tokens=self.prompt_tokens + other.prompt_tokens,
             completion_tokens=self.completion_tokens + other.completion_tokens,
-            simulated_latency_s=(
-                self.simulated_latency_s + other.simulated_latency_s
-            ),
+            latency_ns=self.latency_ns + other.latency_ns,
         )
 
     def minus(self, since: "StageUsage") -> "StageUsage":
@@ -85,9 +96,7 @@ class StageUsage:
             calls=self.calls - since.calls,
             prompt_tokens=self.prompt_tokens - since.prompt_tokens,
             completion_tokens=self.completion_tokens - since.completion_tokens,
-            simulated_latency_s=(
-                self.simulated_latency_s - since.simulated_latency_s
-            ),
+            latency_ns=self.latency_ns - since.latency_ns,
         )
 
     def snapshot(self) -> dict[str, float]:
@@ -118,8 +127,12 @@ class UsageCheckpoint:
     calls: int
     prompt_tokens: int
     completion_tokens: int
-    simulated_latency_s: float
+    latency_ns: int
     by_stage: dict[str, StageUsage] = field(default_factory=dict)
+
+    @property
+    def simulated_latency_s(self) -> float:
+        return self.latency_ns / 1e9
 
 
 @dataclass(slots=True)
@@ -130,20 +143,27 @@ class UsageMeter:
     accumulations (calls, tokens, simulated latency).  Windowed
     attribution subtracts :meth:`checkpoint` snapshots
     (:meth:`delta` / :meth:`stage_delta`), which concurrent workers can
-    hold independently without racing each other.
+    hold independently without racing each other.  Latency is summed in
+    integer nanoseconds (``latency_ns``); ``simulated_latency_s`` is its
+    read in seconds.
     """
 
     calls: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    simulated_latency_s: float = 0.0
+    #: summed :func:`_to_ns` of every completion's latency
+    latency_ns: int = 0
     by_stage: dict[str, StageUsage] = field(default_factory=dict)
+
+    @property
+    def simulated_latency_s(self) -> float:
+        return self.latency_ns / 1e9
 
     def record(self, stage: Stage, response: LLMResponse) -> None:
         self.calls += 1
         self.prompt_tokens += response.prompt_tokens
         self.completion_tokens += response.completion_tokens
-        self.simulated_latency_s += response.latency_s
+        self.latency_ns += _to_ns(response.latency_s)
         key = stage.value
         self.by_stage[key] = self.by_stage.get(key, StageUsage()).plus(
             response
@@ -171,7 +191,7 @@ class UsageMeter:
             calls=self.calls,
             prompt_tokens=self.prompt_tokens,
             completion_tokens=self.completion_tokens,
-            simulated_latency_s=self.simulated_latency_s,
+            latency_ns=self.latency_ns,
             by_stage=dict(self.by_stage),
         )
 
@@ -184,7 +204,7 @@ class UsageMeter:
                 self.completion_tokens - since.completion_tokens
             ),
             "simulated_latency_s": round(
-                self.simulated_latency_s - since.simulated_latency_s, 6
+                (self.latency_ns - since.latency_ns) / 1e9, 6
             ),
         }
 
@@ -214,7 +234,7 @@ class UsageMeter:
         self.calls += other.calls
         self.prompt_tokens += other.prompt_tokens
         self.completion_tokens += other.completion_tokens
-        self.simulated_latency_s += other.simulated_latency_s
+        self.latency_ns += other.latency_ns
         for stage in sorted(other.by_stage):
             self.by_stage[stage] = self.by_stage.get(
                 stage, StageUsage()

@@ -23,9 +23,10 @@ their fingerprint (see :mod:`repro.snapshot.fingerprint`):
     normalized records and the chunk corpus.
 ``retriever.json``
     retrieval mode, ``rrf_k`` and the term-count table: one row per
-    chunk, in chunk order, each row's terms in first-seen order.  Every
-    index is rebuilt from it on load, by the fold ``ingest`` and
-    ``add_source`` use, so no index state is stored.
+    chunk, in chunk order, each row's terms in first-seen order, each
+    count an ``int`` >= 1 (a load rejects any other).  Every index is
+    rebuilt from it on load, by the fold ``ingest`` and ``add_source``
+    use, so no index state is stored.
 ``history.json``
     the calibrated per-source credibility tallies.
 ``llm_cache.json`` (optional)
@@ -678,14 +679,7 @@ class SnapshotStore:
         state.retriever.add_chunks(
             [c for layer in layers for c in layer["chunks"]]
         )
-        try:
-            state.retriever.build()
-        except (TypeError, ValueError) as exc:
-            # a count that is not an integer
-            raise SnapshotError(
-                f"snapshot {fingerprint}: corrupt term-count table in "
-                f"retriever.json: {exc!r}"
-            ) from exc
+        state.retriever.build()
         if not layers:
             return state
         state.history = HistoryStore().restore_state(layers[-1]["history"])
@@ -781,8 +775,9 @@ class SnapshotStore:
         staged for the one fold :meth:`load` runs.
 
         Raises:
-            SnapshotError: if ``retriever.json`` is missing or corrupt, or
-                holds another number of term-count rows than the manifest
+            SnapshotError: if ``retriever.json`` is missing or corrupt,
+                holds a term count that is not an ``int`` >= 1, or holds
+                another number of term-count rows than the manifest
                 counts chunks (the error names the file).
         """
         doc = self._read_json(snap_dir / "retriever.json", fingerprint)
@@ -795,8 +790,19 @@ class SnapshotStore:
                     f"{len(rows)} term-count rows, the manifest counts "
                     f"{num_chunks!r} chunks"
                 )
-            if not all(type(row) is dict for row in rows):
-                raise ValueError("a term-count row is not an object")
+            # Both indexes read each count as a term frequency, so each
+            # must be an int >= 1: BM25 would score a float as it is,
+            # while the dense index truncates it and reads a count < 1
+            # from the end of its log-tf table.  JSON true loads as a
+            # bool, which is not a count either.
+            for row in rows:
+                if type(row) is not dict:
+                    raise ValueError("a term-count row is not an object")
+                for tf in row.values():
+                    if type(tf) is not int or tf < 1:
+                        raise ValueError(
+                            f"term count {tf!r} is not a positive integer"
+                        )
             return MultiSourceRetriever(
                 obs=obs if obs is not None else NOOP
             ).restore_state(chunks, doc)

@@ -90,3 +90,16 @@ class TestTextCorpusParallelism:
         assert [e.eid for e in seq.fusion.graph.entities()] == [
             e.eid for e in par.fusion.graph.entities()
         ]
+
+    def test_hotpot_ingest_meter_identical_across_workers(self):
+        """The meter adds latencies up as integer nanoseconds, so its
+        totals do not depend on how the documents are dealt out."""
+        dataset = make_hotpotqa_like(n_queries=8, seed=0)
+        meters = []
+        for jobs in (1, 2, 3, 4):
+            rag = MultiRAG.from_config(MultiRAGConfig(seed=0))
+            rag.ingest(dataset.sources, jobs=jobs)
+            meters.append(rag.llm.meter)
+        for meter in meters[1:]:
+            assert meter == meters[0]
+            assert meter.simulated_latency_s == meters[0].simulated_latency_s

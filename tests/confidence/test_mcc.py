@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.confidence import HistoryStore, NodeScorer, mcc
@@ -36,6 +38,33 @@ CONFLICT = [
     ("s3", "E", "year", "1999"),
     ("s4", "E", "year", "1987"),
 ]
+
+# One claim per value about E; 1999 and 1987 are also claimed of other
+# entities, so the three values differ in degree and so in their prompts.
+DISTINCT = [
+    ("s1", "E", "year", "2010"),
+    ("s2", "E", "year", "1999"),
+    ("s3", "E", "year", "1987"),
+    ("s1", "F", "year", "1999"),
+    ("s1", "G", "year", "1987"),
+    ("s2", "H", "year", "1987"),
+]
+
+
+def authority_calls(scorer: NodeScorer) -> int:
+    usage = scorer.llm.meter.by_stage.get(Stage.AUTHORITY.value)
+    return usage.calls if usage else 0
+
+
+def distinct_prompts(scorer: NodeScorer, decision) -> int:
+    """The distinct authority prompts, as ``LLMClient.authority``
+    renders them, of the nodes of ``decision`` that were prompted (all
+    but the bound-rejected ones)."""
+    table = scorer.group_table(decision.group)
+    return len({
+        json.dumps(scorer._node_features(a.triple, table), sort_keys=True)
+        for a in decision.accepted + decision.rejected if not a.bound
+    })
 
 
 class TestFastPath:
@@ -139,8 +168,9 @@ class TestPromptSkip:
         decision = result.decisions[0]
         bound = [a for a in decision.rejected if a.bound]
         assert bound and not any(a.bound for a in decision.accepted)
-        calls = scorer.llm.meter.by_stage[Stage.AUTHORITY.value].calls
-        assert calls == result.nodes_scored - len(bound)
+        # Only the two 2010 claims are prompted, and they share a prompt.
+        assert authority_calls(scorer) == distinct_prompts(scorer, decision)
+        assert authority_calls(scorer) == 1
         for assessment in bound:
             assert assessment.auth_llm == scorer.auth_llm_max
             assert assessment.confidence == scorer.upper_bound(
@@ -160,6 +190,56 @@ class TestPromptSkip:
         assert counters["confidence.node.assessed"] == result.nodes_scored
         (span,) = [s for s in obs.tracer.walk() if s.name == "mcc.node"]
         assert span.attrs["bound_rejected"] == bound
+
+    def test_counter_and_span_count_shared_prompts(self):
+        graph, groups, _ = build(CONSENSUS)
+        obs = Observability.enable(clock=TickClock())
+        scorer = NodeScorer(graph, SimulatedLLM(seed=0), HistoryStore(),
+                            obs=obs)
+        result = mcc(groups, scorer, enable_graph_level=False, obs=obs)
+        assert result.nodes_scored == 3
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["mcc.shared_prompts"] == 2
+        assert counters["mcc.bound_rejected"] == 0
+        (span,) = [s for s in obs.tracer.walk() if s.name == "mcc.node"]
+        assert span.attrs["shared"] == 2
+        assert authority_calls(scorer) == result.nodes_scored - 2
+
+
+class TestSharedPrompts:
+    """Each distinct authority prompt is sent once per group."""
+
+    def test_members_sharing_a_value_send_one_prompt(self):
+        _, groups, scorer = build(CONSENSUS)
+        result = mcc(groups, scorer, enable_graph_level=False)
+        (decision,) = result.decisions
+        assert len(decision.accepted) == result.nodes_scored == 3
+        assert authority_calls(scorer) == 1
+        # Every member takes the one answer, and it is the one a prompt
+        # per node gives.
+        table = scorer.group_table(decision.group)
+        exact = NodeScorer(scorer.graph, SimulatedLLM(seed=0),
+                           HistoryStore())
+        for assessment in decision.accepted:
+            assert assessment == exact.assess(assessment.triple, table)
+
+    def test_distinct_values_send_one_prompt_each(self):
+        _, groups, scorer = build(DISTINCT)
+        (group,) = [g for g in groups if g.key == ("E", "year")]
+        result = mcc([group], scorer, enable_graph_level=False,
+                     node_threshold=0.0)
+        (decision,) = result.decisions
+        assert result.nodes_scored == 3
+        assert not any(a.bound for a in decision.rejected)
+        assert authority_calls(scorer) == distinct_prompts(scorer, decision)
+        assert authority_calls(scorer) == 3
+
+    def test_prompts_are_shared_within_a_group_only(self):
+        graph, _, _ = build(CONSENSUS)
+        groups = match_homologous(graph).groups * 2
+        scorer = NodeScorer(graph, SimulatedLLM(seed=0), HistoryStore())
+        mcc(groups, scorer, enable_graph_level=False)
+        assert authority_calls(scorer) == 2
 
 
 class TestAblationModes:

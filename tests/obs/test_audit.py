@@ -6,7 +6,11 @@ from collections import Counter
 
 from repro.confidence.history import HistoryStore
 from repro.confidence.mcc import mcc
-from repro.confidence.node_level import GroupTable, NodeScorer
+from repro.confidence.node_level import (
+    AuthorityAnswers,
+    GroupTable,
+    NodeScorer,
+)
 from repro.core import MultiRAG, MultiRAGConfig
 from repro.exec import Query
 from repro.kg import KnowledgeGraph, Provenance, Triple
@@ -58,7 +62,8 @@ class StubScorer(NodeScorer):
     def auth_hist(self, triple: Triple, table: GroupTable) -> float:
         return 0.0
 
-    def auth_llm(self, triple: Triple, table: GroupTable) -> float:
+    def auth_llm(self, triple: Triple, table: GroupTable,
+                 answers: AuthorityAnswers | None = None) -> float:
         return 0.0
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -356,7 +358,8 @@ class TestPromptSkipOracle:
         assert got.nodes_scored == expected.nodes_scored
         assert len(got.decisions) == len(expected.decisions)
         theta = options["node_threshold"]
-        bound_rejected = 0
+        per_node = OracleScorer(graph, SimulatedLLM(seed=0), history)
+        distinct_prompts = 0
         for g, e in zip(got.decisions, expected.decisions):
             assert (g.group.members, g.graph_conf, g.fast_path) == \
                 (e.group.members, e.graph_conf, e.fast_path)
@@ -375,15 +378,21 @@ class TestPromptSkipOracle:
                 if not got_node.bound:
                     assert got_node == oracle_node
                     continue
-                bound_rejected += 1
                 assert got_node.triple is oracle_node.triple
                 assert got_node.consistency == oracle_node.consistency
                 assert got_node.auth_hist == oracle_node.auth_hist
                 assert oracle_node.confidence <= got_node.confidence <= theta
                 if alpha == 0.0:
                     assert got_node.confidence == oracle_node.confidence
-        assert authority_calls(scorers[1]) - authority_calls(scorers[0]) \
-            == bound_rejected
+            # The prompts of the nodes production had to prompt, as
+            # ``LLMClient.authority`` renders them.
+            distinct_prompts += len({
+                json.dumps(per_node._node_features(a.triple, g.group),
+                           sort_keys=True)
+                for a in g.accepted + g.rejected if not a.bound
+            })
+        # Each distinct prompt is sent once per group.
+        assert authority_calls(scorers[0]) == distinct_prompts
 
 
 def test_movies_run_matches_the_prompt_everything_oracle(monkeypatch):

@@ -218,7 +218,11 @@ class TestCorruption:
         with pytest.raises(SnapshotError, match="missing"):
             store.load(fp)
 
-    @pytest.mark.parametrize("row", [["alpha", "beta"], {"alpha": "x"}])
+    @pytest.mark.parametrize("row", [
+        ["alpha", "beta"], {"alpha": "x"},
+        # not an int >= 1; a bool is not an int
+        {"alpha": 1.5}, {"alpha": True}, {"alpha": 0}, {"alpha": -1},
+    ])
     def test_corrupt_term_counts(self, corpus, tmp_path, row):
         store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
         doc = json.loads((snap_dir / "retriever.json").read_text())
