@@ -35,7 +35,7 @@ def run_fig7():
     for alpha in ALPHAS:
         rag = MultiRAG(MultiRAGConfig(alpha=alpha))
         rag.ingest(dataset.raw_sources())
-        pt_before = rag.llm.meter.simulated_latency_s
+        usage_before = rag.llm.meter.checkpoint()
         scores = [
             f1_score(
                 {a.value for a in
@@ -45,7 +45,9 @@ def run_fig7():
             for q in dataset.queries
         ]
         f1s.append(100.0 * mean(scores))
-        pts.append(rag.llm.meter.simulated_latency_s - pt_before)
+        pts.append(
+            (rag.llm.meter.latency_ns - usage_before.latency_ns) / 1e9
+        )
     return f1s, pts
 
 

@@ -53,7 +53,7 @@ def run_ablations():
         for label, config in ABLATIONS:
             rag = MultiRAG(config)
             rag.ingest(dataset.raw_sources())
-            pt_before = rag.llm.meter.simulated_latency_s
+            usage_before = rag.llm.meter.checkpoint()
             start = time.perf_counter()
             scores = [
                 f1_score(
@@ -64,7 +64,7 @@ def run_ablations():
                 for q in dataset.queries
             ]
             qt = time.perf_counter() - start
-            pt = rag.llm.meter.simulated_latency_s - pt_before
+            pt = (rag.llm.meter.latency_ns - usage_before.latency_ns) / 1e9
             authority = rag.llm.meter.by_stage.get(Stage.AUTHORITY.value)
             results[(dataset_name, label)] = {
                 "f1": 100.0 * mean(scores), "qt": qt, "pt": pt,

@@ -93,8 +93,7 @@ class DataFusionEngine:
             AdapterError: if a source payload does not match its format.
             ExtractionError: if LLM extraction fails on an unstructured chunk.
             EntityNotFoundError: if entity registration meets a dangling id.
-            ConfigError: if ``plan`` carries an invalid worker or batch
-                configuration.
+            ConfigError: if ``plan`` carries an invalid worker count.
         """
         start = time.perf_counter()
         graph = KnowledgeGraph(name=graph_name)

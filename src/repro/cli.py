@@ -10,7 +10,6 @@
     python -m repro trace out.jsonl                # per-stage waterfall
     python -m repro ingest corpus/ --graph kg.json # cache the fused graph
     python -m repro lint                           # static-analysis gate
-    python -m repro sanitize corpus/               # runtime race sanitizer
 
 All commands are offline and deterministic (--seed).
 """
@@ -456,65 +455,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sanitize(args: argparse.Namespace) -> int:
-    """Run a corpus's query batch under the runtime race sanitizer.
-
-    Two passes over ``queries.json``:
-
-    1. a sanitized parallel batch — worker views wrap their shared
-       attributes in recording proxies; cross-worker write conflicts and
-       split/absorb coverage gaps are reported;
-    2. (unless ``--no-bisect``) a sequential-vs-parallel replay on fresh
-       pipelines — any byte-level divergence is localized to the first
-       query, result field and pipeline stage.
-
-    History updates are disabled for both passes: ``run_batch``
-    serializes history-updating batches on the pipeline itself (no
-    worker views, nothing to sanitize).  Exits 1 on conflicts, coverage
-    gaps or divergence.
-
-    Raises:
-        ReproError: if loading or ingesting the corpus fails.
-    """
-    import dataclasses
-    from pathlib import Path
-
-    from repro.exec.query import as_query
-    from repro.san import bisect_divergence
-
-    queries = [as_query(spec) for spec in load_queries(args.directory)]
-    sources = load_sources(args.directory)
-
-    def build(sanitize: bool, obs: Observability | None = None) -> MultiRAG:
-        config = dataclasses.replace(
-            MultiRAGConfig(seed=args.seed),
-            update_history=False, sanitize=sanitize,
-        )
-        rag = MultiRAG.from_config(config, obs=obs)
-        rag.ingest(sources)
-        return rag
-
-    rag = build(sanitize=True)
-    rag.run_batch(queries, jobs=args.jobs)
-    assert rag.san is not None  # sanitize=True wires the sanitizer
-    report = rag.san.report()
-    print(report.format_text())
-    if args.events:
-        Path(args.events).write_text(rag.san.log.to_jsonl())
-        print(f"access events written to {args.events}", file=sys.stderr)
-    ok = report.ok
-
-    if not args.no_bisect:
-        divergence = bisect_divergence(
-            lambda obs: build(sanitize=False, obs=obs),
-            queries,
-            jobs=args.jobs,
-        )
-        print(divergence.format_text())
-        ok = ok and divergence.ok
-    return 0 if ok else 1
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -702,21 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the first divergence plus per-stage deltas "
                         "(exit 1 when divergent)")
     p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser(
-        "sanitize",
-        help="run queries.json under the runtime race sanitizer and "
-             "the sequential-vs-parallel divergence bisector",
-    )
-    p.add_argument("directory")
-    p.add_argument("--jobs", type=int, default=4, metavar="N",
-                   help="worker threads for the sanitized batch "
-                        "(default: 4)")
-    p.add_argument("--events", metavar="FILE",
-                   help="write the recorded access events as JSONL")
-    p.add_argument("--no-bisect", action="store_true",
-                   help="skip the sequential-vs-parallel replay")
-    p.set_defaults(fn=cmd_sanitize)
 
     p = sub.add_parser(
         "lint",

@@ -21,19 +21,9 @@ The three ``enable_*`` flags drive the Table III ablations:
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
-
-
-def _sanitize_default() -> bool:
-    """Default for :attr:`MultiRAGConfig.sanitize`: the ``REPRO_SANITIZE``
-    environment variable, so CI can run whole suites under the sanitizer
-    without touching call sites."""
-    return os.environ.get("REPRO_SANITIZE", "").lower() not in (
-        "", "0", "false", "no",
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,11 +55,6 @@ class MultiRAGConfig:
     debug_contracts: bool = False
     seed: int = 0
     extraction_noise: float = 0.05
-    #: wire the runtime race sanitizer (:mod:`repro.san`) into the
-    #: pipeline: worker views wrap their shared attributes in recording
-    #: proxies and cross-worker conflicts fail loudly.  Off by default
-    #: like ``debug_contracts``; defaults from ``REPRO_SANITIZE``.
-    sanitize: bool = field(default_factory=_sanitize_default)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:

@@ -52,7 +52,6 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import format_metrics
 from repro.retrieval.chunking import SentenceChunker
 from repro.retrieval.retriever import MultiSourceRetriever
-from repro.san import RaceSanitizer
 from repro.snapshot import (
     SnapshotStore,
     SourceDescriptor,
@@ -176,12 +175,6 @@ class MultiRAG:
         #: the store the last ingest resolved (constructor store or the
         #: per-call override) — where ``add_source`` appends delta layers.
         self._active_store: SnapshotStore | None = None
-        #: runtime race sanitizer (:mod:`repro.san`); None unless
-        #: ``config.sanitize`` — the disabled path costs one check per
-        #: worker view.
-        self.san: RaceSanitizer | None = (
-            RaceSanitizer() if self.config.sanitize else None
-        )
 
     @staticmethod
     def _as_store(
@@ -220,8 +213,6 @@ class MultiRAG:
         *,
         snapshot: "SnapshotStore | str | Path | None" = None,
         jobs: int | None = None,
-        batch_size: int | None = None,
-        plan: ExecutionPlan | None = None,
     ) -> BuildReport:
         """Fuse ``sources`` and build the MLG index (when MKA is enabled).
 
@@ -231,12 +222,11 @@ class MultiRAG:
         no extraction, no index builds — and on a miss the cold build
         runs and its result is saved for the next process.
 
-        ``jobs`` / ``batch_size`` / ``plan`` parallelize the extraction
-        phase of a cold build over whole documents (``plan`` wins
-        when given; otherwise ``jobs`` or the ``REPRO_EXEC_WORKERS`` /
-        ``REPRO_EXEC_BATCH_SIZE`` environment overrides).  The result is
-        byte-identical to the sequential build — parallelism changes
-        wall-clock time, never the fingerprint or any ranking.
+        ``jobs`` (or the ``REPRO_EXEC_WORKERS`` environment variable)
+        parallelizes the extraction phase of a cold build over whole
+        documents.  The result is byte-identical to the sequential
+        build — parallelism changes wall-clock time, never the
+        fingerprint or any ranking.
 
         Raises:
             UnknownFormatError: if a source declares a format with no adapter.
@@ -245,15 +235,14 @@ class MultiRAG:
             ContractViolation: if ``debug_contracts`` finds a malformed MLG.
             SnapshotError: if a matching snapshot is corrupt, or a fresh
                 snapshot cannot be written to the store.
-            ConfigError: if ``jobs`` / ``batch_size`` (or their
-                environment overrides) are not positive integers.
+            ConfigError: if ``jobs`` (or its environment override) is not
+                a positive integer.
         """
         perf.clear_caches()
-        if plan is None and (
-            jobs is not None or batch_size is not None
-            or ExecutionPlan.env_requested()
-        ):
-            plan = ExecutionPlan.resolve(jobs=jobs, batch_size=batch_size)
+        plan = (
+            ExecutionPlan.resolve(jobs=jobs)
+            if jobs is not None or ExecutionPlan.env_requested() else None
+        )
         store = self._as_store(snapshot) or self.snapshots
         descriptors = [describe_source(raw) for raw in sources]
         if store is None:
@@ -626,7 +615,6 @@ class MultiRAG:
         """
         self._require_ingested()
         start = time.perf_counter()
-        prompt_before = self.llm.meter.simulated_latency_s
         usage_before = self.llm.meter.checkpoint()
         audit_mark = self.obs.audit.mark()
 
@@ -700,7 +688,10 @@ class MultiRAG:
             result.candidates_considered
         )
         metrics.histogram("pipeline.answers").observe(len(result.answers))
-        result.prompt_time_s = self.llm.meter.simulated_latency_s - prompt_before
+        # integer nanoseconds, so the seconds carry no float noise
+        result.prompt_time_s = (
+            self.llm.meter.latency_ns - usage_before.latency_ns
+        ) / 1e9
         result.query_time_s = time.perf_counter() - start
         logger.debug(
             "query %r: %d candidates -> %d answers in %.4fs (+%.3fs LLM)",
@@ -725,10 +716,10 @@ class MultiRAG:
                 result or answer ranking.
         """
         self._require_ingested()
+        usage_before = self.llm.meter.checkpoint()
         result: RetrievalResult | None = None
         trace: list[str] = []
         total_qt = 0.0
-        total_pt = 0.0
         last = len(hops) - 1
         for hop, (entity, attribute) in enumerate(hops):  # repro-lint: loop-bound[H] — one retrieval round per query hop
             if entity is None:
@@ -742,11 +733,11 @@ class MultiRAG:
             )
             trace.extend(result.trace)
             total_qt += result.query_time_s
-            total_pt += result.prompt_time_s
         assert result is not None
+        prompt_ns = self.llm.meter.latency_ns - usage_before.latency_ns
         result.trace = trace  # repro-lint: ignore[CONC001] — result is the task-local record _run_text just constructed
         result.query_time_s = total_qt  # repro-lint: ignore[CONC001] — task-local result record (see above)
-        result.prompt_time_s = total_pt  # repro-lint: ignore[CONC001] — task-local result record (see above)
+        result.prompt_time_s = prompt_ns / 1e9  # repro-lint: ignore[CONC001] — task-local result record (see above)
         return result
 
     # ------------------------------------------------------------------
@@ -793,58 +784,7 @@ class MultiRAG:
             beta=self.config.beta,
             obs=view.obs,
         )
-        view.san = None
-        if self.san is not None:
-            self._sanitize_view(view)
         return view
-
-    def _sanitize_view(self, view: "MultiRAG") -> None:
-        """Arm a worker view with the sanitizer's recording proxies.
-
-        Each shared-by-reference attribute (and the shared graph and
-        history handed to the per-view scorer) is wrapped in an
-        :class:`~repro.san.proxy.AccessProxy` under a fresh worker id;
-        the proxies forward every operation unchanged, so sanitized runs
-        stay byte-identical.  Attributes the view protocol failed to
-        mirror (e.g. state added by a subclass) are recorded as coverage
-        gaps — the runtime twin of the static CONC002 rule.  ``config``
-        stays unwrapped: it is a frozen dataclass with slots, so worker
-        writes already raise.
-        """
-        assert self.san is not None
-        assert self.fusion is not None
-        san = self.san
-        worker = san.next_worker()
-        view.fusion = san.wrap(self.fusion, worker, "fusion")
-        view.mlg = san.wrap(self.mlg, worker, "mlg")
-        view.history = san.wrap(self.history, worker, "history")
-        view.engine = san.wrap(self.engine, worker, "engine")
-        view.snapshots = san.wrap(self.snapshots, worker, "snapshots")
-        view._entity_by_norm = san.wrap(
-            self._entity_by_norm, worker, "_entity_by_norm"
-        )
-        view._subject_index = san.wrap(
-            self._subject_index, worker, "_subject_index"
-        )
-        view._source_descriptors = san.wrap(
-            self._source_descriptors, worker, "_source_descriptors"
-        )
-        view._active_store = san.wrap(
-            self._active_store, worker, "_active_store"
-        )
-        # _snapshot_fingerprint stays unwrapped: an immutable str, like
-        # config — worker rebinds would be local to the view anyway.
-        view.scorer = NodeScorer(
-            san.wrap(self.fusion.graph, worker, "fusion.graph"),
-            view.llm,
-            san.wrap(self.history, worker, "history"),
-            alpha=self.config.alpha,
-            beta=self.config.beta,
-            obs=view.obs,
-        )
-        missing = set(vars(self)) - set(vars(view))
-        if missing:
-            san.note_coverage_gap(type(self).__name__, missing)
 
     def absorb_view(self, view: "MultiRAG") -> None:
         """Fold a :meth:`worker_view`'s meter and telemetry back in.
@@ -863,8 +803,6 @@ class MultiRAG:
         queries: Sequence[Query],
         *,
         jobs: int | None = None,
-        batch_size: int | None = None,
-        plan: ExecutionPlan | None = None,
     ) -> list[RetrievalResult]:
         """Run a query batch through the exec engine, in submit order.
 
@@ -883,19 +821,17 @@ class MultiRAG:
         """
         self._require_ingested()
         tasks = list(queries)
-        resolved = plan if plan is not None else ExecutionPlan.resolve(
-            jobs=jobs, batch_size=batch_size
-        )
+        plan = ExecutionPlan.resolve(jobs=jobs)
         if self.config.update_history:
             return execute(
                 len(tasks),
-                resolved,
+                plan,
                 run=lambda _ctx, i: self.run(tasks[i]),
                 serialize=True,
             )
         return execute(
             len(tasks),
-            resolved,
+            plan,
             context=lambda i: self.worker_view(),
             run=lambda view, i: view.run(tasks[i]),
             merge=lambda view, result, i: self.absorb_view(view),
@@ -906,8 +842,6 @@ class MultiRAG:
         queries: "Sequence[Query] | MultiSourceDataset",
         *,
         jobs: int | None = None,
-        batch_size: int | None = None,
-        plan: ExecutionPlan | None = None,
     ) -> "EvaluationReport":
         """Answer a query batch and score it against gold answers.
 
@@ -916,12 +850,11 @@ class MultiRAG:
         or a whole :class:`~repro.datasets.schema.MultiSourceDataset`.
         Returns per-query F1 plus aggregate statistics.
 
-        Pass ``jobs`` / ``batch_size`` / ``plan`` — or set the
-        ``REPRO_EXEC_WORKERS`` environment variable — to dispatch through
-        the exec engine; engine runs at any worker count produce
-        byte-identical reports (compare with
-        ``to_json(drop_timing=True)``).  Without any of those, queries
-        run as a plain sequential loop.
+        Pass ``jobs`` — or set the ``REPRO_EXEC_WORKERS`` environment
+        variable — to dispatch through the exec engine; engine runs at
+        any worker count produce byte-identical reports (compare with
+        ``to_json(drop_timing=True)``).  Without either, queries run as a
+        plain sequential loop.
 
         Raises:
             StateError: if called before :meth:`ingest`.
@@ -931,16 +864,8 @@ class MultiRAG:
         """
         specs = queries.queries if isinstance(queries, MultiSourceDataset) else queries
         tasks = [as_query(spec) for spec in specs]
-        use_engine = (
-            jobs is not None
-            or batch_size is not None
-            or plan is not None
-            or ExecutionPlan.env_requested()
-        )
-        if use_engine:
-            results = self.run_batch(
-                tasks, jobs=jobs, batch_size=batch_size, plan=plan
-            )
+        if jobs is not None or ExecutionPlan.env_requested():
+            results = self.run_batch(tasks, jobs=jobs)
         else:
             results = [self.run(task) for task in tasks]
         report = EvaluationReport()

@@ -227,7 +227,6 @@ def diagnose_batch(
     tasks: Sequence[DiagnosisTask],
     *,
     jobs: int | None = None,
-    plan: ExecutionPlan | None = None,
     reworded: bool = False,
 ) -> list[QueryDiagnosis]:
     """Diagnose a task batch through the exec engine, in submit order.
@@ -244,19 +243,17 @@ def diagnose_batch(
             result or answer ranking.
     """
     items = list(tasks)
-    resolved = plan if plan is not None else ExecutionPlan.resolve(
-        jobs=jobs
-    )
+    plan = ExecutionPlan.resolve(jobs=jobs)
     if rag.config.update_history:
         return execute(
             len(items),
-            resolved,
+            plan,
             run=lambda _ctx, i: diagnose_one(rag, items[i], reworded),
             serialize=True,
         )
     return execute(
         len(items),
-        resolved,
+        plan,
         context=lambda i: rag.worker_view(),
         run=lambda view, i: diagnose_one(view, items[i], reworded),
         merge=lambda view, result, i: rag.absorb_view(view),
@@ -325,7 +322,6 @@ def run_probes(
     base: Sequence[QueryDiagnosis],
     *,
     jobs: int | None = None,
-    plan: ExecutionPlan | None = None,
 ) -> dict[str, Any]:
     """Run both robustness probes; returns JSON-ready payloads by name.
 
@@ -335,10 +331,8 @@ def run_probes(
     """
     masked_rag = _fresh_pipeline(rag)
     masked_rag.ingest(mask_source_values(sources))
-    masked = diagnose_batch(masked_rag, tasks, jobs=jobs, plan=plan)
-    reworded = diagnose_batch(
-        rag, tasks, jobs=jobs, plan=plan, reworded=True
-    )
+    masked = diagnose_batch(masked_rag, tasks, jobs=jobs)
+    reworded = diagnose_batch(rag, tasks, jobs=jobs, reworded=True)
     return {
         "masked_evidence": _probe_payload(base, masked),
         "reworded_questions": _probe_payload(base, reworded),
@@ -351,7 +345,6 @@ def diagnose_corpus(
     *,
     corpus: str = "",
     jobs: int | None = None,
-    plan: ExecutionPlan | None = None,
     probes: bool = False,
     sources: Sequence[RawSource] | None = None,
 ) -> DiagnosisReport:
@@ -367,7 +360,7 @@ def diagnose_corpus(
             is invalid, or probes need sources that were not provided.
     """
     tasks = [as_task(q) for q in dataset.queries]
-    base = diagnose_batch(rag, tasks, jobs=jobs, plan=plan)
+    base = diagnose_batch(rag, tasks, jobs=jobs)
     report = DiagnosisReport(
         corpus=corpus or dataset.name, queries=base
     )
@@ -377,9 +370,7 @@ def diagnose_corpus(
             raise DatasetError(
                 "robustness probes need the corpus sources to re-ingest"
             )
-        report.probes = run_probes(
-            rag, probe_sources, tasks, base, jobs=jobs, plan=plan
-        )
+        report.probes = run_probes(rag, probe_sources, tasks, base, jobs=jobs)
     return report
 
 

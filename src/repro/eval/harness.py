@@ -98,12 +98,11 @@ def run_fusion_method(
     dataset: MultiSourceDataset,
     *,
     jobs: int | None = None,
-    plan: ExecutionPlan | None = None,
 ) -> FusionRow:
     """Set up and run one fusion method over every dataset query.
 
-    ``jobs`` / ``plan`` (or the ``REPRO_EXEC_WORKERS`` environment
-    variable) dispatch the per-query phase through the exec engine.
+    ``jobs`` (or the ``REPRO_EXEC_WORKERS`` environment variable)
+    dispatches the per-query phase through the exec engine.
     Methods that declare themselves stateful (``split()`` returning
     ``None``) are serialized regardless of the requested worker count.
 
@@ -124,12 +123,12 @@ def run_fusion_method(
     usage_before = llm.meter.checkpoint() if llm else None
 
     queries = list(dataset.queries)
-    resolved = plan if plan is not None else ExecutionPlan.resolve(jobs=jobs)
+    plan = ExecutionPlan.resolve(jobs=jobs)
     query_start = time.perf_counter()
-    if resolved.workers > 1 and method.split() is not None:
+    if plan.workers > 1 and method.split() is not None:
         predictions = execute(
             len(queries),
-            resolved,
+            plan,
             context=lambda i: method.split(),
             run=lambda view, i: view.query(
                 queries[i].entity, queries[i].attribute
@@ -169,7 +168,6 @@ def run_fusion_methods(
     seed: int = 0,
     *,
     jobs: int | None = None,
-    plan: ExecutionPlan | None = None,
 ) -> list[FusionRow]:
     """Run several methods against one shared substrate.
 
@@ -179,8 +177,7 @@ def run_fusion_methods(
     """
     substrate = build_substrate(dataset, seed=seed)
     return [
-        run_fusion_method(m, substrate, dataset, jobs=jobs, plan=plan)
-        for m in methods
+        run_fusion_method(m, substrate, dataset, jobs=jobs) for m in methods
     ]
 
 
@@ -190,7 +187,6 @@ def run_qa_method(
     dataset: MultiHopDataset,
     *,
     jobs: int | None = None,
-    plan: ExecutionPlan | None = None,
 ) -> QARow:
     """Set up and run one QA method over every multi-hop question.
 
@@ -201,11 +197,11 @@ def run_qa_method(
     """
     method.setup(substrate)
     queries = list(dataset.queries)
-    resolved = plan if plan is not None else ExecutionPlan.resolve(jobs=jobs)
-    if resolved.workers > 1 and method.split() is not None:
+    plan = ExecutionPlan.resolve(jobs=jobs)
+    if plan.workers > 1 and method.split() is not None:
         predictions = execute(
             len(queries),
-            resolved,
+            plan,
             context=lambda i: method.split(),
             run=lambda view, i: view.answer(queries[i]),
             merge=lambda view, result, i: method.absorb(view),
@@ -234,7 +230,6 @@ def run_qa_methods(
     seed: int = 0,
     *,
     jobs: int | None = None,
-    plan: ExecutionPlan | None = None,
 ) -> list[QARow]:
     """Run several QA methods against one shared substrate.
 
@@ -244,8 +239,7 @@ def run_qa_methods(
     """
     substrate = build_substrate(dataset, seed=seed)
     return [
-        run_qa_method(m, substrate, dataset, jobs=jobs, plan=plan)
-        for m in methods
+        run_qa_method(m, substrate, dataset, jobs=jobs) for m in methods
     ]
 
 

@@ -5,8 +5,8 @@
 **submit order**, never completion order.  The determinism contract:
 
 * **Submit-order reassembly** — workers race, results do not.  Each
-  batch blocks until every member finished, then results are folded back
-  (``merge``) strictly by submit index.
+  batch of :data:`BATCH_SIZE` tasks blocks until every member finished,
+  then results are folded back (``merge``) strictly by submit index.
 * **Isolated contexts** — ``context(i)`` builds whatever worker-local
   state task ``i`` needs (a pipeline view, a cloned LLM with a fresh
   usage meter).  Tasks must only mutate their own context; shared state
@@ -32,6 +32,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.exec.plan import ExecutionPlan
+
+#: tasks in flight between two merge barriers of a parallel run.
+BATCH_SIZE = 32
 
 #: builds task ``i``'s worker-local state.
 ContextFactory = Callable[[int], Any]
@@ -70,8 +73,8 @@ def execute(
         return results
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, num_tasks, resolved.batch_size):
-            stop = min(start + resolved.batch_size, num_tasks)
+        for start in range(0, num_tasks, BATCH_SIZE):
+            stop = min(start + BATCH_SIZE, num_tasks)
             contexts = [
                 context(index) if context is not None else None
                 for index in range(start, stop)

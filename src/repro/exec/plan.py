@@ -1,11 +1,10 @@
-"""Execution plans: how wide and how deep a batch run fans out.
+"""Execution plans: how wide a batch run fans out.
 
-An :class:`ExecutionPlan` is the immutable knob set of the exec engine —
-``workers`` bounds the thread pool, ``batch_size`` bounds how many tasks
-are in flight between merge barriers.  Plans resolve from explicit
-arguments first and the ``REPRO_EXEC_WORKERS`` / ``REPRO_EXEC_BATCH_SIZE``
-environment variables second, so a whole test suite can be re-run under
-concurrency without touching a single call site.
+An :class:`ExecutionPlan` is the immutable knob of the exec engine:
+``workers`` bounds the thread pool.  Plans resolve from an explicit
+``jobs`` argument first and the ``REPRO_EXEC_WORKERS`` environment
+variable second, so a whole test suite can be re-run under concurrency
+without touching a single call site.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ from repro.errors import ConfigError
 
 #: environment variable naming the default worker count.
 ENV_WORKERS = "REPRO_EXEC_WORKERS"
-#: environment variable naming the default batch size.
-ENV_BATCH_SIZE = "REPRO_EXEC_BATCH_SIZE"
-
-_DEFAULT_BATCH_SIZE = 32
 
 
 def _env_int(name: str, default: int) -> int:
@@ -47,43 +42,32 @@ def _env_int(name: str, default: int) -> int:
 class ExecutionPlan:
     """How a batch of tasks is scheduled.
 
-    ``workers`` is the number of pool threads tasks fan out over;
-    ``batch_size`` is how many tasks run between merge barriers (results
-    are folded back into shared state in submit order at each barrier).
+    ``workers`` is the number of pool threads tasks fan out over.
     ``workers=1`` is the sequential plan — the engine then degenerates to
-    a plain loop with a barrier after every task.
+    a plain loop with a merge barrier after every task.
 
     Raises:
-        ConfigError: when ``workers`` or ``batch_size`` is < 1.
+        ConfigError: when ``workers`` is < 1.
     """
 
     workers: int = 1
-    batch_size: int = _DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
 
     @classmethod
-    def resolve(
-        cls, jobs: int | None = None, batch_size: int | None = None
-    ) -> "ExecutionPlan":
-        """Build a plan from explicit arguments, falling back to the
-        ``REPRO_EXEC_WORKERS`` / ``REPRO_EXEC_BATCH_SIZE`` environment.
+    def resolve(cls, jobs: int | None = None) -> "ExecutionPlan":
+        """Build a plan from ``jobs``, falling back to the
+        ``REPRO_EXEC_WORKERS`` environment.
 
         Raises:
-            ConfigError: on non-positive arguments or malformed
-                environment values.
+            ConfigError: on a non-positive ``jobs`` or a malformed
+                environment value.
         """
         if jobs is None:
             jobs = _env_int(ENV_WORKERS, 1)
-        if batch_size is None:
-            batch_size = _env_int(ENV_BATCH_SIZE, _DEFAULT_BATCH_SIZE)
-        return cls(workers=jobs, batch_size=batch_size)
+        return cls(workers=jobs)
 
     @classmethod
     def env_requested(cls) -> bool:

@@ -8,7 +8,7 @@ LLM meter, scorer).  The determinism contract (parallel ≡ sequential,
 byte for byte) holds exactly when worker-executed code never *writes*
 an object reachable from another worker.
 
-This module computes the facts the concurrency rules (CONC/ASY, see
+This module computes the facts the concurrency rules (CONC, see
 :mod:`repro.lint.rules.concurrency`) consume:
 
 * :func:`compute_run_reachable` — every function qualname reachable from
@@ -19,9 +19,6 @@ This module computes the facts the concurrency rules (CONC/ASY, see
   rebinds (*splits*);
 * :func:`compute_module_state_writes` — writes to module-level mutable
   state (registries, caches, module globals) from worker-reachable code;
-* :func:`compute_async_blocking` — blocking calls (``time.sleep``, file
-  I/O, ``subprocess``) lexically inside or transitively reachable from
-  ``async def`` functions, pre-gating the future ``repro.serve``;
 * :func:`shared_state_report` — the ``repro lint --graph shared`` JSON
   payload.
 
@@ -36,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.lint.flow.program import Program
-from repro.lint.flow.symbols import FunctionInfo
 from repro.lint.rules.common import dotted_name
 
 #: the exec engine's dispatch root: everything a worker task executes.
@@ -63,22 +59,6 @@ _MUTATOR_METHODS = frozenset({
     "add", "append", "appendleft", "clear", "discard", "extend",
     "extendleft", "insert", "pop", "popitem", "remove", "setdefault",
     "update",
-})
-
-#: dotted call targets that block the event loop (exact matches).
-_BLOCKING_CALLS = frozenset({
-    "time.sleep",
-    "os.system",
-    "socket.create_connection",
-    "urllib.request.urlopen",
-})
-
-#: dotted prefixes whose every member is blocking (process spawn, sockets).
-_BLOCKING_PREFIXES = ("subprocess.",)
-
-#: method names that perform file I/O regardless of the receiver's type.
-_BLOCKING_METHODS = frozenset({
-    "read_text", "write_text", "read_bytes", "write_bytes",
 })
 
 
@@ -123,20 +103,6 @@ def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     if args.kwarg is not None:
         names.add(args.kwarg.arg)
     return names
-
-
-def _own_statements(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested ``def``s."""
-    pending: list[ast.AST] = list(node.body)
-    while pending:
-        current = pending.pop()
-        yield current
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef)):
-            continue
-        pending.extend(ast.iter_child_nodes(current))
 
 
 def iter_store_targets(
@@ -511,162 +477,17 @@ def compute_module_state_writes(program: Program) -> list[ModuleStateWrite]:
 
 
 # ----------------------------------------------------------------------
-# async blocking-call analysis
-# ----------------------------------------------------------------------
-@dataclass(slots=True)
-class BlockingCall:
-    """One blocking call attributed to an ``async def``."""
-
-    path: str
-    lineno: int
-    col: int
-    #: qualname of the async function on whose behalf the call blocks.
-    async_qual: str
-    #: what blocks ("time.sleep(...)", "open(...)").
-    call: str
-    #: sync callee carrying the call ("" when lexically in the async def).
-    via: str
-
-
-def _blocking_call_name(node: ast.Call, symbols_imports: dict[str, str]) -> str | None:
-    """The blocking target a call resolves to, or None."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        if func.id == "open":
-            return "open"
-        return None
-    dotted = dotted_name(func)
-    if dotted is None:
-        if isinstance(func, ast.Attribute) and func.attr in _BLOCKING_METHODS:
-            return f".{func.attr}"
-        return None
-    head, _, rest = dotted.partition(".")
-    resolved = dotted
-    if head in symbols_imports and rest:
-        resolved = f"{symbols_imports[head]}.{rest}"
-    if resolved in _BLOCKING_CALLS:
-        return resolved
-    if any(resolved.startswith(prefix) for prefix in _BLOCKING_PREFIXES):
-        return resolved
-    if isinstance(func, ast.Attribute) and func.attr in _BLOCKING_METHODS:
-        return f".{func.attr}"
-    return None
-
-
-def _direct_blocking_calls(
-    program: Program, func: FunctionInfo
-) -> list[tuple[ast.Call, str]]:
-    symbols = program.modules.get(func.module)
-    if symbols is None:
-        return []
-    aliases = symbols.imports.modules
-    out: list[tuple[ast.Call, str]] = []
-    for sub in _own_statements(func.node):
-        if isinstance(sub, ast.Call):
-            name = _blocking_call_name(sub, aliases)
-            if name is not None:
-                out.append((sub, name))
-    return out
-
-
-def compute_async_blocking(
-    program: Program,
-) -> tuple[list[BlockingCall], list[BlockingCall]]:
-    """(direct, transitive) blocking calls on behalf of ``async def``s.
-
-    Direct hits anchor at the blocking call itself (ASY001); transitive
-    hits anchor at the async function whose awaitable path reaches a
-    blocking sync callee (ASY002).
-    """
-    cached = program.analysis_cache.get("conc_async_blocking")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    table = program.symtab
-    direct: list[BlockingCall] = []
-    transitive: list[BlockingCall] = []
-    blocking_memo: dict[str, list[tuple[ast.Call, str]]] = {}
-
-    def blocking_in(qual: str) -> list[tuple[ast.Call, str]]:
-        if qual not in blocking_memo:
-            func = table.functions.get(qual)
-            blocking_memo[qual] = (
-                _direct_blocking_calls(program, func)
-                if func is not None else []
-            )
-        return blocking_memo[qual]
-
-    for qual in sorted(table.functions):
-        func = table.functions[qual]
-        if not isinstance(func.node, ast.AsyncFunctionDef):
-            continue
-        symbols = program.modules.get(func.module)
-        if symbols is None:
-            continue
-        display = symbols.module.display_path
-        for call, name in blocking_in(qual):
-            direct.append(BlockingCall(
-                path=display,
-                lineno=call.lineno,
-                col=call.col_offset + 1,
-                async_qual=qual,
-                call=name,
-                via="",
-            ))
-        # BFS over precise edges through *sync* callees.
-        seen: set[str] = {qual}
-        pending: list[str] = []
-        flow = program.callgraph.flows.get(qual)
-        if flow is not None:
-            pending = [
-                site.target for site in flow.calls
-                if site.kind == "function" and site.target is not None
-            ]
-        reported: set[str] = set()
-        while pending:
-            callee_qual = pending.pop()
-            if callee_qual in seen:
-                continue
-            seen.add(callee_qual)
-            callee = table.functions.get(callee_qual)
-            if callee is None or isinstance(callee.node, ast.AsyncFunctionDef):
-                continue  # awaiting another coroutine is fine
-            for _, name in blocking_in(callee_qual):
-                if callee_qual in reported:
-                    break
-                reported.add(callee_qual)
-                transitive.append(BlockingCall(
-                    path=display,
-                    lineno=func.lineno,
-                    col=1,
-                    async_qual=qual,
-                    call=name,
-                    via=callee_qual,
-                ))
-            callee_flow = program.callgraph.flows.get(callee_qual)
-            if callee_flow is not None:
-                pending.extend(
-                    site.target for site in callee_flow.calls
-                    if site.kind == "function" and site.target is not None
-                )
-    result = (direct, transitive)
-    program.analysis_cache["conc_async_blocking"] = result
-    return result
-
-
-# ----------------------------------------------------------------------
 # --graph shared report
 # ----------------------------------------------------------------------
 def shared_state_report(program: Program) -> dict[str, object]:
     """The ``repro lint --graph shared`` payload: what the analysis sees.
 
     Lists the worker_view protocol per class (shared vs split), the
-    worker-reachable function set, module-level state writes, and the
-    async blocking-call picture — the inputs every CONC/ASY verdict is
-    derived from.
+    worker-reachable function set and module-level state writes — the
+    inputs every CONC verdict is derived from.
     """
     reachable = compute_run_reachable(program)
     protocols = view_protocols(program)
-    direct, transitive = compute_async_blocking(program)
     return {
         "root": f"{ROOT_CLASS}.{ROOT_METHOD}",
         "root_present": bool(reachable),
@@ -689,16 +510,4 @@ def shared_state_report(program: Program) -> dict[str, object]:
             }
             for w in compute_module_state_writes(program)
         ],
-        "async_blocking": {
-            "direct": [
-                {"path": b.path, "line": b.lineno, "async": b.async_qual,
-                 "call": b.call}
-                for b in direct
-            ],
-            "transitive": [
-                {"path": b.path, "line": b.lineno, "async": b.async_qual,
-                 "call": b.call, "via": b.via}
-                for b in transitive
-            ],
-        },
     }

@@ -1,10 +1,9 @@
-"""Concurrency-safety rules (CONC/ASY) — the static race/escape gate.
+"""Concurrency-safety rules (CONC) — the static race/escape gate.
 
 Built on the shared-state escape analysis in
 :mod:`repro.lint.flow.concurrency`: the worker-executed function set
 (everything reachable from ``MultiRAG.run``), the ``worker_view()``
-split/absorb protocol, module-level mutable state, and async blocking
-reachability.
+split/absorb protocol and module-level mutable state.
 
 * CONC001 — worker-reachable code mutates an object that may be shared
   across workers (store through ``self``, a parameter, or a local it did
@@ -16,15 +15,10 @@ reachability.
 * CONC003 — worker-reachable code writes module-level mutable state
   (registries, caches, ``global``s): invisible to the view protocol and
   shared by every thread in the process.
-* ASY001 — a blocking call (``time.sleep``, file I/O, ``subprocess``)
-  lexically inside an ``async def``: stalls the entire event loop.
-* ASY002 — an ``async def`` reaches a blocking call through sync
-  callees; anchored at the async function, naming the offending path.
 
-All five are whole-program *and* program-keyed: their roots (the
-dispatch root, the view protocol, async entry points) can live anywhere
-in the file set, so cached findings are keyed by the whole program's
-content hash.
+All three are whole-program *and* program-keyed: their roots (the
+dispatch root, the view protocol) can live anywhere in the file set, so
+cached findings are keyed by the whole program's content hash.
 
 The sanctioned seams carry inline ``repro-lint: ignore[CONC001]``
 suppressions with their justification: consensus-feedback history writes
@@ -45,7 +39,6 @@ from repro.lint.flow.concurrency import (
     _is_fresh_value,
     _param_names,
     _store_base_name,
-    compute_async_blocking,
     compute_module_state_writes,
     compute_run_reachable,
     covered_attrs,
@@ -265,61 +258,4 @@ class ModuleStateWriteRule(FlowRule):
                 f"module-level state {write.name!r} (module "
                 f"{write.module}) — shared process-wide across workers",
                 col=write.col,
-            )
-
-
-@register_rule
-class AsyncBlockingCallRule(FlowRule):
-    """ASY001 — blocking call lexically inside an ``async def``."""
-
-    rule_id = "ASY001"
-    family = "async-safety"
-    severity = Severity.ERROR
-    program_keyed = True
-    description = (
-        "blocking call (time.sleep, file I/O, subprocess) inside an "
-        "async def stalls the whole event loop; await an async "
-        "equivalent or move the work to a thread"
-    )
-
-    def check_program(self, program: Program) -> Iterable[Finding]:
-        direct, _ = compute_async_blocking(program)
-        table = program.symtab
-        for hit in direct:
-            func = table.functions.get(hit.async_qual)
-            name = func.name if func is not None else hit.async_qual
-            yield self.program_finding(
-                hit.path, hit.lineno,
-                f"async {name}() calls blocking {hit.call!r} directly — "
-                f"the event loop stalls for its full duration",
-                col=hit.col,
-            )
-
-
-@register_rule
-class AsyncBlockingReachRule(FlowRule):
-    """ASY002 — ``async def`` reaches a blocking call via sync callees."""
-
-    rule_id = "ASY002"
-    family = "async-safety"
-    severity = Severity.ERROR
-    program_keyed = True
-    description = (
-        "an async def transitively reaches a blocking call through "
-        "sync callees; the loop stalls just the same — break the chain "
-        "or dispatch the sync work off-loop"
-    )
-
-    def check_program(self, program: Program) -> Iterable[Finding]:
-        _, transitive = compute_async_blocking(program)
-        table = program.symtab
-        for hit in transitive:
-            func = table.functions.get(hit.async_qual)
-            name = func.name if func is not None else hit.async_qual
-            yield self.program_finding(
-                hit.path, hit.lineno,
-                f"async {name}() reaches blocking {hit.call!r} through "
-                f"sync callee {hit.via}() — the event loop stalls while "
-                f"it runs",
-                col=hit.col,
             )

@@ -37,10 +37,6 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     # plans, queries and thread pools, never about the pipeline it runs
     # (callers hand it closures), so it sits just above the foundation.
     "exec": frozenset({"errors", "util"}),
-    # The runtime race sanitizer instruments objects the pipeline hands
-    # it (proxies, event log, bisector) — pipelines are duck-typed so it
-    # needs only the observability spans it aligns, never repro.core.
-    "san": frozenset({"errors", "util", "obs"}),
     "retrieval": frozenset({"errors", "obs", "util", "perf"}),
     "llm": frozenset({"errors", "obs", "util", "retrieval"}),
     "kg": frozenset({"errors", "util", "llm"}),
@@ -66,7 +62,7 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     "core": frozenset({
         "errors", "util", "adapters", "confidence", "datasets", "exec",
         "kg", "linegraph", "lint", "llm", "metrics", "obs", "perf",
-        "retrieval", "san", "snapshot",
+        "retrieval", "snapshot",
     }),
     "baselines": frozenset({
         "errors", "util", "confidence", "core", "datasets", "exec", "kg",

@@ -8,7 +8,7 @@ from repro.core.config import MultiRAGConfig
 from repro.core.pipeline import MultiRAG
 from repro.datasets.books import make_books
 from repro.datasets.multihop import make_hotpotqa_like
-from repro.exec import ExecutionPlan, as_query
+from repro.exec import as_query
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +61,7 @@ class TestParallelIngestIdentity:
 
     def test_explicit_plan(self, dataset):
         rag = MultiRAG.from_config(MultiRAGConfig(seed=2))
-        rag.ingest(
-            dataset.raw_sources(),
-            plan=ExecutionPlan(workers=3, batch_size=8),
-        )
+        rag.ingest(dataset.raw_sources(), jobs=3)
         assert list(rag.fusion.graph.triples()) == list(
             _ingest(dataset).fusion.graph.triples()
         )

@@ -96,24 +96,6 @@ def pipeline(sources) -> MultiRAG:
 
 
 @pytest.fixture()
-def sanitized_rag():
-    """An ingested pipeline running under the race sanitizer.
-
-    Teardown asserts the sanitizer's verdict: any cross-worker conflict
-    or worker_view coverage gap recorded during the test fails it.
-    """
-    config = MultiRAGConfig(
-        extraction_noise=0.0, update_history=False, sanitize=True
-    )
-    rag = MultiRAG(config)
-    rag.ingest(make_sources())
-    yield rag
-    assert rag.san is not None
-    report = rag.san.report()
-    assert report.ok, "\n" + report.format_text()
-
-
-@pytest.fixture()
 def tiny_graph() -> KnowledgeGraph:
     """A hand-built graph with one conflicted key and one agreed key."""
     graph = KnowledgeGraph("tiny")

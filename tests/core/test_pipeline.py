@@ -72,6 +72,24 @@ class TestQuery:
         assert result.query_time_s > 0
         assert result.prompt_time_s > 0
 
+    def test_prompt_time_is_the_exact_meter_delta(self, pipeline):
+        """``prompt_time_s`` is the meter's integer-nanosecond delta in
+        seconds, free of the float noise of subtracting two running
+        totals (the meter already holds the ingest's extraction time)."""
+        meter = pipeline.llm.meter
+        assert meter.latency_ns > 0
+        queries = [
+            Query.text("What is the release year of Inception?"),
+            Query.text("Who directed Heat?"),
+            Query.key("Arrival", "genre"),
+            Query.key("Inception", "directed_by"),
+            Query.chain([("Inception", "directed_by"), (None, "born_in")]),
+        ]
+        for query in queries:
+            before = meter.latency_ns
+            result = pipeline.run(query)
+            assert result.prompt_time_s == (meter.latency_ns - before) / 1e9
+
     def test_query_key_shortcut(self, pipeline):
         a = pipeline.run(Query.text("Inception | release_year"))
         b = pipeline.run(Query.key("Inception", "release_year"))

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.exec.engine
 from repro.core import MultiRAG, MultiRAGConfig
-from repro.exec import ENV_WORKERS, ExecutionPlan
+from repro.exec import ENV_WORKERS
 from repro.obs import Observability
 
 from tests.conftest import make_sources
@@ -34,17 +35,11 @@ class TestReportIdentity:
         baseline = report_json(build_pipeline(seed=0))
         assert report_json(build_pipeline(seed=0), jobs=jobs) == baseline
 
-    def test_batch_size_does_not_change_results(self):
+    def test_batch_size_does_not_change_results(self, monkeypatch):
         baseline = report_json(build_pipeline(seed=0), jobs=4)
-        small_batches = report_json(build_pipeline(seed=0), jobs=4, batch_size=2)
+        monkeypatch.setattr(repro.exec.engine, "BATCH_SIZE", 2)
+        small_batches = report_json(build_pipeline(seed=0), jobs=4)
         assert small_batches == baseline
-
-    def test_plan_object_equivalent_to_jobs(self):
-        via_jobs = report_json(build_pipeline(seed=0), jobs=2)
-        via_plan = report_json(
-            build_pipeline(seed=0), plan=ExecutionPlan(workers=2)
-        )
-        assert via_plan == via_jobs
 
     def test_env_var_routes_through_engine(self, monkeypatch):
         baseline = report_json(build_pipeline(seed=0))

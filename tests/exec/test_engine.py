@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import repro.exec.engine
 from repro.exec import ExecutionPlan, execute
 
 
@@ -83,7 +84,8 @@ class TestSubmitOrder:
         assert results == list(range(5))
         assert len({id(ctx) for ctx in seen}) == 5
 
-    def test_batching_respects_batch_size(self):
+    def test_batching_respects_batch_size(self, monkeypatch):
+        monkeypatch.setattr(repro.exec.engine, "BATCH_SIZE", 2)
         in_flight = []
         peak = []
         lock = threading.Lock()
@@ -97,9 +99,7 @@ class TestSubmitOrder:
                 in_flight.remove(i)
             return i
 
-        results = execute(
-            10, ExecutionPlan(workers=8, batch_size=2), run=run
-        )
+        results = execute(10, ExecutionPlan(workers=8), run=run)
         assert results == list(range(10))
         # a batch barrier of size 2 never lets more than 2 tasks overlap
         assert max(peak) <= 2

@@ -5,14 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.exec import ENV_BATCH_SIZE, ENV_WORKERS, ExecutionPlan
+from repro.exec import ENV_WORKERS, ExecutionPlan
 
 
 class TestValidation:
     def test_defaults(self):
-        plan = ExecutionPlan()
-        assert plan.workers == 1
-        assert plan.batch_size == 32
+        assert ExecutionPlan().workers == 1
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -23,30 +21,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExecutionPlan(workers=workers)
 
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_rejects_non_positive_batch_size(self, batch_size):
-        with pytest.raises(ConfigError):
-            ExecutionPlan(batch_size=batch_size)
-
 
 class TestResolve:
     def test_explicit_args_win(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "8")
-        monkeypatch.setenv(ENV_BATCH_SIZE, "64")
-        plan = ExecutionPlan.resolve(jobs=2, batch_size=4)
-        assert plan.workers == 2
-        assert plan.batch_size == 4
+        assert ExecutionPlan.resolve(jobs=2).workers == 2
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "3")
-        monkeypatch.setenv(ENV_BATCH_SIZE, "16")
-        plan = ExecutionPlan.resolve()
-        assert plan.workers == 3
-        assert plan.batch_size == 16
+        assert ExecutionPlan.resolve().workers == 3
 
     def test_defaults_without_env(self, monkeypatch):
         monkeypatch.delenv(ENV_WORKERS, raising=False)
-        monkeypatch.delenv(ENV_BATCH_SIZE, raising=False)
         plan = ExecutionPlan.resolve()
         assert plan == ExecutionPlan()
 

@@ -136,6 +136,10 @@ class TestFlowOptions:
     def test_graph_shared(self, capsys):
         assert main(["lint", str(SRC), "--graph", "shared"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "root", "root_present", "worker_view", "run_reachable",
+            "module_state_writes",
+        }
         assert payload["root"] == "repro.core.pipeline.MultiRAG.run"
         assert payload["root_present"]
         protocol = payload["worker_view"]["repro.core.pipeline.MultiRAG"]

@@ -1,4 +1,4 @@
-"""Concurrency rules (CONC/ASY): violating/clean fixture pairs per rule.
+"""Concurrency rules (CONC): violating/clean fixture pairs per rule.
 
 Each fixture is a tiny multi-module program handed to
 :func:`repro.lint.lint_sources`.  The ``repro/core/pipeline.py`` stub
@@ -262,76 +262,6 @@ class TestCONC003:
             ),
         }
         assert conc_ids(files, {"CONC003"}) == []
-
-
-# ----------------------------------------------------------------------
-# ASY001 / ASY002 — blocking calls on the event loop
-# ----------------------------------------------------------------------
-class TestASY:
-    def test_direct_blocking_call_is_flagged(self):
-        files = {
-            "repro/serve.py": (
-                "import time\n"
-                "\n"
-                "\n"
-                "async def handler(request):\n"
-                "    time.sleep(0.1)\n"
-                "    return request\n"
-            ),
-        }
-        findings = conc_findings(files, {"ASY001"})
-        assert [f.rule_id for f in findings] == ["ASY001"]
-        assert "time.sleep" in findings[0].message
-
-    def test_transitive_blocking_call_is_flagged(self):
-        files = {
-            "repro/serve.py": (
-                "import time\n"
-                "\n"
-                "\n"
-                "def _warm():\n"
-                "    time.sleep(0.1)\n"
-                "\n"
-                "\n"
-                "async def handler(request):\n"
-                "    _warm()\n"
-                "    return request\n"
-            ),
-        }
-        findings = conc_findings(files, {"ASY002"})
-        assert [f.rule_id for f in findings] == ["ASY002"]
-        assert "_warm" in findings[0].message
-        # ASY002 anchors at the async def, not the sync callee
-        assert findings[0].line == 8
-
-    def test_awaiting_coroutines_is_clean(self):
-        files = {
-            "repro/serve.py": (
-                "import asyncio\n"
-                "\n"
-                "\n"
-                "async def _nap():\n"
-                "    await asyncio.sleep(0.1)\n"
-                "\n"
-                "\n"
-                "async def handler(request):\n"
-                "    await _nap()\n"
-                "    return request\n"
-            ),
-        }
-        assert conc_ids(files, {"ASY001", "ASY002"}) == []
-
-    def test_sync_code_may_block(self):
-        files = {
-            "repro/tools.py": (
-                "import time\n"
-                "\n"
-                "\n"
-                "def backoff():\n"
-                "    time.sleep(0.1)\n"
-            ),
-        }
-        assert conc_ids(files, {"ASY001", "ASY002"}) == []
 
 
 # ----------------------------------------------------------------------

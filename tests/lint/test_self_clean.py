@@ -38,6 +38,6 @@ def test_rule_catalogue_is_substantial():
     assert len(ids) >= 15
     families = {rule_id.rstrip("0123456789") for rule_id in ids}
     assert families == {
-        "DET", "LAY", "ERR", "API", "EXC", "DC", "CONC", "ASY", "TNT",
-        "OBS", "PERF", "RES",
+        "DET", "LAY", "ERR", "API", "EXC", "DC", "CONC", "TNT", "OBS",
+        "PERF", "RES",
     }

@@ -125,29 +125,6 @@ class TestObservability:
         assert "pipeline.queries" in out
 
 
-class TestSanitize:
-    def test_clean_corpus_exits_zero(self, corpus, capsys):
-        assert main(["sanitize", str(corpus)]) == 0
-        out = capsys.readouterr().out
-        assert "0 conflict(s)" in out
-        assert "byte-identical" in out
-
-    def test_events_flag_writes_jsonl(self, corpus, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        assert main(["sanitize", str(corpus), "--no-bisect",
-                     "--events", str(events)]) == 0
-        rows = [json.loads(line)
-                for line in events.read_text().splitlines()]
-        assert rows, "expected recorded accesses"
-        assert {"attr", "count", "kind", "label", "worker"} <= set(rows[0])
-        assert any(r["label"] == "fusion" for r in rows)
-
-    def test_jobs_flag(self, corpus, capsys):
-        assert main(["sanitize", str(corpus), "--jobs", "2",
-                     "--no-bisect"]) == 0
-        assert "worker(s)" in capsys.readouterr().out
-
-
 class TestUsageFlag:
     def test_llm_usage_written_for_any_client(self, corpus, tmp_path):
         usage_file = tmp_path / "usage.json"
