@@ -7,10 +7,10 @@ hard floors plus a regression gate against the committed baselines:
   extraction-heavy corpus (the case snapshots exist for: every skipped
   LLM extraction call is pure profit) and by ≥ 2× even on structured
   corpora whose cold ingest runs no extraction at all.
-* **Query p50** through the production hot path (BM25 impact scores +
-  top-k early termination, memoized tokenization/similarity) must be
-  ≥ 2× the naive path on the key-query workload, with byte-identical
-  rankings.  The naive side is the test oracle
+* **Query p50** through the production hot path (BM25 impacts per
+  posting, scored term-at-a-time; memoized tokenization/similarity)
+  must be ≥ 2× the naive path on the key-query workload, with
+  byte-identical rankings.  The naive side is the test oracle
   (``tests/hotpath_oracle.py``) patched over the production functions.
 
 Every measured speedup is also compared against the ``baseline`` block

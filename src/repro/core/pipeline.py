@@ -457,12 +457,14 @@ class MultiRAG:
 
         What scales with the new source: parsing and extraction, mention
         standardization, the graph and MLG updates, tokenizing and
-        counting the new chunks, and the delta layer.  What still touches
-        the whole corpus, and why: the retriever fold recomputes BM25
-        impacts over every posting and the dense TF-IDF matrix over every
-        chunk, because each impact depends on the chunk count and the
-        mean chunk length, and each IDF weight and row norm on the chunk
-        count.  Neither re-reads an old chunk's text.  History
+        counting the new chunks, reading their counts into the shared
+        term table, and the delta layer.  What still touches the whole
+        corpus, and why: the retriever fold regroups the table's postings
+        and recomputes, as numpy passes over every posting, each BM25
+        impact and each dense TF-IDF weight, because each impact depends
+        on the chunk count and the mean chunk length, and each IDF weight
+        and row norm on the chunk count.  Neither re-reads an old chunk's
+        text or its term counts.  History
         calibration runs over the touched groups only, but finding them
         scans every group, and the new scorer rescans every entity's
         degree for its normalization.
@@ -864,6 +866,7 @@ class MultiRAG:
         """
         specs = queries.queries if isinstance(queries, MultiSourceDataset) else queries
         tasks = [as_query(spec) for spec in specs]
+        usage_before = self.llm.meter.checkpoint()
         if jobs is not None or ExecutionPlan.env_requested():
             results = self.run_batch(tasks, jobs=jobs)
         else:
@@ -874,7 +877,12 @@ class MultiRAG:
             score = f1_score(predicted, task.answers or frozenset())
             report.per_query.append((task.qid, score))
             report.query_time_s += result.query_time_s
-            report.prompt_time_s += result.prompt_time_s
+        # the meter's integer-nanosecond delta (worker views merge into
+        # it before run_batch returns), so the total carries no float
+        # noise of adding up the per-query seconds
+        report.prompt_time_s = (
+            self.llm.meter.latency_ns - usage_before.latency_ns
+        ) / 1e9
         report.mean_f1 = 100.0 * mean(s for _, s in report.per_query)
         if self.obs.metrics.enabled:
             report.metrics = self.obs.metrics.snapshot()

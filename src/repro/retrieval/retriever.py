@@ -15,6 +15,7 @@ from typing import Any, Mapping
 from repro.obs.context import NOOP, Observability
 from repro.retrieval.bm25 import BM25Index
 from repro.retrieval.chunking import Chunk
+from repro.retrieval.term_table import TermTable
 from repro.retrieval.tokenize import term_counts
 from repro.retrieval.vector_index import SearchHit, VectorIndex
 
@@ -40,12 +41,13 @@ class MultiSourceRetriever:
         #: the term-count table: one row of term counts per chunk, in
         #: chunk order; chunks past its end are not counted yet.
         self._counts: list[Mapping[str, int]] = []
-        self._built = False
+        #: the table's entries, which both indexes read; chunks past
+        #: its rows are not folded in yet.
+        self._table: TermTable = TermTable()
 
     def add_chunks(self, chunks: list[Chunk]) -> None:
         """Stage chunks for indexing; call :meth:`build` afterwards."""
         self._chunks.extend(chunks)
-        self._built = False
 
     def with_obs(self, obs: Observability) -> "MultiSourceRetriever":
         """A retrieval view sharing the built indexes, bound to ``obs``.
@@ -91,25 +93,33 @@ class MultiSourceRetriever:
         self.rrf_k = int(state["rrf_k"])
         self._chunks = list(chunks)
         self._counts = list(state["term_counts"])
+        self._table = TermTable()
         self._dense = VectorIndex[Chunk]()
         self._sparse = BM25Index[Chunk]()
-        self._built = False
         return self
+
+    @property
+    def _built(self) -> bool:
+        """Whether every chunk is folded into the indexes."""
+        return self._table.n_docs == len(self._chunks)
 
     def build(self) -> "MultiSourceRetriever":
         """Fold the chunks staged since the last build into both indexes.
 
         Each new chunk is tokenized and counted once, into the term-count
-        table, which both indexes read; earlier chunks are not read
-        again.  The indexes then recompute what depends on the whole
-        corpus (BM25 idf and impacts, the dense vocabulary, IDF and
-        matrix), so the result equals a one-shot build over every chunk.
+        table, and its row is read once, into the table's entries, which
+        both indexes read; earlier chunks are not read again.  The
+        indexes then recompute, vectorized, what depends on the whole
+        corpus (BM25 idf and one impact per posting; the dense
+        vocabulary, IDF and one normalized weight per posting), so the
+        result equals a one-shot build over every chunk.
         """
         counts = self._counts
         counts.extend(term_counts(c.text for c in self._chunks[len(counts):]))
-        self._sparse.fold(self._chunks, counts)
-        self._dense.fold(self._chunks, counts)
-        self._built = True  # repro-lint: ignore[CONC001] — the fold runs only from ingest, add_source and the snapshot loader, before any worker view exists
+        table = self._table.fold(counts)
+        self._sparse.fold(self._chunks, table)
+        self._dense.fold(self._chunks, table)
+        self._table = table  # repro-lint: ignore[CONC001] — the fold runs only from ingest, add_source and the snapshot loader, before any worker view exists
         return self
 
     def __len__(self) -> int:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import MultiRAG, MultiRAGConfig
-from repro.datasets import make_books
+from repro.datasets import make_books, make_movies
 from repro.exec import Query
 
 
@@ -53,3 +55,17 @@ class TestEvaluate:
             for q in dataset.queries
         )
         assert report.mean_f1 == manual
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_prompt_time_is_the_exact_meter_delta(self, jobs):
+        """``prompt_time_s`` is the meter's integer-nanosecond delta over
+        the batch, not a float sum of the per-query seconds: on this
+        batch that sum is 33.40212000000002, the delta 33.40212.  With
+        history updates off, ``jobs=2`` runs on worker views."""
+        dataset = make_movies(scale=0.5, seed=0, n_queries=200)
+        rag = MultiRAG(MultiRAGConfig(update_history=False))
+        rag.ingest(dataset.raw_sources())
+        meter = rag.llm.meter
+        before = meter.latency_ns
+        report = rag.evaluate(dataset.queries, jobs=jobs)
+        assert report.prompt_time_s == (meter.latency_ns - before) / 1e9

@@ -2,27 +2,34 @@
 
 Production memoizes :func:`repro.retrieval.tokenize.tokenize` and the
 similarity functions of :mod:`repro.confidence.similarity`, and answers
-:meth:`repro.retrieval.bm25.BM25Index.search` from precomputed impact
-tables with top-k pruning.  The functions here are the unoptimized
-originals: no cache, and BM25 rescoring every candidate through the
-per-term loop, re-tokenizing the query per candidate.  Identity tests
-diff production against them with exact float equality, and
-``benchmarks/test_perf_hotpath.py`` patches them in as its baseline.
+:meth:`repro.retrieval.bm25.BM25Index.search` and
+:meth:`repro.retrieval.vector_index.VectorIndex.search` term-at-a-time
+from per-posting weights.  The functions here are the unoptimized
+originals: no cache, BM25 rescoring every candidate through the
+per-term loop, re-tokenizing the query per candidate, and TF-IDF
+computing each chunk's cosine in Python loops from its raw term counts.
+Candidates come from scanning the term-count table, not the postings
+production reads.  Identity tests diff production against them with
+exact float equality, and ``benchmarks/test_perf_hotpath.py`` patches
+them in as its baseline.
 
 Each function takes the same arguments as the production function it
-mirrors, with the index passed first for the BM25 methods, so it can
+mirrors, with the index passed first for the index methods, so it can
 stand in for it under ``unittest.mock.patch``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.confidence.similarity import entropy, mutual_information
 from repro.retrieval.bm25 import BM25Index
 from repro.retrieval.tokenize import _TOKEN_RE, STOPWORDS
-from repro.retrieval.vector_index import SearchHit
+from repro.retrieval.vector_index import SearchHit, VectorIndex
 from repro.util import normalize_value
 
 
@@ -83,11 +90,60 @@ def bm25_search(index: BM25Index, query: str, k: int = 5) -> list[SearchHit]:
     Deliberately re-tokenizes the query once per candidate inside
     :func:`bm25_score`, the cost the production search removes.
     """
-    candidates: set[int] = set()
-    for term in tokenize(query):
-        candidates.update(index._postings.get(term, ()))
+    tokens = tokenize(query)
+    candidates = [
+        doc_id
+        for doc_id, counts in enumerate(index._doc_tokens[:len(index._doc_len)])
+        if any(term in counts for term in tokens)
+    ]
     scored = sorted(
         ((bm25_score(index, query, d), d) for d in candidates),
         key=lambda pair: (-pair[0], pair[1]),
     )
     return [SearchHit(index._items[d], s) for s, d in scored[:k]]
+
+
+def tfidf_weights(
+    counts: Mapping[str, int], vocabulary: Mapping[str, int], idf
+) -> dict[int, float]:
+    """One text's L2-normalized TF-IDF weights by vocabulary column:
+    ``(1 + log tf) * idf``, divided by the square root of the exactly
+    rounded sum of the squared weights."""
+    raw = {
+        vocabulary[term]: (1.0 + math.log(tf)) * idf[vocabulary[term]]
+        for term, tf in counts.items()
+        if term in vocabulary
+    }
+    norm = math.sqrt(math.fsum(w * w for w in raw.values()))
+    return {col: w / norm for col, w in raw.items()}
+
+
+def dense_search(index: VectorIndex, query: str, k: int = 5) -> list[SearchHit]:
+    """Top-``k`` items by cosine similarity, one chunk at a time.
+
+    Weights every chunk from its row of the term-count table and the
+    query from its tokens, and sums each chunk's products in ascending
+    vocabulary-column order; the top-``k`` is selected with the
+    production selection code over the same score vector.
+    """
+    n = len(index._items)
+    if not n or k <= 0:
+        return []
+    vectorizer = index._vectorizer
+    vocabulary, idf = vectorizer.vocabulary, vectorizer.idf
+    q = tfidf_weights(Counter(tokenize(query)), vocabulary, idf)
+    if not q:
+        return []
+    scores = []
+    for counts in index._table.counts[:n]:
+        row = tfidf_weights(counts, vocabulary, idf)
+        score = 0.0
+        for col in sorted(q):
+            if col in row:
+                score += row[col] * q[col]
+        scores.append(score)
+    scores = np.array(scores, dtype=np.float64)
+    k = min(k, n)
+    top = np.argpartition(-scores, k - 1)[:k]
+    top = top[np.argsort(-scores[top])]
+    return [SearchHit(index._items[i], float(scores[i])) for i in top]

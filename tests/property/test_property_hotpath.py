@@ -1,11 +1,14 @@
 """Property tests: the query hot path equals the naive test oracle.
 
 Random small corpora and queries, compared with ``==`` on exact floats
-against ``tests/hotpath_oracle.py``: BM25 search and scoring over
-``k`` = 0 and ``k`` past the corpus size, repeated and unseen terms,
-empty and stopword-only queries, non-ASCII text and exact score ties;
-tokenization, value distributions and similarity both right after
-``perf.clear_caches()`` and again from a warm cache.
+against ``tests/hotpath_oracle.py``: BM25 and TF-IDF search (and BM25
+scoring) over ``k`` = 0 and ``k`` past the corpus size, repeated and
+unseen terms, empty and stopword-only queries, non-ASCII text and exact
+score ties; tokenization, value distributions and similarity both right
+after ``perf.clear_caches()`` and again from a warm cache.  Two TF-IDF
+properties pin exact ties: chunks holding the same terms in another
+token order, and chunks whose terms differ but whose weights are the
+same multiset, score exactly equal.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import repro.perf as perf
 from repro.confidence.similarity import similarity, value_distribution
 from repro.retrieval.bm25 import BM25Index
 from repro.retrieval.tokenize import STOPWORDS, tokenize
+from repro.retrieval.vector_index import VectorIndex
 from tests import hotpath_oracle as oracle
 
 #: a small shared vocabulary so documents and queries overlap; compound
@@ -86,6 +90,81 @@ class TestBM25MatchesOracle:
             assert index.score(query, doc_id) == oracle.bm25_score(
                 index, query, doc_id
             )
+
+
+def _scores(index, query: str, n: int) -> dict:
+    return {hit.item: hit.score for hit in index.search(query, n)}
+
+
+class TestDenseMatchesOracle:
+    @given(
+        docs=st.one_of(st.lists(texts, max_size=12), tiny_docs),
+        query=st.one_of(queries, tiny_queries),
+        k=st.integers(0, 20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_search(self, docs, query, k):
+        items = [f"d{i}" for i in range(len(docs))]
+        index = VectorIndex[str]().build(items, docs)
+        assert _hits(index.search(query, k)) == _hits(
+            oracle.dense_search(index, query, k)
+        )
+
+    @given(
+        tokens=st.lists(st.sampled_from(VOCAB), min_size=1, max_size=10),
+        others=st.lists(texts, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_token_order_does_not_change_scores(self, tokens, others, data):
+        """Two chunks holding the same tokens in another order."""
+        shuffled = data.draw(st.permutations(tokens))
+        query = " ".join(data.draw(
+            st.lists(st.sampled_from(tokens), min_size=1, max_size=4)
+        ))
+        docs = others + [" ".join(tokens), " ".join(shuffled)]
+        items = [f"d{i}" for i in range(len(others))] + ["a", "b"]
+        index = VectorIndex[str]().build(items, docs)
+        scores = _scores(index, query, len(docs))
+        # no hits at all when no query token is indexed
+        assert scores.get("a") == scores.get("b")
+        assert _hits(index.search(query, len(docs))) == _hits(
+            oracle.dense_search(index, query, len(docs))
+        )
+
+    @given(
+        tfs=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+        # vocabulary words only: an unseen word could be ``a3``
+        others=st.lists(
+            st.lists(st.sampled_from(VOCAB), max_size=12).map(" ".join),
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_weight_multisets_score_equal(self, tfs, others, data):
+        """Chunk ``b`` renames chunk ``a``'s terms (``a3`` -> ``b3``, each
+        in one chunk only, so with equal idf) and shuffles its tokens: its
+        weights are ``a``'s multiset on other terms.  A query asking the
+        same of both gets exactly equal scores, whatever its token
+        order."""
+        tokens_a = [f"a{i}" for i, tf in enumerate(tfs) for _ in range(tf)]
+        tokens_b = data.draw(st.permutations(
+            [t.replace("a", "b") for t in tokens_a]
+        ))
+        asked = data.draw(st.lists(
+            st.tuples(st.integers(0, len(tfs) - 1), st.integers(1, 3)),
+            min_size=1, max_size=4,
+        ))
+        query = data.draw(st.permutations(
+            [f"{side}{i}" for i, repeat in asked for side in "ab"
+             for _ in range(repeat)]
+        ))
+        docs = others + [" ".join(tokens_a), " ".join(tokens_b)]
+        items = [f"d{i}" for i in range(len(others))] + ["a", "b"]
+        index = VectorIndex[str]().build(items, docs)
+        scores = _scores(index, " ".join(query), len(docs))
+        assert scores["a"] == scores["b"]
 
 
 class TestMemosMatchOracle:

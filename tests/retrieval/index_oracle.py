@@ -1,16 +1,22 @@
-"""One-shot reference builds of the retrieval indexes (test oracle).
+"""Reference builds of the retrieval indexes (test oracle).
 
-Production indexes grow by folding: :meth:`BM25Index.fold`,
-:meth:`TfidfVectorizer.fold` and :meth:`MultiSourceRetriever.build` read
-each new chunk once and recompute the corpus-wide floats from cached
-integer statistics.  The functions here are the builds they replaced,
-kept verbatim: every text is tokenized and counted again, and BM25
-impacts come from the per-posting loop over the count table.  Identity
-tests diff the fold against them with ``==`` on exact floats.
+Production indexes grow by folding: :meth:`TermTable.fold` reads each
+new chunk's term counts once, into array entries grouped by term, and
+:meth:`BM25Index.fold` and :meth:`TfidfVectorizer.fold` recompute one
+weight per posting from them, vectorized.  The functions here build the
+same per-term postings the textbook way, from the texts: every text is
+tokenized and counted again, BM25 impacts come from the per-posting
+loop over the count table, and TF-IDF weights from a literal per-chunk
+transcription of the weighting (``1 + log tf``, times idf, divided by
+``sqrt(fsum(squares))``).  Identity tests diff production against them
+with ``==`` on exact floats.
 
-Each build function takes the object it builds first, in place of
-``self``.  :func:`bm25_state` and :func:`dense_state` are the views of
-an index that identity tests compare.
+:func:`bm25_state` and :func:`dense_state` are the views of a
+production index that identity tests compare; :func:`bm25_build` and
+:func:`tfidf_build` return the same views built from texts.
+:func:`tfidf_matrix` and :func:`matrix_search` are the dense corpus
+matrix and the ``matrix @ q`` search that production used before it
+scored over postings, kept only to cross-check hits.
 """
 
 from __future__ import annotations
@@ -21,72 +27,115 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from repro.errors import StateError
-from repro.retrieval.bm25 import BM25Index
-from repro.retrieval.chunking import Chunk
-from repro.retrieval.retriever import MultiSourceRetriever
 from repro.retrieval.tokenize import tokenize
-from repro.retrieval.vector_index import VectorIndex
 from repro.retrieval.vectorizer import TfidfVectorizer
+from tests.hotpath_oracle import tfidf_weights
 
 
-def bm25_build(self: BM25Index, items: list, texts: list[str]) -> BM25Index:
-    if len(items) != len(texts):
-        raise ValueError("items and texts must have equal length")
-    self._items = list(items)
-    self._doc_tokens = []
-    self._doc_len = []
-    self._postings = defaultdict(list)
-    for doc_id, text in enumerate(texts):
-        counts = Counter(tokenize(text))
-        self._doc_tokens.append(counts)
-        self._doc_len.append(sum(counts.values()))
+def bm25_build(texts: list[str], k1: float = 1.5, b: float = 0.75) -> tuple:
+    """:func:`bm25_state` of a BM25 index over ``texts``, built by the
+    textbook per-posting loop."""
+    doc_tokens = [Counter(tokenize(text)) for text in texts]
+    doc_len = [sum(counts.values()) for counts in doc_tokens]
+    postings: dict[str, list[int]] = defaultdict(list)
+    for doc_id, counts in enumerate(doc_tokens):
         for term in counts:
-            self._postings[term].append(doc_id)
+            postings[term].append(doc_id)
     n = len(texts)
-    self._avg_len = (sum(self._doc_len) / n) if n else 0.0
-    self._idf = {
+    avg_len = (sum(doc_len) / n) if n else 0.0
+    idf = {
         term: math.log(1 + (n - len(docs) + 0.5) / (len(docs) + 0.5))
-        for term, docs in self._postings.items()
+        for term, docs in postings.items()
     }
-    bm25_rebuild_impacts(self)
-    return self
-
-
-def bm25_rebuild_impacts(self: BM25Index) -> None:
-    self._impacts = {}
-    self._max_impact = {}
-    avg = self._avg_len or 1.0
-    k1 = self.k1
-    b = self.b
-    for term, docs in self._postings.items():
-        idf = self._idf.get(term, 0.0)
-        per_doc: dict[int, float] = {}
+    avg = avg_len or 1.0
+    impacts = []
+    for term, docs in postings.items():
+        per_doc = []
         for doc_id in docs:
-            tf = self._doc_tokens[doc_id].get(term, 0)
-            length = self._doc_len[doc_id]
-            denom = tf + k1 * (1 - b + b * length / avg)
-            per_doc[doc_id] = idf * tf * (k1 + 1) / denom
-        self._impacts[term] = per_doc
-        self._max_impact[term] = max(per_doc.values()) if per_doc else 0.0
+            tf = doc_tokens[doc_id].get(term, 0)
+            denom = tf + k1 * (1 - b + b * doc_len[doc_id] / avg)
+            per_doc.append((doc_id, idf[term] * tf * (k1 + 1) / denom))
+        impacts.append((term, per_doc))
+    return (
+        [list(counts.items()) for counts in doc_tokens],
+        doc_len,
+        avg_len,
+        list(idf.items()),
+        impacts,
+    )
 
 
-def tfidf_fit(self: TfidfVectorizer, texts: list[str]) -> TfidfVectorizer:
-    """Learn vocabulary and IDF weights from ``texts``."""
+def bm25_state(index) -> tuple:
+    """A BM25 index's folded state, every order included: its term
+    counts, lengths, average length, idf, and each term's postings as
+    ``(doc id, impact)`` pairs."""
+    n = len(index._doc_len)
+    table = index._table
+    postings = []
+    for term, tid in table.term_ids.items():
+        lo, hi = table.span(tid)
+        postings.append((term, list(zip(
+            table.docs[lo:hi].tolist(), index._weights[lo:hi].tolist()
+        ))))
+    return (
+        [list(c.items()) for c in index._doc_tokens[:n]],
+        index._doc_len,
+        index._avg_len,
+        list(index._idf.items()),
+        postings,
+    )
+
+
+def tfidf_build(texts: list[str], min_df: int = 1) -> tuple:
+    """:func:`dense_state` of a TF-IDF index over ``texts``, each chunk
+    weighted on its own by :func:`tests.hotpath_oracle.tfidf_weights`."""
+    rows = [Counter(tokenize(text)) for text in texts]
     doc_freq: Counter[str] = Counter()
-    for text in texts:
-        doc_freq.update(set(tokenize(text)))
-    terms = sorted(t for t, df in doc_freq.items() if df >= self.min_df)
-    self.vocabulary = {term: i for i, term in enumerate(terms)}
+    for counts in rows:
+        doc_freq.update(counts.keys())
+    terms = sorted(t for t, df in doc_freq.items() if df >= min_df)
+    vocabulary = {term: i for i, term in enumerate(terms)}
     n_docs = max(len(texts), 1)
-    self.idf = np.array(
+    idf = np.array(
         [math.log((1 + n_docs) / (1 + doc_freq[t])) + 1.0 for t in terms],
         dtype=np.float64,
     )
-    self._fitted = True
-    return self
+    postings: list[tuple[list[int], list[float]]] = [([], []) for _ in terms]
+    for doc_id, counts in enumerate(rows):
+        for col, weight in tfidf_weights(counts, vocabulary, idf).items():
+            postings[col][0].append(doc_id)
+            postings[col][1].append(weight)
+    return (
+        list(vocabulary.items()),
+        idf.dtype, idf.shape, idf.tobytes(),
+        [(term, docs, np.array(weights, dtype=np.float64).tobytes())
+         for term, (docs, weights) in zip(terms, postings)],
+    )
 
 
-def tfidf_transform(self: TfidfVectorizer, texts: list[str]) -> np.ndarray:
+def dense_state(index) -> tuple:
+    """A dense index's vocabulary (in column order), the bytes of its
+    IDF vector, and each vocabulary term's postings: doc ids and the
+    bytes of their weights."""
+    vectorizer = index._vectorizer
+    table = index._table
+    postings = []
+    for term in vectorizer.vocabulary:
+        lo, hi = table.span(table.term_ids[term])
+        postings.append((
+            term, table.docs[lo:hi].tolist(), index._weights[lo:hi].tobytes()
+        ))
+    return (
+        list(vectorizer.vocabulary.items()),
+        vectorizer.idf.dtype, vectorizer.idf.shape, vectorizer.idf.tobytes(),
+        postings,
+    )
+
+
+def tfidf_matrix(self: TfidfVectorizer, texts: list[str]) -> np.ndarray:
+    """The dense L2-normalized TF-IDF rows of ``texts`` as
+    ``TfidfVectorizer.transform`` computed them before postings: a
+    row norm from ``np.linalg.norm``."""
     if not self._fitted:
         raise StateError("vectorizer must be fit before transform")
     matrix = np.zeros((len(texts), len(self.vocabulary)), dtype=np.float64)
@@ -102,53 +151,17 @@ def tfidf_transform(self: TfidfVectorizer, texts: list[str]) -> np.ndarray:
     return matrix / norms
 
 
-def retriever_build(chunks: list[Chunk], mode: str = "hybrid") -> MultiSourceRetriever:
-    """A retriever over ``chunks`` with both indexes built one-shot.
-
-    The dense half is ``VectorIndex.build`` as it was:
-    ``fit_transform`` (``fit`` then ``transform``) over every text, no
-    matrix for an empty corpus.
-    """
-    texts = [c.text for c in chunks]
-    retriever = MultiSourceRetriever(mode=mode)
-    retriever._chunks = list(chunks)
-    dense: VectorIndex[Chunk] = VectorIndex()
-    dense._items = list(chunks)
-    if texts:
-        vectorizer = dense._vectorizer
-        dense._matrix = tfidf_transform(tfidf_fit(vectorizer, texts), texts)
-    retriever._dense = dense
-    retriever._sparse = bm25_build(BM25Index(), list(chunks), texts)
-    retriever._built = True
-    return retriever
-
-
-def bm25_state(index) -> tuple:
-    """A BM25 index's folded state, every dict order included: its term
-    counts, lengths, average length, postings, idf, impacts and max
-    impacts."""
-    n = len(index._doc_len)
-    return (
-        [list(c.items()) for c in index._doc_tokens[:n]],
-        index._doc_len,
-        index._avg_len,
-        [(term, list(docs)) for term, docs in index._postings.items()],
-        list(index._idf.items()),
-        [(term, list(per_doc.items()))
-         for term, per_doc in index._impacts.items()],
-        list(index._max_impact.items()),
-    )
-
-
-def dense_state(index) -> tuple:
-    """A dense index's vocabulary (in column order), and the bytes of its
-    IDF vector and matrix."""
-    vectorizer = index._vectorizer
-    matrix = index._matrix
-    return (
-        vectorizer._fitted,
-        list(vectorizer.vocabulary.items()),
-        vectorizer.idf.dtype, vectorizer.idf.shape, vectorizer.idf.tobytes(),
-        None if matrix is None
-        else (matrix.dtype, matrix.shape, matrix.tobytes()),
-    )
+def matrix_search(index, matrix: np.ndarray, query: str, k: int = 5) -> list:
+    """``VectorIndex.search`` as it was before postings: ``matrix @ q``
+    over the corpus matrix, the query embedded by :func:`tfidf_matrix`.
+    Returns ``(item, score)`` pairs."""
+    if not index._items or k <= 0:
+        return []
+    qvec = tfidf_matrix(index._vectorizer, [query])[0]
+    if not np.any(qvec):
+        return []
+    scores = matrix @ qvec
+    k = min(k, len(index._items))
+    top = np.argpartition(-scores, k - 1)[:k]
+    top = top[np.argsort(-scores[top])]
+    return [(index._items[i], float(scores[i])) for i in top]

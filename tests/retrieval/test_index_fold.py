@@ -1,14 +1,15 @@
-"""The retrieval fold equals the one-shot build it replaced.
+"""The retrieval fold equals the textbook build.
 
 ``MultiSourceRetriever.build`` folds only the chunks staged since the
 last build into both indexes.  A random sequence of ``add_chunks`` and
 ``build`` calls, with ``export_state`` → ``restore_state`` round trips
 (the snapshot path: only the term-count table survives) between them,
-must leave exactly the state the one-shot build of
-``tests/retrieval/index_oracle.py`` makes over the same chunk list: BM25
-statistics, idf, impacts (dict orders included) and max impacts; dense
-vocabulary, IDF and matrix bytes; and the hits and scores of
-``retrieve()`` in every mode.  Floats are compared with ``==`` on
+must leave exactly the state ``tests/retrieval/index_oracle.py`` builds
+from the same chunk texts: BM25 statistics, idf and each term's
+``(doc id, impact)`` postings, in order; dense vocabulary, IDF bytes and
+each term's doc ids and weight bytes.  The hits and scores of
+``retrieve()`` in every mode must equal those of a retriever that
+folded every chunk in one build.  Floats are compared with ``==`` on
 purpose.
 """
 
@@ -86,10 +87,17 @@ def _hits(retriever: MultiSourceRetriever, mode: str) -> list:
     ]
 
 
+def _one_shot(chunks: list[Chunk]) -> MultiSourceRetriever:
+    retriever = MultiSourceRetriever()
+    retriever.add_chunks(chunks)
+    return retriever.build()
+
+
 def assert_matches_oracle(retriever: MultiSourceRetriever) -> None:
-    expected = oracle.retriever_build(retriever.chunks)
-    assert bm25_state(retriever._sparse) == bm25_state(expected._sparse)
-    assert dense_state(retriever._dense) == dense_state(expected._dense)
+    texts = [c.text for c in retriever.chunks]
+    assert bm25_state(retriever._sparse) == oracle.bm25_build(texts)
+    assert dense_state(retriever._dense) == oracle.tfidf_build(texts)
+    expected = _one_shot(retriever.chunks)
     assert _rows(retriever) == _rows(expected)
     mode = retriever.mode
     for each in MODES:
@@ -172,9 +180,9 @@ def test_restore_does_no_fold_setup():
     assert (restored.mode, restored.rrf_k) == ("rrf", 7)
     assert restored._counts == retriever._counts
     assert not restored._built
+    assert restored._table.n_docs == 0
     assert restored._sparse._doc_len == []
-    assert restored._dense._matrix is None
-    assert restored._dense._vectorizer._n_docs == 0
+    assert restored._dense._weights.size == 0
     restored.build()
     assert bm25_state(restored._sparse) == bm25_state(retriever._sparse)
     assert dense_state(restored._dense) == dense_state(retriever._dense)

@@ -77,8 +77,9 @@ def _keys(doc):
 
 def _assert_same_indexes(got, live):
     """``got`` holds the retrieval indexes of ``live``: the same chunks,
-    BM25 state (postings in order, idf, impacts, average length) and
-    dense vocabulary, IDF and matrix bytes."""
+    BM25 state (lengths, average length, idf, and each term's
+    ``(doc id, impact)`` postings in order) and dense vocabulary, IDF
+    bytes and each term's doc ids and weight bytes."""
     assert got._built and live._built
     assert (got.mode, got.rrf_k) == (live.mode, live.rrf_k)
     assert got.chunks == live.chunks
