@@ -27,7 +27,6 @@ from repro.adapters.base import AdapterOutput, RawSource, get_adapter
 from repro.exec.engine import execute
 from repro.exec.plan import ExecutionPlan
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.storage import NormalizedRecord
 from repro.kg.triple import Entity, Provenance, Triple
 from repro.llm.base import LLMClient
 from repro.llm.extraction import ExtractionResult, SchemaFreeExtractor
@@ -45,13 +44,9 @@ class FusionResult:
     """Output of one fusion run over a set of sources."""
 
     graph: KnowledgeGraph
-    records: list[NormalizedRecord] = field(default_factory=list)
     chunks: list[Chunk] = field(default_factory=list)
     build_time_s: float = 0.0
     extraction_calls: int = 0
-
-    def records_by_domain(self, domain: str) -> list[NormalizedRecord]:
-        return [r for r in self.records if r.domain == domain]
 
 
 class DataFusionEngine:
@@ -135,7 +130,6 @@ class DataFusionEngine:
             adapter = get_adapter(raw.fmt)
             with self.obs.tracer.span(f"adapter:{raw.fmt}") as span:
                 output = adapter.parse(raw)
-                result.records.append(output.record)
                 graph.add_triples(output.triples)
                 self._register_entities(graph, output.triples)
 
@@ -282,7 +276,6 @@ class DataFusionEngine:
         for raw, output, per_doc in parsed:
             adapter = get_adapter(raw.fmt)
             with self.obs.tracer.span(f"adapter:{raw.fmt}") as span:
-                result.records.append(output.record)
                 graph.add_triples(output.triples)
                 self._register_entities(graph, output.triples)
                 chunks_before = len(result.chunks)

@@ -2,8 +2,7 @@
 
 Per paper §III-B, structured files are stored in JSON with their attribute
 variables managed columnar-style (DSM): the normalized record carries a
-``cols_index`` mapping every column to its full value list, enabling O(1)
-attribute scans during consistency checks.
+``cols_index`` mapping every column to its full value list.
 
 CSV conventions understood here (and emitted by the dataset generators):
 

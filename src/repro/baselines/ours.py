@@ -17,7 +17,7 @@ from repro.confidence.node_level import NodeScorer
 from repro.core.config import MultiRAGConfig
 from repro.core.pipeline import MultiRAG
 from repro.exec import Query
-from repro.linegraph.homologous import HomologousGroup, HomologousNode
+from repro.linegraph.homologous import HomologousGroup
 
 
 @register_fusion
@@ -45,12 +45,8 @@ class MCCMethod(FusionMethod):
         candidates = self.substrate.graph.by_key(entity, attribute)
         if not candidates:
             return set()
-        snode = HomologousNode(name=attribute, entity=entity, num=len(candidates))
-        group = HomologousGroup(
-            key=(entity, attribute), snode=snode, members=list(candidates)
-        )
         result = mcc(
-            [group],
+            [HomologousGroup.of((entity, attribute), candidates)],
             self.scorer,
             node_threshold=self.config.node_threshold,
             graph_threshold=self.config.graph_threshold,

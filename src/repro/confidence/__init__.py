@@ -2,11 +2,7 @@
 
 from repro.confidence.calibration import calibrate_history, consensus_values
 from repro.confidence.explain import explain, explain_decision
-from repro.confidence.graph_level import (
-    GraphAssessment,
-    assess_groups,
-    graph_confidence,
-)
+from repro.confidence.graph_level import graph_confidence
 from repro.confidence.history import HistoryStore, SourceHistory
 from repro.confidence.mcc import GroupDecision, MCCResult, mcc
 from repro.confidence.node_level import NodeAssessment, NodeScorer
@@ -24,14 +20,12 @@ __all__ = [
     "consensus_values",
     "explain",
     "explain_decision",
-    "GraphAssessment",
     "GroupDecision",
     "HistoryStore",
     "MCCResult",
     "NodeAssessment",
     "NodeScorer",
     "SourceHistory",
-    "assess_groups",
     "entropy",
     "graph_confidence",
     "mcc",

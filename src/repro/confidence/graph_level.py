@@ -10,11 +10,8 @@ from their top 1–2 nodes directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.confidence.similarity import similarity
 from repro.linegraph.homologous import HomologousGroup
-from repro.obs.context import NOOP, Observability
 
 
 def graph_confidence(group: HomologousGroup) -> float:
@@ -37,36 +34,3 @@ def graph_confidence(group: HomologousGroup) -> float:
     # Eq. 7 sums over ordered pairs and divides by n^2 - n; that equals the
     # unordered-pair mean computed here.
     return total / pairs
-
-
-@dataclass(frozen=True, slots=True)
-class GraphAssessment:
-    """Result of the graph-level pass over one group."""
-
-    group: HomologousGroup
-    confidence: float
-    passed: bool
-
-
-def assess_groups(
-    groups: list[HomologousGroup],
-    threshold: float = 0.5,
-    obs: Observability | None = None,
-) -> list[GraphAssessment]:
-    """Score every group and mark which clear the graph threshold.
-
-    Also writes the confidence back onto each group's center node so later
-    stages (and the case-study trace) can read it.
-    """
-    obs = obs if obs is not None else NOOP
-    metrics = obs.metrics
-    assessments = []
-    for group in groups:
-        conf = graph_confidence(group)
-        group.snode.confidence = conf
-        metrics.histogram("confidence.graph.c_g").observe(conf)
-        metrics.counter("confidence.graph.assessed").inc()
-        assessments.append(
-            GraphAssessment(group=group, confidence=conf, passed=conf >= threshold)
-        )
-    return assessments

@@ -43,7 +43,6 @@ class MultiRAGConfig:
     staleness: float | None = None
     fast_path_nodes: int = 2
     top_k: int = 5
-    min_sources: int = 2
     enable_mka: bool = True
     enable_graph_level: bool = True
     enable_node_level: bool = True
@@ -78,8 +77,6 @@ class MultiRAGConfig:
             raise ConfigError("staleness must be non-negative")
         if self.top_k < 1:
             raise ConfigError("top_k must be at least 1")
-        if self.min_sources < 2:
-            raise ConfigError("min_sources must be at least 2")
 
     @property
     def enable_mcc(self) -> bool:

@@ -41,7 +41,7 @@ from repro.errors import StateError
 from repro.exec import ExecutionPlan, Query, as_query, execute
 from repro.kg.triple import Provenance, Triple
 from repro.lint.contracts import check_mcc_result, check_mlg, check_ranked_answers
-from repro.linegraph.homologous import HomologousGroup, HomologousNode
+from repro.linegraph.homologous import HomologousGroup
 from repro.linegraph.mlg import MultiSourceLineGraph
 from repro.llm.base import LLMClient
 from repro.llm.generation import EvidenceItem, generate_trustworthy_answer
@@ -217,10 +217,13 @@ class MultiRAG:
         """Fuse ``sources`` and build the MLG index (when MKA is enabled).
 
         With a snapshot store configured (via ``snapshot`` here, or on the
-        constructor), the sources/config/LLM fingerprint is checked first:
-        on a hit the complete ingested state is warm-loaded from disk —
-        no extraction, no index builds — and on a miss the cold build
-        runs and its result is saved for the next process.
+        constructor), the sources/config/LLM fingerprint is checked first.
+        On a hit the stored state is warm-loaded from disk: the graph,
+        chunks, term counts, history and LLM cache are read, with no
+        parsing, extraction or standardization; the retrieval indexes are
+        rebuilt from the term counts, and the MLG, scorer and subject
+        index from the graph, by the calls a cold build makes.  On a miss
+        the cold build runs and its result is saved for the next process.
 
         ``jobs`` (or the ``REPRO_EXEC_WORKERS`` environment variable)
         parallelizes the extraction phase of a cold build over whole
@@ -274,7 +277,6 @@ class MultiRAG:
                 fingerprint,
                 fusion=self.fusion,
                 retriever=self.retriever,
-                mlg=self.mlg,
                 history=self.history,
                 llm_cache=llm_cache,
                 sources=descriptors,
@@ -289,8 +291,14 @@ class MultiRAG:
     def _ingest_warm(
         self, store: SnapshotStore, fingerprint: str, num_sources: int
     ) -> BuildReport:
-        """Restore the full ingested state from a fingerprint-matched
-        snapshot — the fast path that skips extraction and index builds.
+        """Resume from a fingerprint-matched snapshot instead of a cold
+        build.
+
+        Reads the graph, chunks, term counts, history and LLM cache, so no
+        source is parsed or extracted.  The load rebuilds the retrieval
+        indexes from the term counts; :meth:`_index_graph` then rebuilds
+        the MLG, scorer and subject index from the graph.  The restored
+        history is used as it is, never recalibrated.
 
         Raises:
             SnapshotError: if the artifact is corrupt or incomplete.
@@ -303,23 +311,11 @@ class MultiRAG:
             state = store.load(fingerprint, obs=self.obs)
             self.fusion = state.fusion
             self.retriever = state.retriever
-            self.mlg = state.mlg
             self.history = state.history
             if state.llm_cache is not None and hasattr(self.llm, "import_cache"):
                 self.llm.import_cache(state.llm_cache)
             graph = self.fusion.graph
-            self.scorer = NodeScorer(
-                graph=graph,
-                llm=self.llm,
-                history=self.history,
-                alpha=self.config.alpha,
-                beta=self.config.beta,
-                obs=self.obs,
-            )
-            self._entity_by_norm, self._subject_index = {}, {}
-            self._index_subjects(t.subject for t in graph.triples())
-            if self.config.debug_contracts and self.mlg is not None:
-                check_mlg(self.mlg)
+            self._index_graph()
             if span.enabled:
                 span.set(
                     num_triples=len(graph),
@@ -331,9 +327,6 @@ class MultiRAG:
         if state.num_layers:
             metrics.counter("snapshot.layer_loads").inc(state.num_layers)
         metrics.counter("pipeline.ingested_sources").inc(num_sources)
-        metrics.gauge("pipeline.triples").set(len(graph))
-        metrics.gauge("pipeline.entities").set(graph.num_entities())
-        metrics.gauge("pipeline.chunks").set(len(self.fusion.chunks))
         logger.info(
             "ingest warm-loaded snapshot %s: %d triples, %d entities",
             fingerprint[:12], len(graph), graph.num_entities(),
@@ -344,10 +337,7 @@ class MultiRAG:
             num_entities=graph.num_entities(),
             num_chunks=len(self.fusion.chunks),
             extraction_calls=self.fusion.extraction_calls,
-            # the manifest's stats, not self.mlg.stats(): they are the
-            # stats recorded at save time, build_time_s included, which a
-            # restored MLG does not have
-            mlg_stats=state.mlg_stats,
+            mlg_stats=self.mlg.stats() if self.mlg else {},
             loaded_from_snapshot=True,
             snapshot_fingerprint=fingerprint,
             snapshot_layers=state.num_layers,
@@ -378,38 +368,12 @@ class MultiRAG:
             self.retriever = MultiSourceRetriever(obs=self.obs)
             self.retriever.add_chunks(self.fusion.chunks)
             self.retriever.build()
-            if self.config.enable_mka:
-                with self.obs.tracer.span("linegraph.build") as mlg_span:
-                    self.mlg = MultiSourceLineGraph(
-                        graph, min_sources=self.config.min_sources
-                    )
-                    if self.config.update_history:
-                        # Construction-time consistency feedback
-                        # (Definition 5): every homologous group seeds its
-                        # sources' historical credibility before the first
-                        # query.
-                        calibrate_history(self.mlg.groups, self.history)
-                    if mlg_span.enabled:
-                        # build_time_s is wall clock — spans carry wall
-                        # time only in their timing fields, never attrs.
-                        mlg_span.set(**{
-                            k: v for k, v in self.mlg.stats().items()
-                            if k != "build_time_s"
-                        })
-            else:
-                self.mlg = None
-            self.scorer = NodeScorer(
-                graph=graph,
-                llm=self.llm,
-                history=self.history,
-                alpha=self.config.alpha,
-                beta=self.config.beta,
-                obs=self.obs,
-            )
-            self._entity_by_norm, self._subject_index = {}, {}
-            self._index_subjects(t.subject for t in graph.triples())
-            if self.config.debug_contracts and self.mlg is not None:
-                check_mlg(self.mlg)
+            self._index_graph()
+            if self.mlg is not None and self.config.update_history:
+                # Construction-time consistency feedback (Definition 5):
+                # every homologous group seeds its sources' historical
+                # credibility before the first query.
+                calibrate_history(self.mlg.groups, self.history)
             if span.enabled:
                 span.set(
                     num_triples=len(graph),
@@ -418,11 +382,7 @@ class MultiRAG:
                     extraction_calls=self.fusion.extraction_calls,
                     **self.llm.meter.delta(usage_before),
                 )
-        metrics = self.obs.metrics
-        metrics.counter("pipeline.ingested_sources").inc(len(sources))
-        metrics.gauge("pipeline.triples").set(len(graph))
-        metrics.gauge("pipeline.entities").set(graph.num_entities())
-        metrics.gauge("pipeline.chunks").set(len(self.fusion.chunks))
+        self.obs.metrics.counter("pipeline.ingested_sources").inc(len(sources))
         logger.info(
             "ingest complete: %d triples, %d entities, mlg=%s",
             len(graph), graph.num_entities(),
@@ -436,6 +396,45 @@ class MultiRAG:
             extraction_calls=self.fusion.extraction_calls,
             mlg_stats=self.mlg.stats() if self.mlg else {},
         )
+
+    def _index_graph(self) -> None:
+        """Build what both ingest paths derive from the fused graph: the
+        MLG (when MKA is enabled), the node scorer, the subject index and
+        the ingest gauges, then run the ``debug_contracts`` MLG check.
+
+        Raises:
+            ContractViolation: if ``debug_contracts`` finds a malformed MLG.
+        """
+        assert self.fusion is not None
+        graph = self.fusion.graph
+        if self.config.enable_mka:
+            with self.obs.tracer.span("linegraph.build") as mlg_span:
+                self.mlg = MultiSourceLineGraph(graph)
+                if mlg_span.enabled:
+                    # build_time_s is wall clock — spans carry wall time
+                    # only in their timing fields, never attrs.
+                    mlg_span.set(**{
+                        k: v for k, v in self.mlg.stats().items()
+                        if k != "build_time_s"
+                    })
+        else:
+            self.mlg = None
+        self.scorer = NodeScorer(
+            graph=graph,
+            llm=self.llm,
+            history=self.history,
+            alpha=self.config.alpha,
+            beta=self.config.beta,
+            obs=self.obs,
+        )
+        self._entity_by_norm, self._subject_index = {}, {}
+        self._index_subjects(t.subject for t in graph.triples())
+        if self.config.debug_contracts and self.mlg is not None:
+            check_mlg(self.mlg)
+        metrics = self.obs.metrics
+        metrics.gauge("pipeline.triples").set(len(graph))
+        metrics.gauge("pipeline.entities").set(graph.num_entities())
+        metrics.gauge("pipeline.chunks").set(len(self.fusion.chunks))
 
     def add_source(self, raw: RawSource) -> dict[str, int]:
         """Incrementally ingest one more source into a built pipeline.
@@ -530,7 +529,6 @@ class MultiRAG:
                 )
         self._index_subjects(t.subject for t in added)
 
-        self.fusion.records.append(output.record)
         self.fusion.chunks.extend(new_chunks)
         self.fusion.extraction_calls += extraction_calls
         self.retriever.add_chunks(new_chunks)
@@ -564,16 +562,10 @@ class MultiRAG:
                     new_fp,
                     parent=self._snapshot_fingerprint,
                     descriptor=descriptor,
-                    record=output.record,
                     triples=added,
                     chunks=new_chunks,
                     history=self.history,
                     extraction_calls=extraction_calls,
-                    mlg_update={
-                        k: stats[k]
-                        for k in ("joined", "promoted", "isolated")
-                    },
-                    mlg_stats=self.mlg.stats() if self.mlg else {},
                 )
             self._source_descriptors = chain
             self._snapshot_fingerprint = new_fp
@@ -1037,16 +1029,7 @@ class MultiRAG:
     def _as_group(self, candidates: list[Triple]) -> HomologousGroup:
         """Wrap the candidate set of one retrieval as a homologous group
         (Definition 3: same candidate set ⇒ homologous)."""
-        first = candidates[0]
-        snode = HomologousNode(
-            name=first.predicate,
-            entity=first.subject,
-            meta={"domain": first.provenance.domain if first.provenance else ""},
-            num=len(candidates),
-        )
-        return HomologousGroup(
-            key=first.key(), snode=snode, members=list(candidates)
-        )
+        return HomologousGroup.of(candidates[0].key(), candidates)
 
     def _run_mcc(self, groups: list[HomologousGroup]) -> MCCResult:
         assert self.scorer is not None

@@ -1,6 +1,6 @@
 """JSON-LD-backed normalized storage (Definition 1 of the paper).
 
-The multi-source fusion step turns every raw file into a
+Each format adapter turns one raw file into a
 :class:`NormalizedRecord` ``{id, d, name, jsc, meta, (cols_index)}``:
 
 * ``id`` — unique identifier assigned at normalization time;
@@ -9,8 +9,11 @@ The multi-source fusion step turns every raw file into a
 * ``jsonld`` (``jsc``) — the content re-expressed as JSON-LD linked data;
 * ``meta`` — file metadata carried through unchanged;
 * ``cols_index`` — for columnar (structured) data only: a column→values
-  index in Decomposition Storage Model layout enabling O(1) attribute
-  lookups during consistency checks.
+  index in Decomposition Storage Model layout.
+
+The record is the adapter's per-source output: the adapter builds it
+while it parses, and fusion keeps the triples and documents, not the
+record.
 
 This module also provides round-trip (de)serialization of a whole
 :class:`~repro.kg.graph.KnowledgeGraph` so built graphs can be cached on
@@ -42,35 +45,6 @@ class NormalizedRecord:
     jsonld: dict[str, Any]
     meta: dict[str, Any] = field(default_factory=dict)
     cols_index: dict[str, list[str]] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "id": self.record_id,
-            "domain": self.domain,
-            "name": self.name,
-            "jsonld": self.jsonld,
-            "meta": self.meta,
-        }
-        if self.cols_index is not None:
-            data["cols_index"] = self.cols_index
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "NormalizedRecord":
-        return cls(
-            record_id=data["id"],
-            domain=data["domain"],
-            name=data["name"],
-            jsonld=data["jsonld"],
-            meta=data.get("meta", {}),
-            cols_index=data.get("cols_index"),
-        )
-
-    def column(self, name: str) -> list[str]:
-        """Fast columnar lookup; empty list when no column index exists."""
-        if not self.cols_index:
-            return []
-        return self.cols_index.get(name, [])
 
 
 def make_jsonld(entity_id: str, properties: dict[str, Any]) -> dict[str, Any]:

@@ -15,10 +15,10 @@ sweep over the key index instead of pairwise comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
-from repro.linegraph.transform import LineGraph
 
 
 @dataclass(slots=True)
@@ -47,6 +47,25 @@ class HomologousGroup:
     snode: HomologousNode
     members: list[Triple] = field(default_factory=list)
 
+    @classmethod
+    def of(
+        cls, key: tuple[str, str], members: Sequence[Triple]
+    ) -> "HomologousGroup":
+        """The group of ``members``, all claims about ``key``.
+
+        The center node's ``meta`` takes the first member's domain, so
+        every way of forming one group (matching, promotion, a query's
+        candidate set) yields the same node.
+        """
+        first = members[0]
+        snode = HomologousNode(
+            name=key[1],
+            entity=key[0],
+            meta={"domain": first.provenance.domain if first.provenance else ""},
+            num=len(members),
+        )
+        return cls(key=key, snode=snode, members=list(members))
+
     @property
     def entity(self) -> str:
         return self.key[0]
@@ -60,10 +79,6 @@ class HomologousGroup:
 
     def values(self) -> list[str]:
         return [t.obj for t in self.members]
-
-    def line_subgraph(self) -> LineGraph:
-        """The homologous triple line subgraph (complete, per Fig. 4)."""
-        return LineGraph(self.members)
 
 
 @dataclass(slots=True)
@@ -92,17 +107,7 @@ def match_homologous(
         members = graph.by_key(*key)
         distinct_sources = {t.source_id() for t in members}
         if len(members) >= 2 and len(distinct_sources) >= min_sources:
-            entity, attribute = key
-            snode = HomologousNode(
-                name=attribute,
-                entity=entity,
-                meta={"domain": members[0].provenance.domain
-                      if members[0].provenance else ""},
-                num=len(members),
-            )
-            result.groups.append(
-                HomologousGroup(key=key, snode=snode, members=list(members))
-            )
+            result.groups.append(HomologousGroup.of(key, members))
         else:
             result.isolated.extend(members)
     return result

@@ -33,63 +33,18 @@ from repro.linegraph.transform import LineGraph
 class MultiSourceLineGraph:
     """Homologous triple line graph ``SG'`` over a fused knowledge graph."""
 
-    def __init__(self, graph: KnowledgeGraph, min_sources: int = 2) -> None:
+    def __init__(self, graph: KnowledgeGraph) -> None:
         start = time.perf_counter()
         self.graph = graph
-        self._min_sources = min_sources
         self._line_graph: LineGraph | None = None
-        match: MatchResult = match_homologous(graph, min_sources=min_sources)
+        match: MatchResult = match_homologous(graph)
         self.groups: list[HomologousGroup] = match.groups
         self.isolated: list[Triple] = match.isolated
         self._group_by_key: dict[tuple[str, str], HomologousGroup] = match.group_index()
-        self._groups_by_entity: dict[str, list[HomologousGroup]] = defaultdict(list)
-        for group in self.groups:
-            self._groups_by_entity[group.entity].append(group)
         self._isolated_by_key: dict[tuple[str, str], list[Triple]] = defaultdict(list)
         for triple in self.isolated:
             self._isolated_by_key[triple.key()].append(triple)
         self.build_time_s = time.perf_counter() - start
-
-    @classmethod
-    def restore(
-        cls,
-        graph: KnowledgeGraph,
-        *,
-        min_sources: int,
-        groups: list[HomologousGroup],
-        isolated: list[Triple],
-    ) -> "MultiSourceLineGraph":
-        """Rebuild an MLG from snapshot-restored groups without matching.
-
-        The caller (the snapshot loader) supplies the homologous groups
-        and isolated claims exactly as they were serialized — in their
-        original construction order — so lookups, statistics and group
-        iteration behave identically to the instance that was saved.
-        Only the secondary lookup indexes are rebuilt eagerly (O(n) and
-        deterministic); as for a built MLG, the line-graph view waits for
-        its first reader — fusion queries go through the group index and
-        never touch it.
-        """
-        mlg = object.__new__(cls)
-        mlg.graph = graph
-        mlg._min_sources = min_sources
-        mlg._line_graph = None
-        mlg.groups = groups
-        mlg.isolated = isolated
-        mlg._group_by_key = {g.key: g for g in groups}
-        mlg._groups_by_entity = defaultdict(list)
-        for group in groups:
-            mlg._groups_by_entity[group.entity].append(group)
-        mlg._isolated_by_key = defaultdict(list)
-        for triple in isolated:
-            mlg._isolated_by_key[triple.key()].append(triple)
-        mlg.build_time_s = 0.0
-        return mlg
-
-    @property
-    def min_sources(self) -> int:
-        """The homologous-matching threshold this MLG was built with."""
-        return self._min_sources
 
     @property
     def line_graph(self) -> LineGraph:
@@ -110,9 +65,6 @@ class MultiSourceLineGraph:
         """O(1) lookup of the homologous group for one claim key."""
         return self._group_by_key.get((entity, attribute))
 
-    def groups_for_entity(self, entity: str) -> list[HomologousGroup]:
-        return list(self._groups_by_entity.get(entity, ()))
-
     def isolated_claims(self, entity: str, attribute: str) -> list[Triple]:
         """Isolated (single-source) claims for one key."""
         return list(self._isolated_by_key.get((entity, attribute), ()))
@@ -122,10 +74,6 @@ class MultiSourceLineGraph:
         group = self.group(entity, attribute)
         members = list(group.members) if group else []
         return members + self.isolated_claims(entity, attribute)
-
-    def entities(self) -> list[str]:
-        """Entities that have at least one homologous group."""
-        return sorted(self._groups_by_entity)
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -141,10 +89,11 @@ class MultiSourceLineGraph:
 
         ``triples`` must already be in ``graph``.  The line-graph view is
         dropped, and its next reader builds it from the graph, new
-        triples included.
+        triples included.  Every key ends up with the members and
+        isolated claims a fresh ``MultiSourceLineGraph(graph)`` gives it;
+        only the order of :attr:`groups` differs (a promoted group is
+        appended, matching sorts by key).
         """
-        from repro.linegraph.homologous import HomologousGroup, HomologousNode
-
         self._line_graph = None
         stats = {"joined": 0, "promoted": 0, "isolated": 0}
         for triple in triples:
@@ -158,19 +107,12 @@ class MultiSourceLineGraph:
                 continue
             pending = self._isolated_by_key[key]
             sources = {t.source_id() for t in pending} | {triple.source_id()}
-            if pending and len(sources) >= self._min_sources:
-                members = [t for t in pending] + [triple]
-                snode = HomologousNode(
-                    name=key[1],
-                    entity=key[0],
-                    meta={"domain": triple.provenance.domain
-                          if triple.provenance else ""},
-                    num=len(members),
-                )
-                group = HomologousGroup(key=key, snode=snode, members=members)
+            # Definition 3: claims from two distinct sources are
+            # multi-source homologous (match_homologous's default)
+            if len(sources) >= 2:
+                group = HomologousGroup.of(key, pending + [triple])
                 self.groups.append(group)
                 self._group_by_key[key] = group
-                self._groups_by_entity[key[0]].append(group)
                 self.isolated = [t for t in self.isolated if t.key() != key]
                 self._isolated_by_key[key] = []
                 stats["promoted"] += 1

@@ -26,12 +26,14 @@ if TYPE_CHECKING:  # a type-only edge: core imports snapshot, never back
 #: Bump whenever the on-disk layout or any serialized structure changes;
 #: old snapshots then fingerprint-miss instead of loading wrongly.
 #: v2: delta layers and source descriptors in the manifest.  v3: one
-#: ``graph.json`` and one ``mlg.json`` per base snapshot, in insertion
-#: and construction order.  v4: ``retriever.json`` holds only the
-#: term-count table the indexes are rebuilt from, and ``mlg.json`` no
-#: edge weights.  Older snapshots raise a migration error telling the
-#: operator to re-ingest and remove the old store.
-SNAPSHOT_FORMAT_VERSION = 4
+#: graph file and one MLG file per base snapshot, in insertion and
+#: construction order.  v4: ``retriever.json`` holds only the term-count
+#: table the indexes are rebuilt from, and the MLG file no edge weights.
+#: v5: no MLG file (a load rebuilds the MLG from the graph), no
+#: normalized records, and no wall-clock field in a manifest.  Older
+#: snapshots raise a migration error telling the operator to re-ingest
+#: and remove the old store.
+SNAPSHOT_FORMAT_VERSION = 5
 
 
 def _jsonable(value: Any) -> Any:

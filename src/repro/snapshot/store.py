@@ -1,26 +1,31 @@
 """On-disk snapshot store: serialize/restore a fully ingested pipeline.
 
-Format v4 knows two kinds of content-addressed directory, both named by
+A snapshot stores only the state that a load cannot rebuild and that
+something reads: the fused graph, the chunks with their term counts, the
+history and the optional LLM cache.  Everything derived from them is
+rebuilt on every load: the retrieval indexes here, from the term counts;
+the multi-source line graph, the node scorer and the subject index by the
+pipeline, from the graph, with the calls a cold ingest makes.  No field
+records wall-clock time, so one corpus, config and LLM always write the
+same bytes.
+
+Format v5 knows two kinds of content-addressed directory, both named by
 their fingerprint (see :mod:`repro.snapshot.fingerprint`):
 
-**Base snapshots** hold a complete ingested state:
+**Base snapshots** hold the stored state of one ingest:
 
 ``manifest.json``
-    format version, ``kind: "base"``, component counts, the source
-    descriptors the state was built from.
+    format version, ``kind: "base"``, the extraction-call count,
+    component counts, the source descriptors the state was built from.
 ``graph.json``
     the fused knowledge graph: its name, its entities and its triples
     as columns in insertion order (parallel ``subject`` / ``predicate``
     / ``obj`` / ``prov_id`` lists plus a deduplicated provenance
     table).  Insertion order is the order every secondary index and the
-    MLG group enumeration derive from; the list is handed to
+    MLG's group members derive from; the list is handed to
     :meth:`~repro.kg.graph.KnowledgeGraph.bulk_restore` as is.
-``mlg.json``
-    the homologous groups in construction order, in flattened columnar
-    arrays (members referenced by triple index, per-group slices by an
-    offset array), and the isolated claims.
-``records.json`` / ``chunks.json``
-    normalized records and the chunk corpus.
+``chunks.json``
+    the chunk corpus.
 ``retriever.json``
     retrieval mode, ``rrf_k`` and the term-count table: one row per
     chunk, in chunk order, each row's terms in first-seen order, each
@@ -35,23 +40,22 @@ their fingerprint (see :mod:`repro.snapshot.fingerprint`):
 **Delta layers** record one ``add_source`` increment instead of a full
 state.  A layer directory holds a manifest (``kind: "delta"``, the parent
 fingerprint, the one source descriptor it adds) and ``layer.json`` (the
-standardized triples the source contributed, its chunks, its
-normalized record, and the post-update history state).
+standardized triples the source contributed, its chunks, and the
+post-update history state).
 :meth:`SnapshotStore.load` follows parent pointers back to the base,
 validates the *entire* chain up front — a missing or corrupt middle
 layer raises :class:`~repro.errors.SnapshotError` naming that layer,
-never a partial graph — then restores the base and replays each layer
-through the same incremental code paths ``add_source`` used
-(``bulk_append`` + ``MultiSourceLineGraph.add_triples``), and at the end
-folds the base's term counts and every layer's chunks into the retrieval
-indexes in one ``MultiSourceRetriever.build``; a base load runs the same
-fold on the base's counts alone.  Either way the fold runs inside
+never a partial graph — then restores the base, appends each layer's
+triples to the graph with ``bulk_append``, and at the end folds the
+base's term counts and every layer's chunks into the retrieval indexes
+in one ``MultiSourceRetriever.build``; a base load runs the same fold on
+the base's counts alone.  Either way the fold runs inside
 :meth:`SnapshotStore.load`, before the pipeline answers a query.
 :meth:`SnapshotStore.compact` squashes a chain back into a base snapshot
 under the same fingerprint.
 
-The manifest's counts are checked against ``graph.json``, ``mlg.json``
-and ``retriever.json`` on load, so a short file raises
+The manifest's counts are checked against ``graph.json`` and
+``retriever.json`` on load, so a short file raises
 :class:`~repro.errors.SnapshotError` naming it instead of restoring part
 of a graph or an index.
 
@@ -85,10 +89,7 @@ from repro.adapters.fusion import FusionResult
 from repro.confidence.history import HistoryStore
 from repro.errors import GraphError, SnapshotError
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.storage import NormalizedRecord
 from repro.kg.triple import Entity, Provenance, Triple
-from repro.linegraph.homologous import HomologousGroup, HomologousNode
-from repro.linegraph.mlg import MultiSourceLineGraph
 from repro.obs.context import NOOP, Observability
 from repro.retrieval.chunking import Chunk
 from repro.retrieval.retriever import MultiSourceRetriever
@@ -105,23 +106,21 @@ MAX_CHAIN_DEPTH = 4096
 
 @dataclass(slots=True)
 class LoadedState:
-    """Everything a warm-loaded pipeline needs to resume serving queries.
+    """The stored state a warm-loaded pipeline resumes from.
 
-    ``mlg`` is ``None`` when the snapshot was taken with MKA disabled;
-    ``llm_cache`` is ``None`` when the saving pipeline had no caching
-    wrapper around its LLM.  ``sources`` are the descriptors of the full
-    corpus the state represents (base descriptors plus one per replayed
-    layer); ``num_layers`` counts the delta layers replayed on top of
-    the base (0 for a direct base load).
+    The pipeline rebuilds the rest (the MLG, the scorer, the subject
+    index) from ``fusion.graph``.  ``llm_cache`` is ``None`` when the
+    saving pipeline had no caching wrapper around its LLM.  ``sources``
+    are the descriptors of the full corpus the state represents (base
+    descriptors plus one per replayed layer); ``num_layers`` counts the
+    delta layers replayed on top of the base (0 for a direct base load).
     """
 
     fingerprint: str
     fusion: FusionResult
     retriever: MultiSourceRetriever
-    mlg: MultiSourceLineGraph | None
     history: HistoryStore
     llm_cache: dict[str, str] | None = None
-    mlg_stats: dict[str, float] = field(default_factory=dict)
     sources: list[SourceDescriptor] = field(default_factory=list)
     num_layers: int = 0
 
@@ -279,7 +278,6 @@ class SnapshotStore:
         *,
         fusion: FusionResult,
         retriever: MultiSourceRetriever,
-        mlg: MultiSourceLineGraph | None,
         history: HistoryStore,
         llm_cache: dict[str, str] | None = None,
         sources: Sequence[SourceDescriptor] | None = None,
@@ -295,7 +293,6 @@ class SnapshotStore:
         """
         graph = fusion.graph
         triples = list(graph.triples())
-        triple_index = {t: i for i, t in enumerate(triples)}
 
         def _populate(tmp: Path) -> None:
             self._write_json(tmp / "graph.json", {
@@ -303,14 +300,9 @@ class SnapshotStore:
                 "entities": [e.to_dict() for e in graph.entities()],
                 "triples": self._triple_cols(triples),
             })
-            self._write_json(tmp / "records.json", [
-                r.to_dict() for r in fusion.records
-            ])
             self._write_json(tmp / "chunks.json", [
                 self._chunk_doc(c) for c in fusion.chunks
             ])
-            self._write_mlg_file(tmp, mlg, triple_index)
-
             self._write_json(tmp / "retriever.json", retriever.export_state())
             self._write_json(tmp / "history.json", history.export_state())
             if llm_cache is not None:
@@ -320,19 +312,13 @@ class SnapshotStore:
                 "format_version": SNAPSHOT_FORMAT_VERSION,
                 "kind": "base",
                 "fingerprint": fingerprint,
-                "fusion": {
-                    "build_time_s": fusion.build_time_s,
-                    "extraction_calls": fusion.extraction_calls,
-                },
+                "extraction_calls": fusion.extraction_calls,
                 "counts": {
                     "triples": len(triples),
                     "entities": graph.num_entities(),
                     "chunks": len(fusion.chunks),
-                    "records": len(fusion.records),
-                    "groups": len(mlg.groups) if mlg else 0,
                 },
                 "has_llm_cache": llm_cache is not None,
-                "mlg_stats": mlg.stats() if mlg else {},
                 "sources": [d.to_doc() for d in sources or []],
             })
 
@@ -344,13 +330,10 @@ class SnapshotStore:
         *,
         parent: str,
         descriptor: SourceDescriptor,
-        record: NormalizedRecord | None,
         triples: list[Triple],
         chunks: list[Chunk],
         history: HistoryStore,
         extraction_calls: int = 0,
-        mlg_update: dict[str, int] | None = None,
-        mlg_stats: dict[str, float] | None = None,
     ) -> Path:
         """Append one ``add_source`` increment as a content-addressed layer.
 
@@ -375,7 +358,6 @@ class SnapshotStore:
             self._write_json(tmp / "layer.json", {
                 "triples": self._triple_cols(triples),
                 "chunks": [self._chunk_doc(c) for c in chunks],
-                "record": record.to_dict() if record is not None else None,
                 "history": history.export_state(),
             })
             self._write_json(tmp / "manifest.json", {
@@ -389,8 +371,6 @@ class SnapshotStore:
                     "chunks": len(chunks),
                 },
                 "extraction_calls": extraction_calls,
-                "mlg_update": dict(mlg_update or {}),
-                "mlg_stats": dict(mlg_stats or {}),
             })
 
         return self._install(fingerprint, _populate)
@@ -414,7 +394,6 @@ class SnapshotStore:
             fingerprint,
             fusion=state.fusion,
             retriever=state.retriever,
-            mlg=state.mlg,
             history=state.history,
             llm_cache=state.llm_cache,
             sources=state.sources,
@@ -544,41 +523,6 @@ class SnapshotStore:
             )
         ]
 
-    def _write_mlg_file(
-        self,
-        tmp: Path,
-        mlg: MultiSourceLineGraph | None,
-        triple_index: dict[Triple, int],
-    ) -> None:
-        """The homologous groups in order, as flattened columnar arrays.
-
-        The members of every group share one array, sliced by offset
-        (``member_off[g] : member_off[g + 1]``), so the loader sees a
-        handful of long arrays instead of one object per group.
-        """
-        if mlg is None:
-            self._write_json(tmp / "mlg.json", {"enabled": False})
-            return
-        keys: list[list[str]] = []
-        snodes: list[list[Any]] = []
-        member_idx: list[int] = []
-        member_off = [0]
-        for g in mlg.groups:
-            keys.append([g.key[0], g.key[1]])
-            s = g.snode
-            snodes.append([s.name, s.entity, dict(s.meta), s.num, s.confidence])
-            member_idx.extend(triple_index[m] for m in g.members)
-            member_off.append(len(member_idx))
-        self._write_json(tmp / "mlg.json", {
-            "enabled": True,
-            "min_sources": mlg.min_sources,
-            "isolated": [triple_index[t] for t in mlg.isolated],
-            "keys": keys,
-            "snodes": snodes,
-            "member_idx": member_idx,
-            "member_off": member_off,
-        })
-
     @staticmethod
     def _write_json(path: Path, payload: Any) -> None:
         path.write_text(json.dumps(payload, ensure_ascii=False))
@@ -589,11 +533,11 @@ class SnapshotStore:
     def load(
         self, fingerprint: str, obs: Observability | None = None
     ) -> LoadedState:
-        """Restore the complete ingested state saved under ``fingerprint``.
+        """Restore the state saved under ``fingerprint``.
 
         A base snapshot restores directly; a delta layer restores its
-        whole chain (base first, then each layer's increment replayed
-        through the same incremental paths ``add_source`` used).  ``obs``
+        whole chain (base first, then each layer's triples appended to the
+        graph and its chunks folded into the retrieval indexes).  ``obs``
         is bound to the restored retriever (telemetry only; it does not
         affect the restored data).
 
@@ -619,11 +563,6 @@ class SnapshotStore:
                 layer_chunks = [
                     self._chunk_from_doc(c) for c in doc["chunks"]
                 ]
-                record_doc = doc.get("record")
-                record = (
-                    NormalizedRecord.from_dict(record_doc)
-                    if record_doc is not None else None
-                )
                 history_doc = doc["history"]
             except (IndexError, KeyError, TypeError) as exc:
                 raise SnapshotError(
@@ -634,7 +573,6 @@ class SnapshotStore:
                 "manifest": manifest,
                 "triples": layer_triples,
                 "chunks": layer_chunks,
-                "record": record,
                 "history": history_doc,
             })
 
@@ -657,12 +595,8 @@ class SnapshotStore:
                 if not graph.has_entity(t.subject):
                     graph.add_entity(Entity(eid=t.subject, name=t.subject))
                 graph.entity(t.subject).add_attribute(t.predicate, t.obj)
-            if layer["record"] is not None:
-                fusion.records.append(layer["record"])
             fusion.chunks.extend(layer["chunks"])
             fusion.extraction_calls += int(manifest.get("extraction_calls", 0))
-            if state.mlg is not None:
-                state.mlg.add_triples(layer_triples)
             source_doc = manifest.get("source")
             if isinstance(source_doc, dict):
                 try:
@@ -683,10 +617,7 @@ class SnapshotStore:
         if not layers:
             return state
         state.history = HistoryStore().restore_state(layers[-1]["history"])
-
-        tip_manifest = layers[-1]["manifest"]
         state.fingerprint = fingerprint
-        state.mlg_stats = dict(tip_manifest.get("mlg_stats", {}))
         state.sources = descriptors
         state.num_layers = len(layers)
         return state
@@ -705,30 +636,19 @@ class SnapshotStore:
         fingerprint = str(manifest.get("fingerprint", ""))
         snap_dir = self._dir(fingerprint)
 
-        graph, triples = self._restore_graph(snap_dir, fingerprint, manifest)
-
-        records = [
-            NormalizedRecord.from_dict(doc)
-            for doc in self._read_json(snap_dir / "records.json", fingerprint)
-        ]
+        graph = self._restore_graph(snap_dir, fingerprint, manifest)
         chunks = [
             self._chunk_from_doc(doc)
             for doc in self._read_json(snap_dir / "chunks.json", fingerprint)
         ]
         fusion = FusionResult(
             graph=graph,
-            records=records,
             chunks=chunks,
-            build_time_s=float(manifest["fusion"]["build_time_s"]),
-            extraction_calls=int(manifest["fusion"]["extraction_calls"]),
+            extraction_calls=int(manifest["extraction_calls"]),
         )
 
         retriever = self._restore_retriever(
             snap_dir, fingerprint, manifest, chunks, obs
-        )
-
-        mlg, mlg_stats = self._restore_mlg(
-            snap_dir, fingerprint, graph, triples, manifest
         )
 
         history = HistoryStore().restore_state(
@@ -755,10 +675,8 @@ class SnapshotStore:
             fingerprint=fingerprint,
             fusion=fusion,
             retriever=retriever,
-            mlg=mlg,
             history=history,
             llm_cache=llm_cache,
-            mlg_stats=dict(manifest.get("mlg_stats", {})),
             sources=sources,
             num_layers=0,
         )
@@ -813,7 +731,7 @@ class SnapshotStore:
 
     def _restore_graph(
         self, snap_dir: Path, fingerprint: str, manifest: dict[str, Any]
-    ) -> tuple[KnowledgeGraph, list[Triple]]:
+    ) -> KnowledgeGraph:
         """Decode ``graph.json`` and bulk-load the graph.
 
         The triples are stored in the saving graph's insertion order, so
@@ -846,64 +764,7 @@ class SnapshotStore:
             raise SnapshotError(
                 f"snapshot {fingerprint}: corrupt graph.json: {exc!r}"
             ) from exc
-        return graph, triples
-
-    def _restore_mlg(
-        self,
-        snap_dir: Path,
-        fingerprint: str,
-        graph: KnowledgeGraph,
-        triples: list[Triple],
-        manifest: dict[str, Any],
-    ) -> tuple[MultiSourceLineGraph | None, dict[str, float]]:
-        """Decode ``mlg.json`` back into the groups in construction order.
-
-        Raises:
-            SnapshotError: if ``mlg.json`` is missing or corrupt, or holds
-                another number of groups than the manifest counts (the
-                error names the file).
-        """
-        doc = self._read_json(snap_dir / "mlg.json", fingerprint)
-        if not doc.get("enabled"):
-            return None, {}
-        num_groups = manifest.get("counts", {}).get("groups")
-        try:
-            member_idx = doc["member_idx"]
-            member_off = doc["member_off"]
-            groups: list[HomologousGroup] = []
-            for gi, (key, sdoc) in enumerate(zip(doc["keys"], doc["snodes"])):
-                snode = HomologousNode(
-                    name=sdoc[0],
-                    entity=sdoc[1],
-                    meta=dict(sdoc[2]),
-                    num=int(sdoc[3]),
-                    confidence=sdoc[4],
-                )
-                members = [
-                    triples[i]
-                    for i in member_idx[member_off[gi]:member_off[gi + 1]]
-                ]
-                groups.append(HomologousGroup(
-                    key=(key[0], key[1]), snode=snode, members=members
-                ))
-            if len(groups) != num_groups:
-                raise SnapshotError(
-                    f"snapshot {fingerprint}: mlg.json holds {len(groups)} "
-                    f"MLG groups, the manifest counts {num_groups!r}"
-                )
-            isolated = [triples[i] for i in doc["isolated"]]
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(
-                f"snapshot {fingerprint}: corrupt MLG serialization in "
-                f"mlg.json: {exc!r}"
-            ) from exc
-        mlg = MultiSourceLineGraph.restore(
-            graph,
-            min_sources=int(doc.get("min_sources", 2)),
-            groups=groups,
-            isolated=isolated,
-        )
-        return mlg, dict(manifest.get("mlg_stats", {}))
+        return graph
 
     @staticmethod
     def _read_json(path: Path, fingerprint: str) -> Any:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.confidence import assess_groups, graph_confidence
+from repro.confidence import graph_confidence
 from repro.kg import Provenance, Triple
 from repro.linegraph import HomologousGroup, HomologousNode
 
@@ -38,18 +38,3 @@ class TestGraphConfidence:
         high = graph_confidence(group_of(["a", "a", "b"]))
         assert high > low
 
-
-class TestAssessGroups:
-    def test_threshold_split(self):
-        groups = [group_of(["x", "x", "x"]), group_of(["x", "y"])]
-        assessments = assess_groups(groups, threshold=0.5)
-        assert assessments[0].passed
-        assert not assessments[1].passed
-
-    def test_confidence_written_to_snode(self):
-        group = group_of(["x", "x"])
-        assess_groups([group], threshold=0.5)
-        assert group.snode.confidence == 1.0
-
-    def test_empty_list(self):
-        assert assess_groups([], threshold=0.5) == []

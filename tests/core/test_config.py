@@ -23,7 +23,6 @@ class TestValidation:
         ("fast_path_nodes", 0),
         ("hedge_margin", -0.01),
         ("top_k", 0),
-        ("min_sources", 1),
     ])
     def test_invalid_values(self, field, value):
         with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Tests for JSON-LD storage: normalized records and graph round trips."""
+"""Tests for JSON-LD storage: triple statements and graph round trips."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.kg import (
     JSONLD_CONTEXT,
     KnowledgeGraph,
-    NormalizedRecord,
     Provenance,
     Triple,
     load_graph,
@@ -44,36 +43,6 @@ class TestJsonLd:
     def test_from_jsonld_missing_predicate_raises(self):
         with pytest.raises(ValueError):
             triple_from_jsonld({"@id": "x", "@context": "c"})
-
-
-class TestNormalizedRecord:
-    def test_round_trip(self):
-        record = NormalizedRecord(
-            record_id="norm:1",
-            domain="movies",
-            name="a.csv",
-            jsonld={"@graph": []},
-            meta={"origin": "test"},
-            cols_index={"title": ["Inception"]},
-        )
-        restored = NormalizedRecord.from_dict(record.to_dict())
-        assert restored == record
-
-    def test_column_lookup(self):
-        record = NormalizedRecord(
-            record_id="r", domain="d", name="n", jsonld={},
-            cols_index={"year": ["2010", "1995"]},
-        )
-        assert record.column("year") == ["2010", "1995"]
-        assert record.column("absent") == []
-
-    def test_column_without_index(self):
-        record = NormalizedRecord(record_id="r", domain="d", name="n", jsonld={})
-        assert record.column("anything") == []
-
-    def test_cols_index_omitted_from_dict_when_none(self):
-        record = NormalizedRecord(record_id="r", domain="d", name="n", jsonld={})
-        assert "cols_index" not in record.to_dict()
 
 
 class TestGraphPersistence:

@@ -36,11 +36,6 @@ class TestMatchHomologous:
         keys = {g.key for g in result.groups}
         assert keys == {("Inception", "release_year")}
 
-    def test_line_subgraph_complete(self, tiny_graph):
-        result = match_homologous(tiny_graph)
-        group = result.group_index()[("Inception", "release_year")]
-        assert group.line_subgraph().is_complete()
-
     def test_entity_attribute_properties(self, tiny_graph):
         result = match_homologous(tiny_graph)
         group = result.group_index()[("Inception", "directed_by")]

@@ -29,16 +29,6 @@ class TestMultiSourceLineGraph:
         assert len(mlg.candidates("Heat", "directed_by")) == 1
         assert mlg.candidates("Nope", "nope") == []
 
-    def test_groups_for_entity(self, tiny_graph):
-        mlg = MultiSourceLineGraph(tiny_graph)
-        groups = mlg.groups_for_entity("Inception")
-        assert {g.attribute for g in groups} == {"release_year", "directed_by"}
-        assert mlg.groups_for_entity("Heat") == []
-
-    def test_entities(self, tiny_graph):
-        mlg = MultiSourceLineGraph(tiny_graph)
-        assert mlg.entities() == ["Inception"]
-
     def test_stats(self, tiny_graph):
         stats = MultiSourceLineGraph(tiny_graph).stats()
         assert stats["groups"] == 2

@@ -79,7 +79,7 @@ class TestMCCResult:
 class TestMLG:
     @pytest.fixture()
     def mlg(self, tiny_graph):
-        return MultiSourceLineGraph(tiny_graph, min_sources=2)
+        return MultiSourceLineGraph(tiny_graph)
 
     def test_real_mlg_validates(self, mlg):
         assert check_mlg(mlg) is mlg

@@ -8,6 +8,9 @@ The layer contract:
   and warm-loads base + layers without re-running extraction;
 * the layered load is byte-identical (``drop_timing``) to a cold full
   ingest of the combined corpus, at jobs=1 and jobs=4;
+* a load rebuilds the MLG from the graph, key for key equal to the one
+  ``add_source`` extended, and two stores built the same way hold the
+  same bytes;
 * a missing or corrupt middle layer raises :class:`SnapshotError` naming
   the broken layer — never a partially-applied graph.
 """
@@ -87,11 +90,22 @@ def _assert_same_indexes(got, live):
     assert dense_state(got._dense) == dense_state(live._dense)
 
 
-def _build_chain(dataset, tmp_path, n_extra=1):
+def _mlg_by_key(mlg):
+    """Each key's group (members in order, snode fields) and isolated
+    claims, without the order of ``mlg.groups``."""
+    return (
+        {g.key: g for g in mlg.groups},
+        {t.key(): mlg.isolated_claims(*t.key()) for t in mlg.isolated},
+    )
+
+
+def _build_chain(dataset, tmp_path, n_extra=1, config=None):
     """Ingest all-but-``n_extra`` sources, then add_source the rest."""
     sources = dataset.raw_sources()
     base, extras = sources[: len(sources) - n_extra], sources[-n_extra:]
-    rag = MultiRAG.from_config(_config(), snapshot=tmp_path / "snaps")
+    rag = MultiRAG.from_config(
+        config or _config(), snapshot=tmp_path / "snaps"
+    )
     assert not rag.ingest(base).loaded_from_snapshot
     fingerprints = [rag._snapshot_fingerprint]
     for extra in extras:
@@ -192,7 +206,7 @@ class TestLayeredLoadIdentity:
         assert report.snapshot_layers == 0
         assert _evaluate(warm, dataset) == cold_json
 
-    def test_compacted_base_has_the_v4_file_set(self, dataset, tmp_path):
+    def test_compacted_base_has_the_v5_file_set(self, dataset, tmp_path):
         _rag, _sources, fps = _build_chain(dataset, tmp_path, n_extra=2)
         snaps = tmp_path / "snaps"
         store = SnapshotStore(snaps)
@@ -203,20 +217,21 @@ class TestLayeredLoadIdentity:
         store.compact(fps[-1])
         base = snaps / fps[-1]
         docs += [store.manifest(fps[-1])] + [
-            json.loads((base / name).read_text())
-            for name in ("graph.json", "mlg.json")
+            json.loads((base / "graph.json").read_text())
         ]
-        # no index arrays: the loader rebuilds every index from the
-        # term counts in retriever.json
+        # no index arrays, no MLG and no records: the loader rebuilds
+        # every index from the term counts in retriever.json and the MLG
+        # from the graph
         assert sorted(p.name for p in base.iterdir()) == [
             "chunks.json", "graph.json", "history.json", "manifest.json",
-            "mlg.json", "records.json", "retriever.json",
+            "retriever.json",
         ]
         retriever_doc = json.loads((base / "retriever.json").read_text())
         assert sorted(retriever_doc) == ["mode", "rrf_k", "term_counts"]
         assert not {
             "n_shards", "shard", "idx", "order", "has_matrix",
             "weight_idx", "weight_val", "weight_off",
+            "mlg_stats", "mlg_update", "record", "records", "build_time_s",
         } & set(key for doc in docs for key in _keys(doc))
 
 
@@ -244,6 +259,66 @@ class TestSubjectIndexParity:
             assert rag.evaluate(questions).to_json(
                 drop_timing=True
             ) == expected
+
+
+class TestMLGParity:
+    @pytest.mark.parametrize("update_history", [False, True])
+    def test_live_chain_and_compacted_agree(
+        self, dataset, tmp_path, update_history
+    ):
+        """The MLG is rebuilt from the graph on a load, never persisted:
+        the live pipeline's MLG after add_source (a promoted group is
+        appended), a chain-loaded and a compacted one (groups in key
+        order) must hold the same groups and isolated claims key for key
+        and answer identically; with history updates on, one more
+        add_source must calibrate the live and the chain-loaded history
+        to the same state."""
+        config = MultiRAGConfig(seed=1, update_history=update_history)
+        sources = dataset.raw_sources()
+        snaps = tmp_path / "snaps"
+        live = MultiRAG.from_config(config, snapshot=snaps)
+        live.ingest(sources[:-2])
+        assert live.add_source(sources[-2])["promoted"] > 0
+        chained = MultiRAG.from_config(config, snapshot=snaps)
+        assert chained.ingest(sources[:-1]).snapshot_layers == 1
+        SnapshotStore(snaps).compact(live._snapshot_fingerprint)
+        compacted = MultiRAG.from_config(config, snapshot=snaps)
+        report = compacted.ingest(sources[:-1])
+        assert report.loaded_from_snapshot and report.snapshot_layers == 0
+
+        expected = _mlg_by_key(live.mlg)
+        expected_json = _evaluate(live, dataset)
+        for rag in (chained, compacted):
+            assert _mlg_by_key(rag.mlg) == expected
+            assert _evaluate(rag, dataset) == expected_json
+        if not update_history:
+            return
+        assert chained.history.export_state() == live.history.export_state()
+        for rag in (live, chained):
+            assert rag.add_source(sources[-1])["claims_added"] > 0
+        assert _mlg_by_key(chained.mlg) == _mlg_by_key(live.mlg)
+        assert chained.history.export_state() == live.history.export_state()
+
+
+class TestDeterministicSnapshots:
+    def test_same_ingest_writes_same_bytes(self, dataset, tmp_path):
+        """No wall-clock field in any file: two stores built from one
+        corpus by ingest and add_source hold the same files, byte for
+        byte."""
+
+        def store_bytes(root):
+            return {
+                str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()
+            }
+
+        config = MultiRAGConfig(seed=1)
+        stores = []
+        for name in ("a", "b"):
+            _build_chain(dataset, tmp_path / name, config=config)
+            stores.append(store_bytes(tmp_path / name / "snaps"))
+        assert stores[0] == stores[1]
+        assert len(stores[0]) == 7  # a base of five files, a layer of two
 
 
 class TestWorkNotDone:

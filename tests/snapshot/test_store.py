@@ -115,7 +115,6 @@ class TestOverwrite:
         return dict(
             fusion=rag.fusion,
             retriever=rag.retriever,
-            mlg=rag.mlg,
             history=rag.history,
         )
 
@@ -174,11 +173,12 @@ class TestCorruption:
     def test_version_mismatch(self, corpus, tmp_path):
         store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
         manifest = json.loads((snap_dir / "manifest.json").read_text())
-        # a v3 store (index arrays in .npy files) or a v2 one (per-shard
-        # graph and MLG files) is refused with the migration hint, never
-        # read as v4
+        # a v4 store (an MLG file and normalized records), a v3 one
+        # (index arrays in .npy files) or a v2 one (per-shard graph and
+        # MLG files) is refused with the migration hint, never read as v5
         for version, hint in [
             (SNAPSHOT_FORMAT_VERSION + 1, "format version"),
+            (4, "format version 4; .* re-ingest to write a fresh snapshot"),
             (3, "format version 3; .* re-ingest to write a fresh snapshot"),
             (2, "format version 2; .* re-ingest to write a fresh snapshot"),
         ]:
@@ -201,15 +201,6 @@ class TestCorruption:
             doc["triples"][column].pop()
         (snap_dir / "graph.json").write_text(json.dumps(doc))
         with pytest.raises(SnapshotError, match="graph.json holds"):
-            store.load(fp)
-
-    def test_short_mlg_file_names_itself(self, corpus, tmp_path):
-        store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
-        doc = json.loads((snap_dir / "mlg.json").read_text())
-        for column in ("keys", "snodes"):
-            doc[column].pop()
-        (snap_dir / "mlg.json").write_text(json.dumps(doc))
-        with pytest.raises(SnapshotError, match="mlg.json holds"):
             store.load(fp)
 
     def test_missing_component(self, corpus, tmp_path):
@@ -237,15 +228,6 @@ class TestCorruption:
         doc["term_counts"].pop()
         (snap_dir / "retriever.json").write_text(json.dumps(doc))
         with pytest.raises(SnapshotError, match="retriever.json holds"):
-            store.load(fp)
-
-    def test_out_of_range_mlg_member(self, corpus, tmp_path):
-        store, fp, snap_dir = self._snapshot_dir(corpus, tmp_path)
-        doc = json.loads((snap_dir / "mlg.json").read_text())
-        assert doc["member_idx"], "the corpus should yield MLG groups"
-        doc["member_idx"][0] = 10**9
-        (snap_dir / "mlg.json").write_text(json.dumps(doc))
-        with pytest.raises(SnapshotError, match="MLG"):
             store.load(fp)
 
     def test_corrupt_pipeline_load_raises(self, corpus, tmp_path):

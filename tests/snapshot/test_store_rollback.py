@@ -44,7 +44,6 @@ def resave(rag: MultiRAG, store: SnapshotStore, fingerprint: str) -> Path:
         fingerprint,
         fusion=rag.fusion,
         retriever=rag.retriever,
-        mlg=rag.mlg,
         history=rag.history,
         llm_cache=None,
     )
