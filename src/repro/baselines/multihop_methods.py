@@ -86,7 +86,7 @@ class _RetrievalChainMixin:
         display: dict[str, str] = {}
         docs: list[str] = []
         target = normalize_value(entity)
-        for hit in hits:  # repro-lint: loop-bound[3*self.top_k] — retrieve(k=top_k); MetaRAG's monitor retry widens k to 3*top_k
+        for hit in hits:
             docs.append(_doc_entity(hit.item.doc_id))
             for subject, predicate, obj in self.llm.extract_triples(hit.item.text, []):
                 if normalize_value(subject) == target and predicate == attribute:
@@ -102,7 +102,7 @@ class _RetrievalChainMixin:
         current: str | None = None
         ranked: tuple[str, ...] = ()
         docs: list[str] = []
-        for entity, attribute in hops:  # repro-lint: loop-bound[H] — one iteration per query hop
+        for entity, attribute in hops:
             subject = entity if entity is not None else (ranked[0] if ranked else None)
             if subject is None:
                 return (), docs
@@ -157,7 +157,7 @@ class QAStandardRAG(QAMethod, _RetrievalChainMixin):
         final_attr = query.hops[-1][1]
         counts: Counter[str] = Counter()
         display: dict[str, str] = {}
-        for hit in hits:  # repro-lint: loop-bound[self.top_k] — retrieve(k=self.top_k)
+        for hit in hits:
             for _, predicate, obj in self.llm.extract_triples(hit.item.text, []):
                 if predicate == final_attr:
                     key = normalize_value(obj)
@@ -204,7 +204,7 @@ class QACoT(QAMethod):
     def _chain_once(self, hops, attempt: int) -> list[str]:
         ranked: list[str] = []
         current: str | None = None
-        for entity, attribute in hops:  # repro-lint: loop-bound[H] — one iteration per query hop
+        for entity, attribute in hops:
             subject = entity if entity is not None else current
             if subject is None:
                 return []
@@ -316,7 +316,7 @@ class QAChatKBQA(QAMethod):
 
     def _chain(self, hops: tuple[tuple[str | None, str], ...]) -> tuple[str, ...]:
         ranked: tuple[str, ...] = ()
-        for entity, attribute in hops:  # repro-lint: loop-bound[H] — one iteration per query hop
+        for entity, attribute in hops:
             subject = entity if entity is not None else (ranked[0] if ranked else None)
             if subject is None:
                 return ()
@@ -427,7 +427,7 @@ class QAMetaRAG(QAMethod, _RetrievalChainMixin):
     ) -> tuple[tuple[str, ...], list[str]]:
         ranked: tuple[str, ...] = ()
         docs: list[str] = []
-        for entity, attribute in hops:  # repro-lint: loop-bound[H] — one iteration per query hop
+        for entity, attribute in hops:
             subject = entity if entity is not None else (ranked[0] if ranked else None)
             if subject is None:
                 return (), docs

@@ -482,18 +482,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             from repro.lint.flow.concurrency import shared_state_report
 
             print(json.dumps(shared_state_report(program), indent=2))
-        elif args.graph == "llm":
-            import json
-
-            from repro.lint.flow.resources import llm_call_report
-
-            print(json.dumps(llm_call_report(program), indent=2))
-        elif args.graph == "llm-bounds":
-            import json
-
-            from repro.lint.flow.resources import llm_bounds_payload
-
-            print(json.dumps(llm_bounds_payload(program), indent=2))
         else:
             print(program.callgraph.to_json())
         return 0
@@ -660,12 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the rule catalogue and exit")
     p.add_argument("--no-ignore", action="store_true",
                    help="report findings even on suppressed lines")
-    p.add_argument("--graph",
-                   choices=["dot", "json", "shared", "llm", "llm-bounds"],
-                   help="print the whole-program call graph (dot/json), "
-                        "the shared-state concurrency report, the LLM "
-                        "call-site inventory (llm), or the certified "
-                        "per-query call bounds (llm-bounds) and exit")
+    p.add_argument("--graph", choices=["dot", "json", "shared"],
+                   help="print the whole-program call graph (dot/json) "
+                        "or the shared-state concurrency report and exit")
     p.add_argument("--changed-only", action="store_true",
                    help="report only files changed since the cached run "
                         "(plus their reverse import closure)")

@@ -130,7 +130,8 @@ def mcc(
     obs = obs if obs is not None else NOOP
     metrics = obs.metrics
     result = MCCResult()
-    for group in groups:  # repro-lint: loop-bound[1] — every caller passes the single group matching one (entity, attribute) key
+    # Every caller passes the one group of a single (entity, attribute) key.
+    for group in groups:
         key = f"{group.snode.entity}|{group.snode.name}"
         graph_conf: float | None = None
         fast_path = False
@@ -238,7 +239,7 @@ def mcc(
             answers: AuthorityAnswers = {}
             prompted = 0
             any_accepted = False
-            for i in order:  # repro-lint: loop-bound[C] — at most the candidate claims of one key
+            for i in order:
                 member, s_n, a_hist = partial[i]
                 if not deferred[i] or (fallback_best and not any_accepted):
                     assessment = scorer.complete(

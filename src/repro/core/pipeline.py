@@ -219,8 +219,8 @@ class MultiRAG:
         With a snapshot store configured (via ``snapshot`` here, or on the
         constructor), the sources/config/LLM fingerprint is checked first.
         On a hit the stored state is warm-loaded from disk: the graph,
-        chunks, term counts, history and LLM cache are read, with no
-        parsing, extraction or standardization; the retrieval indexes are
+        chunks, term counts and history are read, with no parsing,
+        extraction or standardization; the retrieval indexes are
         rebuilt from the term counts, and the MLG, scorer and subject
         index from the graph, by the calls a cold build makes.  On a miss
         the cold build runs and its result is saved for the next process.
@@ -268,17 +268,12 @@ class MultiRAG:
         self.obs.metrics.counter("snapshot.misses").inc()
         report = self._ingest_cold(sources, plan=plan)
         assert self.fusion is not None
-        llm_cache = (
-            self.llm.export_cache()
-            if hasattr(self.llm, "export_cache") else None
-        )
         with self.obs.tracer.span("snapshot.save", fingerprint=fingerprint):
             store.save(
                 fingerprint,
                 fusion=self.fusion,
                 retriever=self.retriever,
                 history=self.history,
-                llm_cache=llm_cache,
                 sources=descriptors,
             )
         self.obs.metrics.counter("snapshot.saves").inc()
@@ -294,8 +289,8 @@ class MultiRAG:
         """Resume from a fingerprint-matched snapshot instead of a cold
         build.
 
-        Reads the graph, chunks, term counts, history and LLM cache, so no
-        source is parsed or extracted.  The load rebuilds the retrieval
+        Reads the graph, chunks, term counts and history, so no source is
+        parsed or extracted.  The load rebuilds the retrieval
         indexes from the term counts; :meth:`_index_graph` then rebuilds
         the MLG, scorer and subject index from the graph.  The restored
         history is used as it is, never recalibrated.
@@ -312,8 +307,6 @@ class MultiRAG:
             self.fusion = state.fusion
             self.retriever = state.retriever
             self.history = state.history
-            if state.llm_cache is not None and hasattr(self.llm, "import_cache"):
-                self.llm.import_cache(state.llm_cache)
             graph = self.fusion.graph
             self._index_graph()
             if span.enabled:
@@ -715,7 +708,7 @@ class MultiRAG:
         trace: list[str] = []
         total_qt = 0.0
         last = len(hops) - 1
-        for hop, (entity, attribute) in enumerate(hops):  # repro-lint: loop-bound[H] — one retrieval round per query hop
+        for hop, (entity, attribute) in enumerate(hops):
             if entity is None:
                 if result is None or not result.answers:
                     empty = RetrievalResult(query=f"? | {attribute}")
@@ -768,7 +761,7 @@ class MultiRAG:
         view._snapshot_fingerprint = self._snapshot_fingerprint
         view._active_store = self._active_store
         view.obs = self.obs.split()
-        view.llm = self.llm.split(obs=view.obs)
+        view.llm = self.llm.split()
         view.retriever = self.retriever.with_obs(view.obs)
         view.scorer = NodeScorer(
             self.fusion.graph,
@@ -937,7 +930,7 @@ class MultiRAG:
         target = normalize_value(entity)
         candidates: list[Triple] = []
         seen: set[tuple[str, str, str, str]] = set()
-        for hit in hits:  # repro-lint: loop-bound[2*S] — retrieve_per_source(k_per_source=2) over S sources
+        for hit in hits:
             for subject, predicate, obj in self.llm.extract_triples(hit.item.text, []):
                 if predicate != attribute or normalize_value(subject) != target:
                     continue

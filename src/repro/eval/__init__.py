@@ -19,7 +19,6 @@ from repro.eval.hallucheck import (
     decompose_answer,
     hallucination_rate,
 )
-from repro.eval.latency import LatencyTracker
 from repro.eval.harness import (
     FusionRow,
     MultiRAGStageReport,
@@ -41,7 +40,6 @@ from repro.eval.stats import (
     paired_permutation_test,
 )
 from repro.metrics import (
-    exact_match,
     f1_score,
     mean,
     normalized,
@@ -72,13 +70,11 @@ __all__ = [
     "reference_diagnosis",
     "run_probes",
     "FusionRow",
-    "LatencyTracker",
     "MultiRAGStageReport",
     "QARow",
     "StageRecall",
     "build_substrate",
     "classify_errors",
-    "exact_match",
     "f1_score",
     "format_series",
     "generate_report",

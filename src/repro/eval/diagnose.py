@@ -158,7 +158,7 @@ def _run_chain(
     records: list[HopRecord] = []
     previous_top = ""
     broken = False
-    for offset, (entity, attribute) in enumerate(hops):  # repro-lint: loop-bound[H] — one retrieval round per question hop
+    for offset, (entity, attribute) in enumerate(hops):
         index = start_index + offset
         gold = gold_hops[offset] if offset < len(gold_hops) else frozenset()
         subject = entity if entity is not None else previous_top

@@ -6,7 +6,6 @@ from repro.kg.temporal import TemporalStore, TimestampedClaim, latest_consensus
 from repro.kg.storage import (
     JSONLD_CONTEXT,
     NormalizedRecord,
-    load_graph,
     make_jsonld,
     save_graph,
     triple_from_jsonld,
@@ -25,7 +24,6 @@ __all__ = [
     "TimestampedClaim",
     "Triple",
     "latest_consensus",
-    "load_graph",
     "make_jsonld",
     "save_graph",
     "triple_from_jsonld",

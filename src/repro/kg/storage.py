@@ -15,9 +15,8 @@ The record is the adapter's per-source output: the adapter builds it
 while it parses, and fusion keeps the triples and documents, not the
 record.
 
-This module also provides round-trip (de)serialization of a whole
-:class:`~repro.kg.graph.KnowledgeGraph` so built graphs can be cached on
-disk between benchmark runs.
+This module also writes a whole :class:`~repro.kg.graph.KnowledgeGraph`
+to one JSON file of JSON-LD statements (``repro ingest --graph``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Entity, Provenance, Triple
+from repro.kg.triple import Provenance, Triple
 from repro.util import atomic_write_text
 
 #: ``@context`` used for every JSON-LD document this library emits.
@@ -101,14 +100,3 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
         "entities": [e.to_dict() for e in graph.entities()],
     }
     atomic_write_text(path, json.dumps(payload, ensure_ascii=False, indent=1))
-
-
-def load_graph(path: str | Path) -> KnowledgeGraph:
-    """Inverse of :func:`save_graph`."""
-    payload = json.loads(Path(path).read_text())
-    graph = KnowledgeGraph(name=payload.get("name", "kg"))
-    for doc in payload.get("triples", []):
-        graph.add_triple(triple_from_jsonld(doc))
-    for edoc in payload.get("entities", []):
-        graph.add_entity(Entity.from_dict(edoc))
-    return graph

@@ -39,7 +39,6 @@ from repro.lint.engine import (
 )
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.concurrency import shared_state_report
-from repro.lint.flow.resources import llm_bounds_payload, llm_call_report
 from repro.lint.registry import (
     FlowRule,
     ModuleUnderLint,
@@ -71,8 +70,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "lint_sources",
-    "llm_bounds_payload",
-    "llm_call_report",
     "register_rule",
     "rule_ids",
     "shared_state_report",

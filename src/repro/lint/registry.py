@@ -191,4 +191,3 @@ def _ensure_rules_loaded() -> None:
     # machinery, so they load here with the flow families, not from the
     # rules package's __init__ (which must stay flow-free).
     import repro.lint.rules.concurrency  # noqa: F401
-    import repro.lint.rules.resources  # noqa: F401

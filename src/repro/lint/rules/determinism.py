@@ -105,8 +105,6 @@ class WallClockRule(Rule):
         "run-dependent values into results; use time.perf_counter() for "
         "durations or thread an explicit timestamp through the API"
     )
-    # Latency telemetry is the one module whose *job* is observing clocks.
-    allowlist = ("repro/eval/latency.py",)
 
     def check(self, module: ModuleUnderLint) -> Iterable[Finding]:
         imports = collect_imports(module.tree)
@@ -131,7 +129,6 @@ class DatetimeNowRule(Rule):
         "datetime.now()/utcnow()/today() make output depend on when the "
         "code runs; accept a timestamp parameter instead"
     )
-    allowlist = ("repro/eval/latency.py",)
 
     _BANNED_TAILS = ("now", "utcnow", "today")
 

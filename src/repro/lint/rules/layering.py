@@ -38,7 +38,7 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     # (callers hand it closures), so it sits just above the foundation.
     "exec": frozenset({"errors", "util"}),
     "retrieval": frozenset({"errors", "obs", "util", "perf"}),
-    "llm": frozenset({"errors", "obs", "util", "retrieval"}),
+    "llm": frozenset({"errors", "util", "retrieval"}),
     "kg": frozenset({"errors", "util", "llm"}),
     "linegraph": frozenset({"errors", "util", "kg"}),
     "confidence": frozenset(

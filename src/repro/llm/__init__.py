@@ -1,6 +1,6 @@
 """Simulated-LLM substrate: clients, prompts, extraction, generation.
 
-The transport layer is stage-tagged: every completion names its pipeline
+Completions are stage-tagged: every completion names its pipeline
 :class:`~repro.llm.stage.Stage`, and every client's
 :class:`~repro.llm.base.UsageMeter` attributes calls, tokens and simulated
 latency to it.
@@ -14,7 +14,6 @@ from repro.llm.base import (
     UsageMeter,
     count_tokens,
 )
-from repro.llm.caching import CachingLLM
 from repro.llm.extraction import ExtractionResult, SchemaFreeExtractor
 from repro.llm.generation import EvidenceItem, generate_trustworthy_answer
 from repro.llm.lexicon import BY_PREDICATE, RELATIONS, split_sentence, verbalize
@@ -24,7 +23,6 @@ from repro.llm.stage import Stage
 __all__ = [
     "AUTHORITY_WEIGHTS",
     "BY_PREDICATE",
-    "CachingLLM",
     "EvidenceItem",
     "ExtractionResult",
     "LLMClient",

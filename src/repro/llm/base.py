@@ -9,8 +9,7 @@ principled basis even though no real model is being called.
 
 Every completion carries a :class:`~repro.llm.stage.Stage` tag naming the
 pipeline stage that issued it.  The tag drives per-stage usage attribution
-(:attr:`UsageMeter.by_stage`) and the statically certified call bounds
-(``repro.lint`` RES rules).  The tag is a required argument of
+(:attr:`UsageMeter.by_stage`).  The tag is a required argument of
 :meth:`LLMClient.complete`, passed through unchanged, so no call can
 escape attribution.
 """
@@ -23,12 +22,8 @@ import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.llm.stage import Stage
-
-if TYPE_CHECKING:
-    from repro.obs.context import Observability
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,10 +248,8 @@ class LLMClient(ABC):
     seed: the whole reproduction depends on replayable runs.
 
     The public surface is :meth:`complete` (plus the semantic helpers
-    below), which takes a ``stage`` tag.  Subclasses customize the
-    *transport* layer — :meth:`_generate` for the text and
-    :meth:`transport` when they also control accounted latency (the
-    cache layer's free hits) — and inherit tagging, accounting and the
+    below), which takes a ``stage`` tag.  Subclasses supply the text by
+    overriding :meth:`_generate` and inherit tagging, accounting and the
     helper prompts unchanged.
     """
 
@@ -288,21 +281,10 @@ class LLMClient(ABC):
             count_tokens(prompt) + count_tokens(text)
         )
 
-    def transport(self, prompt: str) -> tuple[str, float]:
-        """Generate one completion and return ``(text, latency_s)``
-        WITHOUT metering it.
-
-        This is the seam between generation and accounting: wrappers
-        that change the cost of a call (cache hits at latency zero)
-        override this — or :meth:`_generate` when only the text changes
-        — and :meth:`complete` meters the returned latency exactly once.
-        """
-        text = self._generate(prompt)
-        return text, self.latency_for(prompt, text)
-
     def complete(self, prompt: str, stage: Stage) -> LLMResponse:
         """Run one completion and record its usage under ``stage``."""
-        text, latency = self.transport(prompt)
+        text = self._generate(prompt)
+        latency = self.latency_for(prompt, text)
         if self.wall_latency_scale > 0.0:
             time.sleep(latency * self.wall_latency_scale)
         response = LLMResponse(
@@ -317,9 +299,8 @@ class LLMClient(ABC):
     # ------------------------------------------------------------------
     # semantic helpers (render prompt -> complete -> parse)
     #
-    # These live on the base class so every client — the simulated
-    # model and the cache layer — exposes the same stage-tagged oracle
-    # roles, whichever of them the pipeline holds.
+    # These live on the base class so every client exposes the same
+    # stage-tagged oracle roles.
     # ------------------------------------------------------------------
     def extract_entities(self, text: str) -> list[dict[str, str]]:
         """NER over ``text``; returns ``[{"name", "type"}, ...]``."""
@@ -392,21 +373,16 @@ class LLMClient(ABC):
     # ------------------------------------------------------------------
     # worker-view protocol
     # ------------------------------------------------------------------
-    def split(self, obs: "Observability | None" = None) -> "LLMClient":
+    def split(self) -> "LLMClient":
         """A worker-local clone with a fresh :class:`UsageMeter`.
 
-        The clone shares every read-only attribute (seed, lexicon,
-        cache) by reference — valid because clients must be deterministic
-        and side-effect-free per prompt — but accounts into its own
-        meter, which the exec engine later folds back via
-        :meth:`absorb`.  ``obs`` rebinds telemetry for clients that
-        carry an observability handle (the cache layer), so workers
-        never write the parent's sinks concurrently.
+        The clone shares every read-only attribute (seed, lexicon) by
+        reference — valid because clients must be deterministic and
+        side-effect-free per prompt — but accounts into its own meter,
+        which the exec engine later folds back via :meth:`absorb`.
         """
         clone = copy.copy(self)
         clone.meter = UsageMeter()
-        if obs is not None and hasattr(clone, "obs"):
-            clone.obs = obs  # type: ignore[attr-defined]
         return clone
 
     def absorb(self, worker: "LLMClient") -> None:

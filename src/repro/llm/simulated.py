@@ -260,5 +260,4 @@ class SimulatedLLM(LLMClient):
     # ``extract_triples``, ``standardize``, ``relevance``, ``authority``,
     # ``generate_answer``, ``parametric_answer``) live on
     # :class:`~repro.llm.base.LLMClient` — they render the same prompt
-    # strings this model dispatches on, tagged with their pipeline stage,
-    # so a wrapper such as the cache layer exposes them unchanged.
+    # strings this model dispatches on, tagged with their pipeline stage.

@@ -3,9 +3,8 @@
 Every LLM interaction in the reproduction belongs to one pipeline stage
 (NER, triple extraction, standardization, relevance scoring, authority
 scoring, answer synthesis, parametric recall).  :class:`Stage` names
-them as a closed enum so the transport layer can meter and bound calls
-per stage: :class:`~repro.llm.base.UsageMeter` attributes usage per
-stage, and the static resource analysis certifies per-stage call bounds.
+them as a closed enum so :class:`~repro.llm.base.UsageMeter` can
+attribute usage per stage.
 Every completion names its member explicitly: there is no default stage,
 and a plain string is not accepted in its place.
 
@@ -22,8 +21,7 @@ class Stage(str, enum.Enum):
     """One pipeline stage an LLM call is issued from.
 
     The enum inherits ``str`` so stage tags serialize naturally into
-    meter snapshots and the certified bounds table; the ``.value``
-    strings are the stable wire names.
+    meter snapshots; the ``.value`` strings are the stable wire names.
     """
 
     NER = "ner"

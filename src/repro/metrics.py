@@ -51,11 +51,6 @@ def f1_score(predicted: Iterable[str], gold: Iterable[str]) -> float:
     return 2.0 * p * r / (p + r)
 
 
-def exact_match(predicted: Iterable[str], gold: Iterable[str]) -> float:
-    """1.0 iff the normalized prediction set equals the gold set exactly."""
-    return 1.0 if normalized(predicted) == normalized(gold) else 0.0
-
-
 def recall_at_k(retrieved: list[str], gold: Iterable[str], k: int = 5) -> float:
     """Fraction of gold items appearing in the first ``k`` retrieved items.
 

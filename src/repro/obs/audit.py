@@ -120,15 +120,6 @@ class AuditLog:
     def extend(self, events: Iterable[AuditEvent]) -> None:
         self.events.extend(events)
 
-    def clear(self) -> None:
-        """Drop all recorded events (invalidates outstanding marks).
-
-        The eviction seam for long-lived processes: a pipeline that
-        serves queries indefinitely must drain the log (``to_jsonl`` +
-        ``clear``) between batches or it grows without bound.
-        """
-        self.events.clear()
-
     def mark(self) -> int:
         """Position marker; pair with :meth:`since` to slice one query."""
         return len(self.events)
@@ -162,9 +153,6 @@ class NoopAuditLog:
         return None
 
     def extend(self, events: Iterable[AuditEvent]) -> None:
-        return None
-
-    def clear(self) -> None:
         return None
 
     def mark(self) -> int:

@@ -1,8 +1,8 @@
 """Metrics registry: counters, gauges and fixed-bucket histograms.
 
 Instruments register by name and are shared by reference, so the
-pipeline, adapters, retriever, confidence stages and LLM cache all write
-into one registry per :class:`~repro.obs.context.Observability` bundle.
+pipeline, adapters, retriever and confidence stages all write into one
+registry per :class:`~repro.obs.context.Observability` bundle.
 
 Histograms use *fixed* bucket boundaries (no adaptive resizing, no
 reservoir sampling) so a snapshot is a deterministic function of the

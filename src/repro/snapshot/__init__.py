@@ -4,7 +4,7 @@ Knowledge construction — LLM extraction, fusion, index builds — is by far
 the most expensive phase of the pipeline, yet it is a pure function of
 (sources, config, LLM identity).  This package serializes the ingested
 state that a load cannot rebuild — the fused graph, the chunks with their
-term counts, the history and the LLM cache — into a content-addressed,
+term counts and the history — into a content-addressed,
 versioned on-disk artifact, so subsequent processes warm-load it instead
 of parsing and extracting again; the retrieval indexes, the MLG and the
 other derived state are rebuilt on every load:

@@ -18,7 +18,6 @@ import json
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.adapters.base import RawSource
-from repro.llm.base import LLMClient
 
 if TYPE_CHECKING:  # a type-only edge: core imports snapshot, never back
     from repro.core.config import MultiRAGConfig
@@ -86,14 +85,7 @@ def payload_digest(payload: Any) -> str:
 
 
 def _llm_identity(llm: Any) -> dict[str, Any]:
-    """The attributes that make two LLM clients behave identically.
-
-    Wrappers such as :class:`~repro.llm.caching.CachingLLM` carry none of
-    the behavioral attributes themselves — seed, noise and knowledge live
-    on the wrapped client — so the identity recurses through ``inner``
-    chains; otherwise two pipelines wrapping behaviorally different LLMs
-    would collide on one fingerprint and warm-load each other's state.
-    """
+    """The attributes that make two LLM clients behave identically."""
     identity: dict[str, Any] = {"class": type(llm).__qualname__}
     for attr in (
         "seed",
@@ -111,9 +103,6 @@ def _llm_identity(llm: Any) -> dict[str, Any]:
         identity["knowledge"] = {
             k: sorted(v) for k, v in sorted(knowledge.items())
         }
-    inner = getattr(llm, "inner", None)
-    if isinstance(inner, LLMClient):
-        identity["inner"] = _llm_identity(inner)
     return identity
 
 

@@ -1,13 +1,12 @@
 """On-disk snapshot store: serialize/restore a fully ingested pipeline.
 
 A snapshot stores only the state that a load cannot rebuild and that
-something reads: the fused graph, the chunks with their term counts, the
-history and the optional LLM cache.  Everything derived from them is
-rebuilt on every load: the retrieval indexes here, from the term counts;
-the multi-source line graph, the node scorer and the subject index by the
-pipeline, from the graph, with the calls a cold ingest makes.  No field
-records wall-clock time, so one corpus, config and LLM always write the
-same bytes.
+something reads: the fused graph, the chunks with their term counts and
+the history.  Everything derived from them is rebuilt on every load: the
+retrieval indexes here, from the term counts; the multi-source line
+graph, the node scorer and the subject index by the pipeline, from the
+graph, with the calls a cold ingest makes.  No field records wall-clock
+time, so one corpus, config and LLM always write the same bytes.
 
 Format v5 knows two kinds of content-addressed directory, both named by
 their fingerprint (see :mod:`repro.snapshot.fingerprint`):
@@ -34,8 +33,6 @@ their fingerprint (see :mod:`repro.snapshot.fingerprint`):
     use, so no index state is stored.
 ``history.json``
     the calibrated per-source credibility tallies.
-``llm_cache.json`` (optional)
-    the extraction cache of a :class:`~repro.llm.caching.CachingLLM`.
 
 **Delta layers** record one ``add_source`` increment instead of a full
 state.  A layer directory holds a manifest (``kind: "delta"``, the parent
@@ -57,7 +54,8 @@ under the same fingerprint.
 The manifest's counts are checked against ``graph.json`` and
 ``retriever.json`` on load, so a short file raises
 :class:`~repro.errors.SnapshotError` naming it instead of restoring part
-of a graph or an index.
+of a graph or an index.  A file whose decode fails on a missing key or a
+value of the wrong type raises one that names the file, too.
 
 Writes are atomic at directory granularity: everything lands in a
 ``.tmp.<fingerprint>`` sibling first and is renamed into place with
@@ -83,7 +81,7 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.adapters.fusion import FusionResult
 from repro.confidence.history import HistoryStore
@@ -104,23 +102,41 @@ from repro.snapshot.fingerprint import (
 MAX_CHAIN_DEPTH = 4096
 
 
+@contextlib.contextmanager
+def _decoding(fingerprint: str, name: str) -> Iterator[None]:
+    """Turn a decode error in the block into a :class:`SnapshotError`
+    that names the file ``name``.
+
+    A :class:`SnapshotError` raised in the block propagates with its
+    own message.
+
+    Raises:
+        SnapshotError: if the block raises ``IndexError``, ``KeyError``,
+            ``TypeError`` or ``ValueError``.
+    """
+    try:
+        yield
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(
+            f"snapshot {fingerprint}: corrupt {name}: {exc!r}"
+        ) from exc
+
+
 @dataclass(slots=True)
 class LoadedState:
     """The stored state a warm-loaded pipeline resumes from.
 
     The pipeline rebuilds the rest (the MLG, the scorer, the subject
-    index) from ``fusion.graph``.  ``llm_cache`` is ``None`` when the
-    saving pipeline had no caching wrapper around its LLM.  ``sources``
-    are the descriptors of the full corpus the state represents (base
-    descriptors plus one per replayed layer); ``num_layers`` counts the
-    delta layers replayed on top of the base (0 for a direct base load).
+    index) from ``fusion.graph``.  ``sources`` are the descriptors of the
+    full corpus the state represents (base descriptors plus one per
+    replayed layer); ``num_layers`` counts the delta layers replayed on
+    top of the base (0 for a direct base load).
     """
 
     fingerprint: str
     fusion: FusionResult
     retriever: MultiSourceRetriever
     history: HistoryStore
-    llm_cache: dict[str, str] | None = None
     sources: list[SourceDescriptor] = field(default_factory=list)
     num_layers: int = 0
 
@@ -214,8 +230,6 @@ class SnapshotStore:
         manifests: list[dict[str, Any]] = []
         seen: set[str] = set()
         fp = fingerprint
-        # repro-lint: loop-bound[MAX_CHAIN_DEPTH] — the walk refuses
-        # chains deeper than the compaction-policy ceiling.
         for _depth in range(MAX_CHAIN_DEPTH + 1):
             if fp in seen:
                 raise SnapshotError(
@@ -279,7 +293,6 @@ class SnapshotStore:
         fusion: FusionResult,
         retriever: MultiSourceRetriever,
         history: HistoryStore,
-        llm_cache: dict[str, str] | None = None,
         sources: Sequence[SourceDescriptor] | None = None,
     ) -> Path:
         """Serialize one ingested pipeline state under ``fingerprint``.
@@ -305,9 +318,6 @@ class SnapshotStore:
             ])
             self._write_json(tmp / "retriever.json", retriever.export_state())
             self._write_json(tmp / "history.json", history.export_state())
-            if llm_cache is not None:
-                self._write_json(tmp / "llm_cache.json", llm_cache)
-
             self._write_json(tmp / "manifest.json", {
                 "format_version": SNAPSHOT_FORMAT_VERSION,
                 "kind": "base",
@@ -318,7 +328,6 @@ class SnapshotStore:
                     "entities": graph.num_entities(),
                     "chunks": len(fusion.chunks),
                 },
-                "has_llm_cache": llm_cache is not None,
                 "sources": [d.to_doc() for d in sources or []],
             })
 
@@ -395,7 +404,6 @@ class SnapshotStore:
             fusion=state.fusion,
             retriever=state.retriever,
             history=state.history,
-            llm_cache=state.llm_cache,
             sources=state.sources,
         )
 
@@ -558,22 +566,18 @@ class SnapshotStore:
         for manifest in layer_manifests:
             fp = str(manifest.get("fingerprint", ""))
             doc = self._read_json(self._dir(fp) / "layer.json", fp)
-            try:
+            with _decoding(fingerprint, f"layer.json of layer {fp}"):
                 layer_triples = self._triples_from_cols(doc["triples"])
                 layer_chunks = [
                     self._chunk_from_doc(c) for c in doc["chunks"]
                 ]
-                history_doc = doc["history"]
-            except (IndexError, KeyError, TypeError) as exc:
-                raise SnapshotError(
-                    f"snapshot {fingerprint}: corrupt layer {fp}: {exc!r}"
-                ) from exc
+                history = HistoryStore().restore_state(doc["history"])
             layers.append({
                 "fingerprint": fp,
                 "manifest": manifest,
                 "triples": layer_triples,
                 "chunks": layer_chunks,
-                "history": history_doc,
+                "history": history,
             })
 
         state = self._load_base(base_manifest, obs=obs)
@@ -616,7 +620,7 @@ class SnapshotStore:
         state.retriever.build()
         if not layers:
             return state
-        state.history = HistoryStore().restore_state(layers[-1]["history"])
+        state.history = layers[-1]["history"]
         state.fingerprint = fingerprint
         state.sources = descriptors
         state.num_layers = len(layers)
@@ -636,30 +640,23 @@ class SnapshotStore:
         fingerprint = str(manifest.get("fingerprint", ""))
         snap_dir = self._dir(fingerprint)
 
+        with _decoding(fingerprint, "manifest.json"):
+            extraction_calls = int(manifest["extraction_calls"])
         graph = self._restore_graph(snap_dir, fingerprint, manifest)
-        chunks = [
-            self._chunk_from_doc(doc)
-            for doc in self._read_json(snap_dir / "chunks.json", fingerprint)
-        ]
+        chunk_docs = self._read_json(snap_dir / "chunks.json", fingerprint)
+        with _decoding(fingerprint, "chunks.json"):
+            chunks = [self._chunk_from_doc(doc) for doc in chunk_docs]
         fusion = FusionResult(
-            graph=graph,
-            chunks=chunks,
-            extraction_calls=int(manifest["extraction_calls"]),
+            graph=graph, chunks=chunks, extraction_calls=extraction_calls
         )
 
         retriever = self._restore_retriever(
             snap_dir, fingerprint, manifest, chunks, obs
         )
 
-        history = HistoryStore().restore_state(
-            self._read_json(snap_dir / "history.json", fingerprint)
-        )
-
-        llm_cache = None
-        if manifest.get("has_llm_cache"):
-            llm_cache = self._read_json(
-                snap_dir / "llm_cache.json", fingerprint
-            )
+        history_doc = self._read_json(snap_dir / "history.json", fingerprint)
+        with _decoding(fingerprint, "history.json"):
+            history = HistoryStore().restore_state(history_doc)
 
         sources: list[SourceDescriptor] = []
         for doc in manifest.get("sources", []):
@@ -676,7 +673,6 @@ class SnapshotStore:
             fusion=fusion,
             retriever=retriever,
             history=history,
-            llm_cache=llm_cache,
             sources=sources,
             num_layers=0,
         )
@@ -700,7 +696,7 @@ class SnapshotStore:
         """
         doc = self._read_json(snap_dir / "retriever.json", fingerprint)
         num_chunks = manifest.get("counts", {}).get("chunks")
-        try:
+        with _decoding(fingerprint, "retriever.json"):
             rows = doc["term_counts"]
             if len(rows) != num_chunks:
                 raise SnapshotError(
@@ -724,10 +720,6 @@ class SnapshotStore:
             return MultiSourceRetriever(
                 obs=obs if obs is not None else NOOP
             ).restore_state(chunks, doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(
-                f"snapshot {fingerprint}: corrupt retriever.json: {exc!r}"
-            ) from exc
 
     def _restore_graph(
         self, snap_dir: Path, fingerprint: str, manifest: dict[str, Any]

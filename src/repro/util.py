@@ -1,10 +1,10 @@
-"""Small shared utilities: stable hashing, timing, text helpers.
+"""Small shared utilities: atomic writes, stable hashing, text helpers.
 
 Determinism matters throughout this reproduction: the simulated LLM, the
 dataset generators and the perturbation machinery must all produce the same
-output for the same seed regardless of call order.  ``stable_uniform`` and
-``stable_choice`` therefore derive randomness from a keyed BLAKE2b hash of
-their arguments instead of from shared mutable RNG state.
+output for the same seed regardless of call order.  ``stable_uniform``
+therefore derives randomness from a keyed BLAKE2b hash of its arguments
+instead of from shared mutable RNG state.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ import hashlib
 import os
 import re
 import tempfile
-import time
-from collections.abc import Sequence
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TypeVar
-
-T = TypeVar("T")
 
 
 def atomic_write_text(path: Path | str, text: str, encoding: str = "utf-8") -> None:
@@ -66,33 +60,6 @@ def stable_uniform(*parts: object, seed: int = 0) -> float:
     return stable_hash(*parts, seed=seed) / 2**64
 
 
-def stable_choice(  # repro-lint: ignore[DC001] — test-facing utility API
-    options: Sequence[T], *parts: object, seed: int = 0
-) -> T:
-    """Pick one element of ``options`` deterministically keyed by ``parts``."""
-    if not options:
-        raise ValueError("cannot choose from an empty sequence")
-    return options[stable_hash(*parts, seed=seed) % len(options)]
-
-
-class Stopwatch:  # repro-lint: ignore[DC002] — test-facing utility API
-    """Accumulating wall-clock timer used by the experiment harness."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-
-    @contextmanager
-    def measure(self) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.elapsed += time.perf_counter() - start
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-
-
 def normalize_value(value: object) -> str:
     """Canonical string form of an attribute value for comparisons.
 
@@ -122,13 +89,3 @@ def canonical_value(value: object) -> str:
     text = _THOUSANDS_RE.sub(r"\1\2", text)
     tokens = sorted(_ALNUM_RE.findall(text))
     return " ".join(tokens)
-
-
-def jaccard(a: set[str], b: set[str]) -> float:  # repro-lint: ignore[DC001] — test-facing utility API
-    """Jaccard similarity of two sets; 1.0 when both are empty."""
-    if not a and not b:
-        return 1.0
-    union = a | b
-    if not union:
-        return 1.0
-    return len(a & b) / len(union)

@@ -65,7 +65,8 @@ def mcc(
     obs = obs if obs is not None else NOOP
     metrics = obs.metrics
     result = MCCResult()
-    for group in groups:  # repro-lint: loop-bound[1] — every caller passes the single group matching one (entity, attribute) key
+    # Every caller passes the one group of a single (entity, attribute) key.
+    for group in groups:
         key = f"{group.snode.entity}|{group.snode.name}"
         graph_conf: float | None = None
         fast_path = False
@@ -152,7 +153,7 @@ def mcc(
 
         with obs.tracer.span("mcc.node", key=key) as nspan:
             table = scorer.group_table(group)
-            for member in to_assess:  # repro-lint: loop-bound[C] — at most the candidate claims of one key
+            for member in to_assess:
                 assessment = scorer.assess(member, table)
                 result.nodes_scored += 1
                 if assessment.confidence > node_threshold:

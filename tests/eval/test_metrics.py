@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.eval import (
-    exact_match,
     f1_score,
     mean,
     normalized,
@@ -51,14 +50,6 @@ class TestF1:
 
     def test_single_of_two(self):
         assert f1_score({"a"}, {"a", "b"}) == pytest.approx(2 / 3)
-
-
-class TestExactMatch:
-    def test_exact(self):
-        assert exact_match({"a"}, {"A "}) == 1.0
-
-    def test_superset_not_exact(self):
-        assert exact_match({"a", "b"}, {"a"}) == 0.0
 
 
 class TestRecallAtK:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.kg import (
@@ -9,7 +11,6 @@ from repro.kg import (
     KnowledgeGraph,
     Provenance,
     Triple,
-    load_graph,
     make_jsonld,
     save_graph,
     triple_from_jsonld,
@@ -49,16 +50,21 @@ class TestGraphPersistence:
     def test_save_load_round_trip(self, tmp_path, tiny_graph):
         path = tmp_path / "graph.json"
         save_graph(tiny_graph, path)
-        restored = load_graph(path)
-        assert len(restored) == len(tiny_graph)
-        assert {t.spo() for t in restored.triples()} == {
+        payload = json.loads(path.read_text())
+        restored = [triple_from_jsonld(doc) for doc in payload["triples"]]
+        assert [t.spo() for t in restored] == [
             t.spo() for t in tiny_graph.triples()
-        }
-        assert restored.sources() == tiny_graph.sources()
+        ]
+        assert [t.provenance for t in restored] == [
+            t.provenance for t in tiny_graph.triples()
+        ]
+        assert payload["entities"] == [
+            e.to_dict() for e in tiny_graph.entities()
+        ]
 
     def test_load_preserves_name(self, tmp_path):
         g = KnowledgeGraph(name="custom-name")
         g.add_triple(Triple("a", "p", "b"))
         path = tmp_path / "g.json"
         save_graph(g, path)
-        assert load_graph(path).name == "custom-name"
+        assert json.loads(path.read_text())["name"] == "custom-name"

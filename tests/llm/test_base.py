@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.llm import (
-    CachingLLM,
     LLMClient,
     LLMResponse,
     SimulatedLLM,
@@ -89,7 +88,6 @@ class TestUsageMeter:
 #: every client shape the pipeline can hold, built fresh per case.
 CLIENTS = {
     "simulated": lambda: SimulatedLLM(seed=0),
-    "caching": lambda: CachingLLM(SimulatedLLM(seed=0)),
 }
 
 

@@ -115,19 +115,3 @@ class TestFormatting:
         assert format_metrics(MetricsRegistry().snapshot()) == (
             "(no metrics recorded)"
         )
-
-
-class TestLLMCacheMetrics:
-    def test_hit_and_miss_counters_track_the_cache(self):
-        from repro.llm import CachingLLM, SimulatedLLM, Stage
-        from repro.obs import Observability
-
-        obs = Observability(metrics=MetricsRegistry())
-        llm = CachingLLM(SimulatedLLM(seed=0, extraction_noise=0.0), obs=obs)
-        llm.complete("p1", stage=Stage.OTHER)
-        llm.complete("p1", stage=Stage.OTHER)  # hit
-        llm.complete("p2", stage=Stage.OTHER)
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["llm.cache.misses"] == 2.0
-        assert counters["llm.cache.hits"] == 1.0
-        assert (llm.hits, llm.misses) == (1, 2)

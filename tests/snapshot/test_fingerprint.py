@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro.adapters.base import RawSource
 from repro.core.config import MultiRAGConfig
-from repro.llm.caching import CachingLLM
 from repro.llm.simulated import SimulatedLLM
 from repro.snapshot import compute_fingerprint, payload_digest
 
@@ -59,37 +58,6 @@ class TestFingerprint:
             meta={"reliability": 0.9},
         )
         assert _fp(sources=sources) != _fp()
-
-
-class TestWrappedLLMIdentity:
-    """CachingLLM carries no behavioral attributes itself — the identity
-    must see through the wrapper to the inner client, or behaviorally
-    different pipelines would collide on one fingerprint."""
-
-    def test_wrapped_deterministic(self):
-        a = _fp(llm=CachingLLM(SimulatedLLM(seed=1)))
-        b = _fp(llm=CachingLLM(SimulatedLLM(seed=1)))
-        assert a == b
-
-    def test_wrapped_inner_seed_changes_it(self):
-        a = _fp(llm=CachingLLM(SimulatedLLM(seed=1)))
-        b = _fp(llm=CachingLLM(SimulatedLLM(seed=2)))
-        assert a != b
-
-    def test_wrapped_inner_noise_changes_it(self):
-        a = _fp(llm=CachingLLM(SimulatedLLM(seed=1)))
-        b = _fp(llm=CachingLLM(SimulatedLLM(seed=1, extraction_noise=0.3)))
-        assert a != b
-
-    def test_wrapped_inner_knowledge_changes_it(self):
-        a = _fp(llm=CachingLLM(SimulatedLLM(seed=1)))
-        b = _fp(llm=CachingLLM(SimulatedLLM(seed=1, knowledge={"x": {"y"}})))
-        assert a != b
-
-    def test_wrapping_itself_changes_it(self):
-        # The wrapper class is part of the identity too (its presence
-        # changes which cache artifacts exist in the snapshot).
-        assert _fp(llm=CachingLLM(SimulatedLLM(seed=1))) != _fp()
 
 
 class TestPayloadDigest:

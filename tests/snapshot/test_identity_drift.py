@@ -7,15 +7,14 @@ identically.  If someone adds a behavioral knob to
 behaviorally different pipelines silently share one fingerprint and
 warm-load each other's state.  This suite pins the contract
 structurally: every constructor parameter of ``SimulatedLLM`` must be
-reflected in the identity, and every wrapper must recurse through its
-``inner`` client.
+reflected in the identity.
 """
 
 from __future__ import annotations
 
 import inspect
 
-from repro.llm import CachingLLM, SimulatedLLM
+from repro.llm import SimulatedLLM
 from repro.snapshot.fingerprint import _llm_identity
 
 
@@ -61,24 +60,3 @@ def test_each_identity_attr_distinguishes_clients():
         assert changed != reference, (
             f"changing {name} does not change the LLM identity"
         )
-
-
-def test_wrappers_recurse_through_inner():
-    inner_a = SimulatedLLM(seed=1)
-    inner_b = SimulatedLLM(seed=2)
-    wrapped_a = _llm_identity(CachingLLM(inner_a))
-    wrapped_b = _llm_identity(CachingLLM(inner_b))
-    assert wrapped_a["inner"] == _llm_identity(inner_a)
-    assert wrapped_a != wrapped_b, (
-        "CachingLLM identity ignores the wrapped client"
-    )
-
-
-def test_nested_wrappers_keep_the_full_chain():
-    llm = CachingLLM(CachingLLM(SimulatedLLM(seed=9)))
-    identity = _llm_identity(llm)
-    assert identity["class"] == "CachingLLM"
-    assert identity["inner"]["class"] == "CachingLLM"
-    assert identity["inner"]["inner"]["class"] == "SimulatedLLM"
-    assert identity["inner"]["inner"]["seed"] == 9
-

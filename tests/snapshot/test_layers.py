@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 import shutil
 
 import pytest
@@ -452,6 +453,26 @@ class TestBrokenChains:
         manifest["parent"] = fps[-1]
         (tip_dir / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError):
+            store.load(fps[-1])
+
+    @pytest.mark.parametrize("layer, name, drop", [
+        (0, "manifest.json", lambda doc: doc.pop("extraction_calls")),
+        (0, "chunks.json", lambda doc: doc[0].pop("chunk_id")),
+        (0, "history.json", lambda doc: doc.pop("init_entities")),
+        (1, "layer.json", lambda doc: doc["history"].pop("init_entities")),
+    ], ids=["base-extraction_calls", "base-chunk_id",
+            "base-init_entities", "layer-init_entities"])
+    def test_missing_required_key_names_the_file(
+        self, dataset, tmp_path, layer, name, drop
+    ):
+        """A required key missing from any file of the chain fails the
+        load with a SnapshotError naming that file, not a KeyError."""
+        store, _, fps = self._chain(dataset, tmp_path)
+        path = tmp_path / "snaps" / fps[layer] / name
+        doc = json.loads(path.read_text())
+        drop(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match=re.escape(name)):
             store.load(fps[-1])
 
 

@@ -45,7 +45,6 @@ def resave(rag: MultiRAG, store: SnapshotStore, fingerprint: str) -> Path:
         fusion=rag.fusion,
         retriever=rag.retriever,
         history=rag.history,
-        llm_cache=None,
     )
 
 

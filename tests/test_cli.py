@@ -303,6 +303,18 @@ class TestSnapshotSubcommand:
         assert main(["snapshot", "inspect", str(store_dir), fp[:8]]) == 2
         assert "ambiguous" in capsys.readouterr().err
 
+    def test_corrupt_snapshot_errors_without_traceback(
+        self, store_dir, corpus, capsys
+    ):
+        fp = self._only_fingerprint(store_dir)
+        manifest = store_dir / fp / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["extraction_calls"]
+        manifest.write_text(json.dumps(doc))
+        assert main(["ingest", str(corpus), "--snapshot", str(store_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "manifest.json" in err
+
     def test_gc_prunes_work_dirs(self, store_dir, capsys):
         (store_dir / ".old.stale").mkdir()
         (store_dir / ".tmp.stale").mkdir()

@@ -1,20 +1,16 @@
-"""Tests for repro.util: stable hashing, canonicalization, timing."""
+"""Tests for repro.util: atomic writes, stable hashing, canonicalization."""
 
 from __future__ import annotations
 
 import os
 import sys
-import time
 
 import pytest
 
 from repro.util import (
-    Stopwatch,
     atomic_write_text,
     canonical_value,
-    jaccard,
     normalize_value,
-    stable_choice,
     stable_hash,
     stable_uniform,
 )
@@ -53,25 +49,6 @@ class TestStableUniform:
         assert stable_uniform("x", seed=9) == stable_uniform("x", seed=9)
 
 
-class TestStableChoice:
-    def test_choice_in_options(self):
-        options = ["a", "b", "c"]
-        assert stable_choice(options, "k") in options
-
-    def test_deterministic(self):
-        options = list(range(10))
-        assert stable_choice(options, "k", 1) == stable_choice(options, "k", 1)
-
-    def test_empty_options_raises(self):
-        with pytest.raises(ValueError):
-            stable_choice([], "k")
-
-    def test_covers_all_options(self):
-        options = ["a", "b", "c", "d"]
-        seen = {stable_choice(options, i) for i in range(100)}
-        assert seen == set(options)
-
-
 class TestNormalizeValue:
     def test_case_and_whitespace(self):
         assert normalize_value("  Christopher  Nolan ") == "christopher nolan"
@@ -106,46 +83,6 @@ class TestCanonicalValue:
 
     def test_case_insensitive(self):
         assert canonical_value("DRAMA") == canonical_value("drama")
-
-
-class TestJaccard:
-    def test_identical(self):
-        assert jaccard({"a", "b"}, {"a", "b"}) == 1.0
-
-    def test_disjoint(self):
-        assert jaccard({"a"}, {"b"}) == 0.0
-
-    def test_both_empty(self):
-        assert jaccard(set(), set()) == 1.0
-
-    def test_partial_overlap(self):
-        assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        watch = Stopwatch()
-        with watch.measure():
-            time.sleep(0.01)
-        first = watch.elapsed
-        assert first >= 0.01
-        with watch.measure():
-            time.sleep(0.01)
-        assert watch.elapsed > first
-
-    def test_reset(self):
-        watch = Stopwatch()
-        with watch.measure():
-            pass
-        watch.reset()
-        assert watch.elapsed == 0.0
-
-    def test_exception_still_records(self):
-        watch = Stopwatch()
-        with pytest.raises(RuntimeError):
-            with watch.measure():
-                raise RuntimeError("boom")
-        assert watch.elapsed > 0.0
 
 
 class TestAtomicWriteText:
