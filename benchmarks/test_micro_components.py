@@ -98,9 +98,9 @@ def test_bench_lint_full_pass(benchmark):
 
 
 def test_bench_lint_warm_cache(benchmark, tmp_path):
-    """A cache-warm lint pass: content hashing plus closure-key checks
-    only, no parsing and no flow analysis.  Must beat the cold pass by a
-    wide margin — this is the per-edit developer loop."""
+    """A cache-warm lint pass: content hashing plus one program-key
+    check only, no parsing and no flow analysis.  Must beat the cold
+    pass by a wide margin — this is the per-edit developer loop."""
     from pathlib import Path
 
     import repro

@@ -491,7 +491,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             paths,
             select=set(args.select.split(",")) if args.select else None,
             include_suppressed=args.no_ignore,
-            flow=not args.no_flow,
             cache_dir=None if args.no_cache else Path(args.cache_dir),
             changed_only=args.changed_only,
         )
@@ -654,8 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--changed-only", action="store_true",
                    help="report only files changed since the cached run "
                         "(plus their reverse import closure)")
-    p.add_argument("--no-flow", action="store_true",
-                   help="skip whole-program flow rules (per-file rules only)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the incremental cache")
     p.add_argument("--cache-dir", default=".repro-lint-cache",

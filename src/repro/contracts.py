@@ -1,14 +1,15 @@
-"""Runtime contract validators — the dynamic half of ``repro.lint``.
+"""Runtime contract validators for the pipeline's data structures.
 
 Cheap assert-style checks for the invariants the static rules cannot
 see: confidence bounds (Eqs. 7–11), MLG referential integrity, and
 SVs/LVs disjointness of an MCC pass.  All failures raise
 :class:`repro.errors.ContractViolation`.
 
-The validators are duck-typed on purpose: ``repro.lint`` depends only on
-``repro.errors`` (enforced by LAY001), so the checker can never be
-broken by a refactor of the code it checks.  Call them from tests or
-enable ``MultiRAGConfig(debug_contracts=True)`` to run them inside the
+The validators are duck-typed on purpose: this module is a leaf that
+depends only on ``repro.errors`` (enforced by LAY001), so a validator
+can never be broken by a refactor of the code it checks, and importing
+it loads nothing else.  Call them from tests or enable
+``MultiRAGConfig(debug_contracts=True)`` to run them inside the
 pipeline on every ingest/query.
 """
 
@@ -53,21 +54,6 @@ def check_node_confidence(value: float, name: str = "C(v)") -> float:
             f"{name} must lie in [0, {NODE_CONFIDENCE_MAX}], got {value}"
         )
     return float(value)
-
-
-def check_assessment(assessment: Any) -> Any:
-    """Validate one ``NodeAssessment``'s score breakdown.
-
-    Components (consistency, auth_llm, auth_hist, authority) are unit
-    scale; the total confidence is their documented combination.
-
-    Raises:
-        ContractViolation: when any component leaves its range.
-    """
-    for component in ("consistency", "auth_llm", "auth_hist", "authority"):
-        check_unit_interval(getattr(assessment, component), component)
-    check_node_confidence(assessment.confidence, "assessment.confidence")
-    return assessment
 
 
 def check_mcc_result(result: Any) -> Any:

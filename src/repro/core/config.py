@@ -48,7 +48,7 @@ class MultiRAGConfig:
     enable_node_level: bool = True
     update_history: bool = True
     #: validate runtime contracts (MLG referential integrity, MCC
-    #: disjointness, confidence bounds — see ``repro.lint.contracts``)
+    #: disjointness, confidence bounds — see ``repro.contracts``)
     #: at the end of ingest/query.  Off by default: the checks are
     #: O(graph) and meant for tests and debugging, not production runs.
     debug_contracts: bool = False

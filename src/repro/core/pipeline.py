@@ -33,6 +33,7 @@ from repro.confidence.calibration import calibrate_history
 from repro.confidence.history import HistoryStore
 from repro.confidence.mcc import MCCResult, mcc
 from repro.confidence.node_level import NodeScorer
+from repro.contracts import check_mcc_result, check_mlg, check_ranked_answers
 from repro.core.answer import RankedValue, RetrievalResult
 from repro.core.config import MultiRAGConfig
 from repro.core.logic_form import LogicForm, generate_logic_form
@@ -40,7 +41,6 @@ from repro.datasets.schema import MultiSourceDataset
 from repro.errors import StateError
 from repro.exec import ExecutionPlan, Query, as_query, execute
 from repro.kg.triple import Provenance, Triple
-from repro.lint.contracts import check_mcc_result, check_mlg, check_ranked_answers
 from repro.linegraph.homologous import HomologousGroup
 from repro.linegraph.mlg import MultiSourceLineGraph
 from repro.llm.base import LLMClient

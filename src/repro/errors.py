@@ -30,7 +30,7 @@ class StateError(ReproError):
 
 
 class ContractViolation(ReproError):
-    """A runtime contract check failed (see :mod:`repro.lint.contracts`).
+    """A runtime contract check failed (see :mod:`repro.contracts`).
 
     Signals an internal-invariant breach — confidence bounds, MLG
     referential integrity, SVs/LVs disjointness — not a user error.

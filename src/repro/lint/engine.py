@@ -22,12 +22,12 @@ from typing import Iterable, Sequence
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.cache import (
-    PROGRAM_KEY,
     FileEntry,
     FlowEntry,
     LintCache,
     content_sha,
     deserialize_findings,
+    program_key,
     rules_fingerprint,
 )
 from repro.lint.flow.program import Program, build_program
@@ -269,39 +269,20 @@ def lint_module(
     return kept, suppressed
 
 
-@dataclass(slots=True)
-class _FlowPassResult:
-    """Outcome of the whole-program pass, grouped for cache storage."""
-
-    kept: list[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    #: dotted module → kept findings from closure-keyed rules (EXC/TNT).
-    closure_kept: dict[str, list[Finding]] = field(default_factory=dict)
-    closure_suppressed: dict[str, int] = field(default_factory=dict)
-    #: kept findings from program-keyed rules (reachability, concurrency).
-    program_kept: list[Finding] = field(default_factory=list)
-    program_suppressed: int = 0
-    program: Program | None = None
-
-
 def _run_flow_pass(
     flow_rules: Sequence[FlowRule],
     modules: list[ModuleUnderLint],
     lines_map: dict[str, list[str]],
     module_by_display: dict[str, str],
     include_suppressed: bool,
-) -> _FlowPassResult:
-    """Build the program and run every flow rule over it.
+) -> tuple[list[Finding], int]:
+    """Build the program and run every flow rule over it →
+    (findings, n_suppressed).
 
     Findings anchored in ``# repro-lint: skip-file`` files are dropped;
     inline suppressions apply exactly as they do for per-file rules.
     """
-    result = _FlowPassResult(
-        closure_kept={m: [] for m in sorted(module_by_display.values())},
-        closure_suppressed={m: 0 for m in module_by_display.values()},
-    )
     program = build_program(modules)
-    result.program = program
     skip_displays = {
         display for display, lines in lines_map.items()
         if any(
@@ -309,29 +290,20 @@ def _run_flow_pass(
             for line in lines[:_SKIP_FILE_SCAN_LINES]
         )
     }
+    kept: list[Finding] = []
+    suppressed = 0
     for rule in flow_rules:
-        program_keyed = rule.program_keyed
         for finding in rule.check_program(program):
             lines = lines_map.get(finding.path)
-            module_name = module_by_display.get(finding.path)
-            if lines is None or module_name is None:
+            if lines is None or finding.path not in module_by_display:
                 continue  # anchored outside this run's file set
             if finding.path in skip_displays:
                 continue
-            suppressed_here = _match_suppression(finding, lines)
-            if suppressed_here and not include_suppressed:
-                result.suppressed += 1
-                if program_keyed:
-                    result.program_suppressed += 1
-                else:
-                    result.closure_suppressed[module_name] += 1
+            if not include_suppressed and _match_suppression(finding, lines):
+                suppressed += 1
                 continue
-            result.kept.append(finding)
-            if program_keyed:
-                result.program_kept.append(finding)
-            else:
-                result.closure_kept[module_name].append(finding)
-    return result
+            kept.append(finding)
+    return kept, suppressed
 
 
 def _match_suppression(finding: Finding, lines: list[str]) -> bool:
@@ -375,20 +347,19 @@ def lint_paths(
     select: Iterable[str] | None = None,
     include_suppressed: bool = False,
     *,
-    flow: bool = True,
     cache_dir: Path | str | None = None,
     changed_only: bool = False,
 ) -> LintReport:
     """Lint every Python file under ``paths``.
 
     ``select`` restricts the run to the given rule ids (e.g.
-    ``{"DET001", "LAY001"}``); None runs everything.  ``flow`` toggles
-    the whole-program pass (exception-flow, reachability, taint).
+    ``{"DET001", "LAY001"}``); None runs everything, the whole-program
+    pass (reachability, concurrency) included.
     ``cache_dir`` enables the incremental cache: per-file findings are
-    keyed by content hash, flow findings by the hash of each module's
-    transitive import closure (reachability by the whole program), and
-    parsed ASTs are pickled for cheap partial rebuilds.  The cache only
-    engages for full runs (no ``select``, no ``include_suppressed``).
+    keyed by content hash, the whole-program pass's findings by the hash
+    of every module, and parsed ASTs are pickled for cheap partial
+    rebuilds.  The cache only engages for full runs (no ``select``, no
+    ``include_suppressed``).
     ``changed_only`` filters the report to files that changed since the
     cached run plus — for flow findings — everything that transitively
     imports them.
@@ -396,18 +367,14 @@ def lint_paths(
     selected = _select_rules(select)
     active: list[Rule] = selected if selected is not None else all_rules()
     file_rules = [r for r in active if not isinstance(r, FlowRule)]
-    flow_rules = [r for r in active if isinstance(r, FlowRule)] if flow else []
+    flow_rules = [r for r in active if isinstance(r, FlowRule)]
 
     cache: LintCache | None = None
     if cache_dir is not None and select is None and not include_suppressed:
         # the fingerprint carries each rule's analysis version, so a
-        # rule-logic bump (or a changed enabled set / --no-flow) can
-        # never serve findings computed under the old semantics.
+        # rule-logic bump (or a changed enabled set) can never serve
+        # findings computed under the old semantics.
         ids = sorted(f"{r.rule_id}@{r.version}" for r in active)
-        if not flow:
-            # a per-file-only run must not reuse (or clobber) the flow
-            # entries of full runs — give it its own cache universe.
-            ids.append("<per-file-only>")
         cache = LintCache(Path(cache_dir), rules_fingerprint(ids))
 
     report = LintReport()
@@ -468,38 +435,16 @@ def lint_paths(
     }
     flow_kept: list[Finding] = []
     flow_suppressed = 0
-    flow_store: dict[str, FlowEntry] = {}
-    module_imports: dict[str, list[str]] = {}
+    flow_entry: FlowEntry | None = None
     if flow_rules and module_by_display:
-        module_shas: dict[str, str] = {}
-        for display in sorted(module_by_display):
-            name = module_by_display[display]
-            module_shas[name] = shas[display]
-            module_imports[name] = meta[display][1]
-        keys = LintCache.closure_keys(module_shas, module_imports)
-
-        hit_entries: dict[str, FlowEntry] | None = None
-        if cache is not None:
-            candidates: dict[str, FlowEntry] = {}
-            complete = True
-            for name in sorted(module_shas):
-                hit = cache.flow_hit(name, keys[name])
-                if hit is None:
-                    complete = False
-                    break
-                candidates[name] = hit
-            program_hit = cache.flow_hit(PROGRAM_KEY, keys[PROGRAM_KEY])
-            if complete and program_hit is not None:
-                candidates[PROGRAM_KEY] = program_hit
-                hit_entries = candidates
-
-        if hit_entries is not None:
+        key = program_key({
+            name: shas[display] for display, name in module_by_display.items()
+        })
+        flow_entry = cache.flow_hit(key) if cache is not None else None
+        if flow_entry is not None:
             report.flow_cached = True
-            flow_store = hit_entries
-            for name in sorted(hit_entries):
-                entry_hit = hit_entries[name]
-                flow_kept.extend(deserialize_findings(entry_hit.findings))
-                flow_suppressed += entry_hit.suppressed
+            flow_kept = deserialize_findings(flow_entry.findings)
+            flow_suppressed = flow_entry.suppressed
         else:
             modules = []
             for display in sorted(module_by_display):
@@ -510,24 +455,14 @@ def lint_paths(
                     )
                 if unit is not None:
                     modules.append(unit)
-            pass_result = _run_flow_pass(
+            flow_kept, flow_suppressed = _run_flow_pass(
                 flow_rules, modules, lines_map, module_by_display,
                 include_suppressed,
             )
-            flow_kept = pass_result.kept
-            flow_suppressed = pass_result.suppressed
-            for name in sorted(pass_result.closure_kept):
-                flow_store[name] = FlowEntry(
-                    key=keys[name],
-                    findings=[
-                        f.to_dict() for f in pass_result.closure_kept[name]
-                    ],
-                    suppressed=pass_result.closure_suppressed[name],
-                )
-            flow_store[PROGRAM_KEY] = FlowEntry(
-                key=keys[PROGRAM_KEY],
-                findings=[f.to_dict() for f in pass_result.program_kept],
-                suppressed=pass_result.program_suppressed,
+            flow_entry = FlowEntry(
+                key=key,
+                findings=[f.to_dict() for f in flow_kept],
+                suppressed=flow_suppressed,
             )
 
     # ------------------------------------------------------------------
@@ -536,6 +471,10 @@ def lint_paths(
     keep_per_file = per_file_kept
     keep_flow = flow_kept
     if changed_only:
+        module_imports = {
+            name: meta[display][1]
+            for display, name in module_by_display.items()
+        }
         affected = _dependents_of_changed(
             changed_displays, module_by_display, module_imports
         )
@@ -567,7 +506,7 @@ def lint_paths(
             )
             for display in sorted(shas)
         }
-        cache.replace(files_out, flow_store)
+        cache.replace(files_out, flow_entry)
     return report
 
 
@@ -606,21 +545,18 @@ def lint_sources(
     files: dict[str, str],
     select: Iterable[str] | None = None,
     include_suppressed: bool = False,
-    *,
-    flow: bool = True,
 ) -> LintReport:
     """Lint a set of in-memory sources as one program (test hook).
 
     ``files`` maps display paths (used to derive module names, e.g.
     ``"repro/kg/bad.py"``) to source text.  Runs the per-file rules on
-    each file and, when ``flow`` is set, the whole-program rules over
-    the set as a unit — the multi-module analogue of
-    :func:`lint_source`.
+    each file and the whole-program rules over the set as a unit — the
+    multi-module analogue of :func:`lint_source`.
     """
     selected = _select_rules(select)
     active: list[Rule] = selected if selected is not None else all_rules()
     file_rules = [r for r in active if not isinstance(r, FlowRule)]
-    flow_rules = [r for r in active if isinstance(r, FlowRule)] if flow else []
+    flow_rules = [r for r in active if isinstance(r, FlowRule)]
 
     report = LintReport()
     lines_map: dict[str, list[str]] = {}
@@ -644,12 +580,12 @@ def lint_sources(
         report.findings.extend(findings)
         report.suppressed += suppressed
     if flow_rules and modules:
-        pass_result = _run_flow_pass(
+        kept, suppressed = _run_flow_pass(
             flow_rules, modules, lines_map, module_by_display,
             include_suppressed,
         )
-        report.findings.extend(pass_result.kept)
-        report.suppressed += pass_result.suppressed
+        report.findings.extend(kept)
+        report.suppressed += suppressed
     report.findings.sort(key=Finding.sort_key)
     return report
 

@@ -2,13 +2,11 @@
 
 The per-file rules check what a single module can prove about itself;
 this subpackage builds the project-wide view — symbol table, import and
-call graphs — and runs the three flow-rule families over it:
+call graphs — that the two flow-rule families run over:
 
-* ``exceptions`` (EXC) — which ReproError subclasses escape where, and
-  whether public docstrings declare them;
 * ``reachability`` (DC) — code no entry point can reach;
-* ``taint`` (TNT) — unvetted adapter/retrieval text reaching an LLM
-  sink without passing the MCC gate.
+* ``concurrency`` — the shared-state facts the CONC rules
+  (:mod:`repro.lint.rules.concurrency`) consume.
 
 Everything is stdlib ``ast``; the code under analysis is never imported.
 The rule modules self-register on import via ``repro.lint.rules`` —

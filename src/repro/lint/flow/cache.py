@@ -6,21 +6,19 @@ Layout under the cache directory (default ``.repro-lint-cache/``)::
                         fingerprint   rule-set + format version hash
                         files         display path → {sha, module,
                                       imports, findings, suppressed}
-                        flow          module name → {key, findings,
-                                      suppressed}
+                        flow          {key, findings, suppressed} of
+                                      the whole-program pass
     asts/<sha>.pkl    pickled ``ast.Module`` for each content hash
 
 Invalidation semantics:
 
 * **per-file findings** are keyed by the file's content hash alone — a
   per-file rule sees nothing but the file.
-* **flow findings** anchor to a module but depend on everything that
-  module can reach, so each module's entry is keyed by the hash of the
-  content hashes of its *transitive import closure* (for program-keyed
-  rules — reachability, concurrency — of the whole program, because
-  their roots live anywhere).
-  The closure is computed from cached import metadata, so a fully-warm
-  run decides "nothing to do" without parsing a single file.
+* **flow findings** come from rules whose roots (entry points, the
+  exec dispatch root) can live anywhere in the file set, so the one
+  flow entry is keyed by the hash of every module's content hash.  The
+  key needs no parse, so a fully-warm run decides "nothing to do"
+  without parsing a single file.
 * the whole cache is discarded when the rule set or cache format
   changes (``fingerprint``).
 
@@ -40,14 +38,18 @@ from pathlib import Path
 from repro.lint.findings import Finding
 
 #: bump to invalidate every existing cache (format or semantics change).
-CACHE_FORMAT_VERSION = 2
-
-#: marker for the program-wide closure key (program-keyed rules).
-PROGRAM_KEY = "<program>"
+CACHE_FORMAT_VERSION = 3
 
 
 def content_sha(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+def program_key(module_shas: dict[str, str]) -> str:
+    """Key of the flow entry: a hash over every module's name and
+    content hash (``module_shas`` maps dotted module name → hash)."""
+    payload = ";".join(f"{m}={module_shas[m]}" for m in sorted(module_shas))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def rules_fingerprint(rule_ids: list[str]) -> str:
@@ -79,7 +81,8 @@ class FileEntry:
 
 @dataclass(slots=True)
 class FlowEntry:
-    """Cached flow findings for one module, keyed by closure hash."""
+    """Cached findings of the whole-program pass, keyed by
+    :func:`program_key`."""
 
     key: str
     findings: list[dict[str, object]] = field(default_factory=list)
@@ -104,7 +107,7 @@ class LintCache:
         self.cache_dir = Path(cache_dir)
         self.fingerprint = fingerprint
         self.files: dict[str, FileEntry] = {}
-        self.flow: dict[str, FlowEntry] = {}
+        self.flow: FlowEntry | None = None
         self._load()
 
     # ------------------------------------------------------------------
@@ -138,18 +141,14 @@ class LintCache:
                     continue
         flow = data.get("flow")
         if isinstance(flow, dict):
-            for module in sorted(flow):
-                raw = flow[module]
-                if not isinstance(raw, dict):
-                    continue
-                try:
-                    self.flow[module] = FlowEntry(
-                        key=str(raw["key"]),
-                        findings=list(raw.get("findings", [])),
-                        suppressed=int(raw.get("suppressed", 0)),
-                    )
-                except (KeyError, TypeError, ValueError):
-                    continue
+            try:
+                self.flow = FlowEntry(
+                    key=str(flow["key"]),
+                    findings=list(flow.get("findings", [])),
+                    suppressed=int(flow.get("suppressed", 0)),
+                )
+            except (KeyError, TypeError, ValueError):
+                return
 
     # ------------------------------------------------------------------
     # queries
@@ -168,70 +167,10 @@ class LintCache:
             if self.files.get(display) is None or self.files[display].sha != sha
         }
 
-    def flow_hit(self, module: str, key: str) -> FlowEntry | None:
-        entry = self.flow.get(module)
-        if entry is not None and entry.key == key:
-            return entry
+    def flow_hit(self, key: str) -> FlowEntry | None:
+        if self.flow is not None and self.flow.key == key:
+            return self.flow
         return None
-
-    # ------------------------------------------------------------------
-    # closure keys (computed from metadata, no parsing required)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def closure_keys(
-        module_shas: dict[str, str],
-        module_imports: dict[str, list[str]],
-    ) -> dict[str, str]:
-        """Per-module flow keys plus the :data:`PROGRAM_KEY` entry.
-
-        ``module_shas`` maps dotted module name → content hash;
-        ``module_imports`` maps dotted module name → imported dotted
-        targets (raw, possibly outside the program — filtered here).
-        """
-        known = set(module_shas)
-        edges: dict[str, list[str]] = {}
-        for module in sorted(known):
-            targets = set()
-            for target in module_imports.get(module, []):
-                # an import of repro.kg.graph pulls in repro and repro.kg
-                parts = target.split(".")
-                for cut in range(1, len(parts) + 1):
-                    prefix = ".".join(parts[:cut])
-                    if prefix in known and prefix != module:
-                        targets.add(prefix)
-            edges[module] = sorted(targets)
-
-        keys: dict[str, str] = {}
-        closure_cache: dict[str, frozenset[str]] = {}
-
-        def closure(module: str) -> frozenset[str]:
-            cached = closure_cache.get(module)
-            if cached is not None:
-                return cached
-            seen: set[str] = set()
-            stack = [module]
-            while stack:
-                current = stack.pop()
-                if current in seen:
-                    continue
-                seen.add(current)
-                stack.extend(edges.get(current, ()))
-            result = frozenset(seen)
-            closure_cache[module] = result
-            return result
-
-        for module in sorted(known):
-            payload = ";".join(
-                f"{m}={module_shas[m]}" for m in sorted(closure(module))
-            )
-            keys[module] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        program_payload = ";".join(
-            f"{m}={module_shas[m]}" for m in sorted(known)
-        )
-        keys[PROGRAM_KEY] = hashlib.sha256(
-            program_payload.encode("utf-8")
-        ).hexdigest()
-        return keys
 
     # ------------------------------------------------------------------
     # ASTs
@@ -263,21 +202,18 @@ class LintCache:
     def replace(
         self,
         files: dict[str, FileEntry],
-        flow: dict[str, FlowEntry],
+        flow: FlowEntry | None,
     ) -> None:
         """Overwrite the cache with this run's outcome and write it out."""
         self.files = dict(files)
-        self.flow = dict(flow)
+        self.flow = flow
         payload = {
             "fingerprint": self.fingerprint,
             "files": {
                 display: self.files[display].to_dict()
                 for display in sorted(self.files)
             },
-            "flow": {
-                module: self.flow[module].to_dict()
-                for module in sorted(self.flow)
-            },
+            "flow": flow.to_dict() if flow is not None else None,
         }
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)

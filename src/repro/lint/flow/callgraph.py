@@ -6,8 +6,8 @@ Call resolution is deliberately two-tier:
   imported functions, ``ClassName(...)`` instantiations, ``self.method()``
   (including inherited methods), and attribute calls on values whose type
   is known from a parameter annotation or a local ``x = ClassName(...)``
-  binding.  The exception-flow and taint analyses use only these, so
-  their claims never rest on a guessed edge.
+  binding.  The concurrency analysis uses only these, so its worker
+  path never rests on a guessed edge.
 * **name-match candidates** — ``obj.method(...)`` on an unknown object
   records the attribute name.  Reachability treats any same-named
   function as potentially called, which keeps dead-code findings
@@ -54,8 +54,6 @@ class FunctionFlow:
     refs: set[str] = field(default_factory=set)
     #: attribute names read on unknown objects (reachability name-match).
     attr_refs: set[str] = field(default_factory=set)
-    #: local variable → class qualname, from annotations/instantiations.
-    local_types: dict[str, str] = field(default_factory=dict)
 
 
 class _BodyVisitor(ast.NodeVisitor):
@@ -63,8 +61,7 @@ class _BodyVisitor(ast.NodeVisitor):
 
     Nested function bodies are folded into the enclosing function (their
     effects happen, at the latest, when the closure is invoked — folding
-    over-approximates, which is the safe direction for reachability and
-    exception documentation).  Nested classes are rare and skipped.
+    over-approximates, which is the safe direction for reachability).  Nested classes are rare and skipped.
     """
 
     def __init__(self, resolver: "_Resolver") -> None:
@@ -211,7 +208,6 @@ def _analyze_body(
         calls=visitor.calls,
         refs=visitor.refs,
         attr_refs=visitor.attr_refs,
-        local_types=resolver.local_types,
     )
 
 
@@ -240,44 +236,8 @@ class CallGraph:
     edges: dict[str, set[str]] = field(default_factory=dict)
     #: module → imported in-program modules (runtime edges).
     module_edges: dict[str, set[str]] = field(default_factory=dict)
-    #: per-caller flow facts (calls, refs, local types).
+    #: per-caller flow facts (calls, refs).
     flows: dict[str, FunctionFlow] = field(default_factory=dict)
-
-    def callees(self, qualname: str) -> set[str]:
-        return self.edges.get(qualname, set())
-
-    def reverse_module_edges(self) -> dict[str, set[str]]:
-        """module → modules that (transitively directly) import it."""
-        reverse: dict[str, set[str]] = {}
-        for src in sorted(self.module_edges):
-            for dst in sorted(self.module_edges[src]):
-                reverse.setdefault(dst, set()).add(src)
-        return reverse
-
-    def module_closure(self, module: str) -> set[str]:
-        """``module`` plus every module it transitively imports."""
-        seen: set[str] = set()
-        stack = [module]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(sorted(self.module_edges.get(current, ())))
-        return seen
-
-    def dependents_closure(self, modules: set[str]) -> set[str]:
-        """``modules`` plus every module that transitively imports them."""
-        reverse = self.reverse_module_edges()
-        seen: set[str] = set()
-        stack = sorted(modules)
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(sorted(reverse.get(current, ())))
-        return seen
 
     # ------------------------------------------------------------------
     # exports (repro lint --graph)

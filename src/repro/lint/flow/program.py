@@ -1,10 +1,9 @@
 """The whole-program view handed to every :class:`FlowRule`.
 
 A :class:`Program` bundles the symbol table and call graph built over one
-lint run's file set, plus the pieces the three analysis families share:
-the ``ReproError`` class hierarchy (recovered statically from the linted
-``repro/errors.py``, never imported) and helpers for mapping findings
-back to the module they anchor in.
+lint run's file set, plus the ``ReproError`` class hierarchy (recovered
+statically from the linted ``repro/errors.py``, never imported), which
+the reachability rules root as public API.
 """
 
 from __future__ import annotations
@@ -32,28 +31,13 @@ class Program:
     #: qualnames of every class deriving (transitively) from ReproError.
     repro_errors: frozenset[str] = field(default_factory=frozenset)
     #: memo shared by the analyses — several rules consume one fixpoint
-    #: (e.g. EXC001 and EXC002 both need the escape sets), and rules run
+    #: (e.g. DC001 and DC002 both need the reachable set), and rules run
     #: as independent instances, so the result lives on the program.
     analysis_cache: dict[str, object] = field(default_factory=dict)
 
     @property
     def modules(self) -> dict[str, ModuleSymbols]:
         return self.symtab.modules
-
-    def module_for_path(self, display_path: str) -> ModuleSymbols | None:
-        for name in sorted(self.modules):
-            if self.modules[name].module.display_path == display_path:
-                return self.modules[name]
-        return None
-
-    def is_repro_error(self, cls_qual: str) -> bool:
-        return cls_qual in self.repro_errors
-
-    def catches(self, handler_qual: str, raised_qual: str) -> bool:
-        """Does ``except handler_qual`` catch a raised ``raised_qual``?"""
-        return handler_qual == raised_qual or self.symtab.is_subclass(
-            raised_qual, handler_qual
-        )
 
 
 def _collect_repro_errors(symtab: SymbolTable) -> frozenset[str]:

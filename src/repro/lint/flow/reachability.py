@@ -312,7 +312,6 @@ class DeadFunctionRule(FlowRule):
     rule_id = "DC001"
     family = "reachability"
     severity = Severity.WARNING
-    program_keyed = True
     description = (
         "no entry point (CLI, package exports, registries, error "
         "contract) reaches this function, even through conservative "
@@ -348,7 +347,6 @@ class DeadClassRule(FlowRule):
     rule_id = "DC002"
     family = "reachability"
     severity = Severity.WARNING
-    program_keyed = True
     description = (
         "no entry point reaches this class (never instantiated, "
         "subclassed, exported, or referenced); delete it or export it"

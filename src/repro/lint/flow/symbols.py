@@ -1,7 +1,7 @@
 """Project-wide symbol table for the whole-program flow analyses.
 
-The per-file rules see one module at a time; the flow rules (exception
-propagation, reachability, taint) need to resolve a name written in one
+The per-file rules see one module at a time; the flow rules
+(reachability, concurrency) need to resolve a name written in one
 module to the function or class *defined* in another.  This module builds
 that view: every function, method and class in the linted file set,
 indexed by fully-qualified name (``repro.core.pipeline.MultiRAG.query``),
@@ -33,15 +33,8 @@ class FunctionInfo:
     decorators: tuple[str, ...] = ()
 
     @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
-
-    @property
     def is_dunder(self) -> bool:
         return self.name.startswith("__") and self.name.endswith("__")
-
-    def docstring(self) -> str | None:
-        return ast.get_docstring(self.node)
 
 
 @dataclass(slots=True)
@@ -60,10 +53,6 @@ class ClassInfo:
     #: annotations and ``self.x = T(...)`` assignments in methods.
     attr_types: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
-
 
 @dataclass(slots=True)
 class ModuleSymbols:
@@ -76,19 +65,11 @@ class ModuleSymbols:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     exports: tuple[str, ...] = ()
-    has_all: bool = False
     #: dotted module targets of every import statement (absolute spelling).
     imported_modules: tuple[str, ...] = ()
     #: module-level statements, minus function/class bodies (executed at
     #: import time: registrations, table construction, __all__).
     toplevel: list[ast.stmt] = field(default_factory=list)
-
-    @property
-    def is_public(self) -> bool:
-        return not any(
-            part.startswith("_") and part != "__init__"
-            for part in self.name.split(".")
-        )
 
 
 #: resolution results: ("function" | "class" | "module", qualified name)
@@ -115,7 +96,7 @@ def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
     return tuple(names)
 
 
-def _collect_exports(tree: ast.Module) -> tuple[tuple[str, ...], bool]:
+def _collect_exports(tree: ast.Module) -> tuple[str, ...]:
     """Names listed in a module-level ``__all__`` assignment."""
     for node in tree.body:
         if (
@@ -126,13 +107,12 @@ def _collect_exports(tree: ast.Module) -> tuple[tuple[str, ...], bool]:
             )
             and isinstance(node.value, (ast.List, ast.Tuple))
         ):
-            names = tuple(
+            return tuple(
                 elt.value
                 for elt in node.value.elts
                 if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
             )
-            return names, True
-    return (), False
+    return ()
 
 
 def imported_module_targets(tree: ast.Module) -> tuple[str, ...]:
@@ -223,14 +203,12 @@ class SymbolTable:
         name = module_name_of(module)
         if not name:
             return None
-        exports, has_all = _collect_exports(module.tree)
         info = ModuleSymbols(
             name=name,
             module=module,
             is_package=module.package_parts[-1] == "__init__",
             imports=collect_imports(module.tree),
-            exports=exports,
-            has_all=has_all,
+            exports=_collect_exports(module.tree),
             imported_modules=imported_module_targets(module.tree),
         )
         local_classes: dict[str, str] = {}

@@ -100,23 +100,16 @@ class Rule:
 
 
 class FlowRule(Rule):
-    """Base class for whole-program rules (exception-flow, reachability,
-    taint).
+    """Base class for whole-program rules (reachability, concurrency).
 
     Flow rules run once per lint invocation over the :class:`Program`
     built from the entire file set, instead of once per module; findings
     still anchor to a file and line, so the inline-suppression machinery
     applies unchanged.  ``check`` is inert — the engine dispatches flow
-    rules through :meth:`check_program`.
-
-    ``program_keyed`` marks rules whose findings depend on the *whole*
-    program rather than a module's transitive import closure — their
-    roots (entry points, the exec dispatch root) can live anywhere in
-    the file set, so the incremental cache keys them by the program
-    hash instead of per-module closure hashes.
+    rules through :meth:`check_program`.  Their roots (entry points, the
+    exec dispatch root) can live anywhere in the file set, so the
+    incremental cache keys their findings by the whole program.
     """
-
-    program_keyed: bool = False
 
     def check(self, module: ModuleUnderLint) -> Iterable[Finding]:
         return ()
@@ -184,9 +177,7 @@ def _ensure_rules_loaded() -> None:
     # modules import after the per-file families so rules.common is fully
     # initialised before the flow machinery pulls it in.
     import repro.lint.rules  # noqa: F401  (import-for-side-effect)
-    import repro.lint.flow.exceptions  # noqa: F401
     import repro.lint.flow.reachability  # noqa: F401
-    import repro.lint.flow.taint  # noqa: F401
     # the concurrency rules live in rules/ but build on the flow
     # machinery, so they load here with the flow families, not from the
     # rules package's __init__ (which must stay flow-free).

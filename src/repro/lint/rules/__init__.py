@@ -9,11 +9,10 @@ Per-file families:
 * ``observability`` (OBS) — logging goes through repro.obs.log.
 * ``performance`` (PERF) — no redundant work on the query hot path.
 
-Whole-program families (from :mod:`repro.lint.flow`):
+Whole-program families (built on :mod:`repro.lint.flow`):
 
-* ``exceptions`` (EXC) — undocumented/dead/swallowed ReproError flow.
 * ``reachability`` (DC) — code no entry point can reach.
-* ``taint`` (TNT) — unvetted source text reaching LLM sinks ungated.
+* ``concurrency`` (CONC) — shared state written on the worker path.
 """
 
 from repro.lint.rules import (

@@ -16,9 +16,9 @@ split/absorb protocol and module-level mutable state.
   (registries, caches, ``global``s): invisible to the view protocol and
   shared by every thread in the process.
 
-All three are whole-program *and* program-keyed: their roots (the
-dispatch root, the view protocol) can live anywhere in the file set, so
-cached findings are keyed by the whole program's content hash.
+All three are whole-program rules: their roots (the dispatch root, the
+view protocol) can live anywhere in the file set, so cached findings are
+keyed by the whole program's content hash.
 
 The sanctioned seams carry inline ``repro-lint: ignore[CONC001]``
 suppressions with their justification: consensus-feedback history writes
@@ -56,7 +56,6 @@ class SharedStateMutationRule(FlowRule):
     rule_id = "CONC001"
     family = "concurrency"
     severity = Severity.ERROR
-    program_keyed = True
     description = (
         "this code runs inside exec worker threads (reachable from "
         "MultiRAG.run) but mutates an object that may be shared across "
@@ -161,7 +160,6 @@ class ViewCoverageRule(FlowRule):
     rule_id = "CONC002"
     family = "concurrency"
     severity = Severity.ERROR
-    program_keyed = True
     description = (
         "worker-reachable pipeline code touches a self attribute that "
         "worker_view() neither shares nor splits — the view is missing "
@@ -234,7 +232,6 @@ class ModuleStateWriteRule(FlowRule):
     rule_id = "CONC003"
     family = "concurrency"
     severity = Severity.ERROR
-    program_keyed = True
     description = (
         "worker-reachable code writes module-level mutable state "
         "(registry, cache, global) — shared by every thread and "

@@ -29,6 +29,9 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     "perf": frozenset(),
     "metrics": frozenset({"errors", "util"}),
     "lint": frozenset({"errors"}),
+    # The runtime validators are a leaf: duck-typed over the structures
+    # they check, so importing them never loads the code they check.
+    "contracts": frozenset({"errors"}),
     # Observability is a near-leaf: any layer may depend on it, it
     # depends on nothing above the foundation (telemetry must never
     # create an upward edge).
@@ -60,8 +63,8 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
         "linegraph", "confidence", "llm",
     }),
     "core": frozenset({
-        "errors", "util", "adapters", "confidence", "datasets", "exec",
-        "kg", "linegraph", "lint", "llm", "metrics", "obs", "perf",
+        "errors", "util", "adapters", "confidence", "contracts", "datasets",
+        "exec", "kg", "linegraph", "llm", "metrics", "obs", "perf",
         "retrieval", "snapshot",
     }),
     "baselines": frozenset({

@@ -137,7 +137,7 @@ class Histogram:
         if other.max > self.max:
             self.max = other.max
 
-    def snapshot(self) -> dict[str, float]:  # repro-lint: ignore[EXC001] — percentile() cannot raise here: total > 0 is guarded and q is constant
+    def snapshot(self) -> dict[str, float]:
         if self.total == 0:
             return {"count": 0}
         return {

@@ -565,6 +565,8 @@ class SnapshotStore:
         layers: list[dict[str, Any]] = []
         for manifest in layer_manifests:
             fp = str(manifest.get("fingerprint", ""))
+            with _decoding(fingerprint, f"manifest.json of layer {fp}"):
+                extraction_calls = int(manifest.get("extraction_calls", 0))
             doc = self._read_json(self._dir(fp) / "layer.json", fp)
             with _decoding(fingerprint, f"layer.json of layer {fp}"):
                 layer_triples = self._triples_from_cols(doc["triples"])
@@ -575,6 +577,7 @@ class SnapshotStore:
             layers.append({
                 "fingerprint": fp,
                 "manifest": manifest,
+                "extraction_calls": extraction_calls,
                 "triples": layer_triples,
                 "chunks": layer_chunks,
                 "history": history,
@@ -600,7 +603,7 @@ class SnapshotStore:
                     graph.add_entity(Entity(eid=t.subject, name=t.subject))
                 graph.entity(t.subject).add_attribute(t.predicate, t.obj)
             fusion.chunks.extend(layer["chunks"])
-            fusion.extraction_calls += int(manifest.get("extraction_calls", 0))
+            fusion.extraction_calls += layer["extraction_calls"]
             source_doc = manifest.get("source")
             if isinstance(source_doc, dict):
                 try:
@@ -642,7 +645,12 @@ class SnapshotStore:
 
         with _decoding(fingerprint, "manifest.json"):
             extraction_calls = int(manifest["extraction_calls"])
-        graph = self._restore_graph(snap_dir, fingerprint, manifest)
+            counts = manifest.get("counts", {})
+            if not isinstance(counts, dict):
+                raise TypeError(f"counts is not an object: {counts!r}")
+        graph = self._restore_graph(
+            snap_dir, fingerprint, counts.get("triples")
+        )
         chunk_docs = self._read_json(snap_dir / "chunks.json", fingerprint)
         with _decoding(fingerprint, "chunks.json"):
             chunks = [self._chunk_from_doc(doc) for doc in chunk_docs]
@@ -651,7 +659,7 @@ class SnapshotStore:
         )
 
         retriever = self._restore_retriever(
-            snap_dir, fingerprint, manifest, chunks, obs
+            snap_dir, fingerprint, counts.get("chunks"), chunks, obs
         )
 
         history_doc = self._read_json(snap_dir / "history.json", fingerprint)
@@ -681,7 +689,7 @@ class SnapshotStore:
         self,
         snap_dir: Path,
         fingerprint: str,
-        manifest: dict[str, Any],
+        num_chunks: Any,
         chunks: list[Chunk],
         obs: Observability | None,
     ) -> MultiSourceRetriever:
@@ -692,10 +700,9 @@ class SnapshotStore:
             SnapshotError: if ``retriever.json`` is missing or corrupt,
                 holds a term count that is not an ``int`` >= 1, or holds
                 another number of term-count rows than the manifest
-                counts chunks (the error names the file).
+                counts chunks, ``num_chunks`` (the error names the file).
         """
         doc = self._read_json(snap_dir / "retriever.json", fingerprint)
-        num_chunks = manifest.get("counts", {}).get("chunks")
         with _decoding(fingerprint, "retriever.json"):
             rows = doc["term_counts"]
             if len(rows) != num_chunks:
@@ -722,7 +729,7 @@ class SnapshotStore:
             ).restore_state(chunks, doc)
 
     def _restore_graph(
-        self, snap_dir: Path, fingerprint: str, manifest: dict[str, Any]
+        self, snap_dir: Path, fingerprint: str, num_triples: Any
     ) -> KnowledgeGraph:
         """Decode ``graph.json`` and bulk-load the graph.
 
@@ -732,11 +739,10 @@ class SnapshotStore:
 
         Raises:
             SnapshotError: if ``graph.json`` is missing or corrupt, or
-                holds another number of triples than the manifest counts
-                (the error names the file).
+                holds another number of triples than the manifest counts,
+                ``num_triples`` (the error names the file).
         """
         doc = self._read_json(snap_dir / "graph.json", fingerprint)
-        num_triples = manifest.get("counts", {}).get("triples")
         try:
             triples = self._triples_from_cols(doc["triples"])
             if len(triples) != num_triples:

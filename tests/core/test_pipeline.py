@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.adapters import RawSource
 from repro.core import MultiRAG, MultiRAGConfig
+from repro.datasets import make_books, make_hotpot
 from repro.exec import Query
+from repro.llm.base import LLMClient
 from repro.llm.stage import Stage
 
 
@@ -165,3 +169,79 @@ class TestHistoryIntegration:
         rag.ingest(sources)
         rag.run(Query.text("What is the release year of Inception?"))
         assert rag.history.snapshot() == {}
+
+
+def _gate_workload(kind: str):
+    """Sources and queries of one kind for the generation-gate test."""
+    if kind == "chain":
+        dataset = make_hotpot(seed=1, scale=0.3)
+        return dataset.sources, [
+            Query.chain(q.hops) for q in dataset.queries
+            if len(q.hops) == 2 and not q.hops_b
+        ]
+    books = make_books(scale=0.3, seed=1, n_queries=12)
+    if kind == "key":
+        queries = [Query.key(q.entity, q.attribute) for q in books.queries]
+    else:
+        # keyword phrasing matches none of the logic form's question
+        # shapes, so it takes the open-intent path
+        queries = [
+            Query.text(f"{q.entity} {q.attribute.replace('_', ' ')}")
+            for q in books.queries[:6]
+        ]
+    return books.raw_sources(), queries
+
+
+def _evidence_claim(line: str) -> tuple[str, ...]:
+    """``(entity, attribute, value, source)`` of one rendered evidence
+    line; anything else (say, raw chunk text) stays the line itself."""
+    parts = line.split(" | ")
+    if len(parts) != 5 or not parts[4].startswith("source="):
+        return (line,)
+    return (parts[0], parts[1], parts[2], parts[4][len("source="):])
+
+
+class TestGenerationGate:
+    """Only knowledge that passes MCC (Algorithm 1) reaches answer
+    synthesis (Algorithm 2).
+
+    A recorder wraps ``LLMClient.generate_answer``, the synthesis sink
+    every client inherits.  For each query, the evidence it receives
+    must be exactly the accepted assessments of the MCC result the
+    query returns, as a multiset, so a path that also forwards rejected
+    nodes or raw retrieved text fails here.
+    """
+
+    @pytest.mark.parametrize("kind", ["key", "open", "chain"])
+    def test_generator_sees_exactly_the_mcc_accepted_evidence(
+        self, kind, monkeypatch
+    ):
+        sources, queries = _gate_workload(kind)
+        rag = MultiRAG(MultiRAGConfig(seed=1))
+        rag.ingest(sources)
+        calls: list[list[str]] = []
+        synthesize = LLMClient.generate_answer
+
+        def recorder(llm, query, evidence_lines):
+            calls.append(list(evidence_lines))
+            return synthesize(llm, query, evidence_lines)
+
+        monkeypatch.setattr(LLMClient, "generate_answer", recorder)
+        rejected = 0
+        for query in queries:
+            before = len(calls)
+            result = rag.run(query)
+            assert len(calls) == before + 1, query
+            if kind == "open":
+                assert result.trace[0] == "logic_form: open", query
+            mcc = result.mcc
+            accepted = Counter(
+                (a.triple.subject, a.triple.predicate, a.value, a.source_id)
+                for a in (mcc.accepted_assessments() if mcc else [])
+            )
+            received = Counter(_evidence_claim(line) for line in calls[-1])
+            assert received == accepted, query
+            rejected += sum(len(d.rejected) for d in mcc.decisions) if mcc else 0
+        # MCC rejected nodes on this workload, so forwarding them to the
+        # generator could not pass unnoticed.
+        assert rejected > 0

@@ -21,21 +21,17 @@ CLEAN_APP = (
     "\n"
     "\n"
     "def used(path: str) -> str:\n"
-    '    """Load a file.\n'
-    "\n"
-    "    Raises:\n"
-    "        DatasetError: if the file is missing.\n"
-    '    """\n'
+    '    """Load a file."""\n'
     "    raise DatasetError(path)\n"
 )
 
-DIRTY_APP = CLEAN_APP.replace(
-    '    """Load a file.\n'
+#: the flow finding the suite probes: a DC001 dead function in a module
+#: that imports ``repro.errors``.
+DIRTY_APP = CLEAN_APP + (
     "\n"
-    "    Raises:\n"
-    "        DatasetError: if the file is missing.\n"
-    '    """\n',
-    '    """Load a file."""\n',
+    "\n"
+    "def dead_helper(path: str) -> str:\n"
+    "    raise DatasetError(path)\n"
 )
 
 
@@ -43,10 +39,11 @@ def make_tree(tmp_path: Path) -> Path:
     pkg = tmp_path / "repro"
     pkg.mkdir()
     (pkg / "__init__.py").write_text(
-        "from repro.cli import used\n\n__all__ = [\"used\"]\n"
+        "from repro.kg.loader import used\n\n__all__ = [\"used\"]\n"
     )
     (pkg / "errors.py").write_text(ERRORS_STUB)
-    (pkg / "cli.py").write_text(CLEAN_APP)
+    (pkg / "kg").mkdir()
+    (pkg / "kg" / "loader.py").write_text(CLEAN_APP)
     return pkg
 
 
@@ -65,34 +62,36 @@ class TestWarmRuns:
         ]
         assert warm.suppressed == cold.suppressed
 
+    def test_index_holds_one_program_keyed_flow_entry(self, tmp_path):
+        pkg = make_tree(tmp_path)
+        (pkg / "kg" / "loader.py").write_text(DIRTY_APP)
+        cache = tmp_path / "cache"
+        lint_paths([pkg], cache_dir=cache)
+        flow = json.loads((cache / "index.json").read_text())["flow"]
+        assert set(flow) == {"key", "findings", "suppressed"}
+        assert [f["rule_id"] for f in flow["findings"]] == ["DC001"]
+
     def test_editing_one_file_invalidates_only_it(self, tmp_path):
         pkg = make_tree(tmp_path)
         cache = tmp_path / "cache"
         lint_paths([pkg], cache_dir=cache)
-        (pkg / "cli.py").write_text(DIRTY_APP)
+        (pkg / "kg" / "loader.py").write_text(DIRTY_APP)
         report = lint_paths([pkg], cache_dir=cache)
         assert report.cache_hits == 2  # __init__ and errors still hit
-        assert not report.flow_cached  # app's closure changed
-        assert [f.rule_id for f in report.findings] == ["EXC001"]
+        assert not report.flow_cached  # the program changed
+        assert [f.rule_id for f in report.findings] == ["DC001"]
         # and the new outcome is itself cached
         warm = lint_paths([pkg], cache_dir=cache)
         assert warm.cache_hits == 3
-        assert [f.rule_id for f in warm.findings] == ["EXC001"]
+        assert warm.flow_cached
+        assert [f.rule_id for f in warm.findings] == ["DC001"]
 
     def test_cache_is_skipped_for_partial_runs(self, tmp_path):
         pkg = make_tree(tmp_path)
         cache = tmp_path / "cache"
         lint_paths([pkg], cache_dir=cache)
-        report = lint_paths([pkg], cache_dir=cache, select={"EXC001"})
+        report = lint_paths([pkg], cache_dir=cache, select={"DC001"})
         assert report.cache_hits == 0
-
-    def test_per_file_only_runs_use_a_separate_cache_universe(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        cache = tmp_path / "cache"
-        lint_paths([pkg], cache_dir=cache, flow=False)
-        full = lint_paths([pkg], cache_dir=cache)
-        # the flow-disabled run must not satisfy the flow-enabled run
-        assert not full.flow_cached
 
 
 class TestDegradation:
@@ -112,9 +111,9 @@ class TestDegradation:
         for pkl in (cache / "asts").glob("*.pkl"):
             pkl.write_bytes(b"garbage")
         # warm per-file hits stand, flow rebuild must reparse sources
-        (pkg / "cli.py").write_text(DIRTY_APP)
+        (pkg / "kg" / "loader.py").write_text(DIRTY_APP)
         report = lint_paths([pkg], cache_dir=cache)
-        assert [f.rule_id for f in report.findings] == ["EXC001"]
+        assert [f.rule_id for f in report.findings] == ["DC001"]
 
     def test_fingerprint_mismatch_discards_cache(self, tmp_path):
         pkg = make_tree(tmp_path)
@@ -149,17 +148,17 @@ class TestChangedOnly:
         pkg = make_tree(tmp_path)
         cache = tmp_path / "cache"
         lint_paths([pkg], cache_dir=cache)
-        (pkg / "cli.py").write_text(DIRTY_APP)
+        (pkg / "kg" / "loader.py").write_text(DIRTY_APP)
         report = lint_paths([pkg], cache_dir=cache, changed_only=True)
         assert {f.path for f in report.findings} == {
-            str(pkg / "cli.py"),
-        } or {Path(f.path).name for f in report.findings} == {"cli.py"}
+            str(pkg / "kg" / "loader.py"),
+        } or {Path(f.path).name for f in report.findings} == {"loader.py"}
 
     def test_changed_only_with_no_changes_reports_nothing(self, tmp_path):
         pkg = make_tree(tmp_path)
         cache = tmp_path / "cache"
         # make the tree dirty so there IS a finding to filter out
-        (pkg / "cli.py").write_text(DIRTY_APP)
+        (pkg / "kg" / "loader.py").write_text(DIRTY_APP)
         lint_paths([pkg], cache_dir=cache)
         report = lint_paths([pkg], cache_dir=cache, changed_only=True)
         assert report.findings == []
@@ -167,10 +166,10 @@ class TestChangedOnly:
     def test_changed_only_includes_reverse_importers(self, tmp_path):
         pkg = make_tree(tmp_path)
         cache = tmp_path / "cache"
-        (pkg / "cli.py").write_text(DIRTY_APP)
+        (pkg / "kg" / "loader.py").write_text(DIRTY_APP)
         lint_paths([pkg], cache_dir=cache)
-        # errors.py changes: app.py imports it, so app's EXC001 must
-        # resurface even though app.py itself is byte-identical.
+        # errors.py changes: the loader imports it, so the loader's DC001
+        # must resurface even though loader.py itself is byte-identical.
         (pkg / "errors.py").write_text(ERRORS_STUB + "\n# touched\n")
         report = lint_paths([pkg], cache_dir=cache, changed_only=True)
-        assert "EXC001" in {f.rule_id for f in report.findings}
+        assert "DC001" in {f.rule_id for f in report.findings}

@@ -88,15 +88,21 @@ class TestOptions:
         listed = [line.split()[0] for line in out.splitlines() if line]
         assert len(listed) >= 10
         assert {"DET001", "LAY001", "ERR001", "API001",
-                "EXC001", "DC001", "TNT001"} <= set(listed)
+                "DC001", "CONC001"} <= set(listed)
+        assert not [rid for rid in listed if rid.startswith(("EXC", "TNT"))]
 
 
-EXC_DIRTY = (
+#: a DC001 dead function in a module that imports ``repro.errors``.
+DEAD_LOADER = (
     "from repro.errors import ReproError\n"
     "\n"
     "\n"
     "def load(path: str) -> str:\n"
     '    """Load."""\n'
+    "    raise ReproError(path)\n"
+    "\n"
+    "\n"
+    "def dead_helper(path: str) -> str:\n"
     "    raise ReproError(path)\n"
 )
 
@@ -104,22 +110,25 @@ EXC_DIRTY = (
 @pytest.fixture()
 def flow_dirty_dir(tmp_path):
     pkg = tmp_path / "repro"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("from repro.cli import load\n")
+    (pkg / "kg").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from repro.kg.loader import load\n")
     (pkg / "errors.py").write_text(
         "class ReproError(Exception):\n    pass\n"
     )
-    (pkg / "cli.py").write_text(EXC_DIRTY)
+    (pkg / "kg" / "loader.py").write_text(DEAD_LOADER)
     return pkg
 
 
 class TestFlowOptions:
     def test_flow_rules_fire_through_the_cli(self, flow_dirty_dir, capsys):
         assert main(["lint", str(flow_dirty_dir)]) == 1
-        assert "EXC001" in capsys.readouterr().out
+        assert "DC001" in capsys.readouterr().out
 
-    def test_no_flow_skips_flow_rules(self, flow_dirty_dir, capsys):
-        assert main(["lint", str(flow_dirty_dir), "--no-flow"]) == 0
+    def test_no_flow_is_an_unknown_argument(self, flow_dirty_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(flow_dirty_dir), "--no-flow"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-flow" in capsys.readouterr().err
 
     def test_graph_json(self, capsys):
         assert main(["lint", str(SRC / "lint"), "--graph", "json"]) == 0

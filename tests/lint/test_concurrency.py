@@ -6,9 +6,10 @@ carries the analysis roots — a ``MultiRAG`` class with ``run`` and a
 ``worker_view()`` split/absorb body — so the whole-program concurrency
 analysis engages exactly as it does over the real tree.
 
-The suite also pins the EXE001 retirement: every surviving suppression
-in ``src/repro`` re-derives under CONC001 and no orphaned EXE001 pragma
-remains.
+The suite also injects a race into a stub worker view, which CONC001
+must report as a new finding, and pins the EXE001 retirement: every
+surviving suppression in ``src/repro`` re-derives under CONC001 and no
+orphaned EXE001 pragma remains.
 """
 
 from __future__ import annotations
@@ -151,6 +152,41 @@ class TestCONC001:
         report = lint_sources(files, select={"CONC001"})
         assert report.findings == []
         assert report.suppressed == 1
+
+
+#: an injected race on the pipeline's worker view: each worker's run()
+#: writes one entry of a dict that ``worker_view()`` shares by reference.
+RACY_SOURCE = {
+    "repro/core/pipeline.py": (
+        "class MultiRAG:\n"
+        "    def worker_view(self):\n"
+        "        view = object.__new__(MultiRAG)\n"
+        "        view.fusion = self.fusion\n"
+        "        view._entity_by_norm = self._entity_by_norm\n"
+        "        view.scorer = NodeScorer()\n"
+        "        return view\n"
+        "\n"
+        "    def run(self, query):\n"
+        "        self._entity_by_norm['__racy__'] = query\n"
+        "        return query\n"
+    ),
+}
+
+
+class TestFaultInjection:
+    def test_static_analyzer_catches_the_race(self):
+        findings = lint_sources(RACY_SOURCE, select={"CONC001"}).findings
+        assert [f.rule_id for f in findings] == ["CONC001"]
+        assert "_entity_by_norm" in findings[0].message
+        assert "shares self._entity_by_norm by reference" in (
+            findings[0].message
+        )
+
+    def test_injected_race_survives_suppression_audit(self):
+        """The static finding is a *new* one, not an already-suppressed
+        site — i.e. the gate would actually fail on this code."""
+        report = lint_sources(RACY_SOURCE, select={"CONC001"})
+        assert not report.ok
 
 
 # ----------------------------------------------------------------------

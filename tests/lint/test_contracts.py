@@ -1,4 +1,4 @@
-"""Runtime contract validators (``repro.lint.contracts``).
+"""Runtime contract validators (``repro.contracts``).
 
 Real pipeline artifacts must validate; fabricated corruptions of the
 same structures must raise :class:`ContractViolation`.
@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MultiRAG, MultiRAGConfig
-from repro.errors import ContractViolation
-from repro.exec import Query
-from repro.linegraph.mlg import MultiSourceLineGraph
-from repro.lint import (
+from repro.contracts import (
     check_mcc_result,
     check_mlg,
     check_node_confidence,
     check_ranked_answers,
     check_unit_interval,
 )
+from repro.core import MultiRAG, MultiRAGConfig
+from repro.errors import ContractViolation
+from repro.exec import Query
+from repro.linegraph.mlg import MultiSourceLineGraph
 
 
 class TestScalarBounds:

@@ -1,32 +1,14 @@
-"""Whole-program flow rules: violating/clean fixture pairs per rule id.
+"""Whole-program reachability rules: violating/clean fixture pairs.
 
 Each fixture is a tiny multi-module program handed to
 :func:`repro.lint.lint_sources`, the in-memory analogue of linting a
-package tree.  The ``repro/errors.py`` stub mirrors the real error
-hierarchy so exception resolution behaves as in production.
+package tree.  The concurrency rules have their own suite
+(``test_concurrency.py``).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-import repro
 from repro.lint import lint_sources
-
-SRC = Path(repro.__file__).resolve().parent
-
-ERRORS_STUB = (
-    "class ReproError(Exception):\n"
-    "    pass\n"
-    "\n"
-    "\n"
-    "class DatasetError(ReproError):\n"
-    "    pass\n"
-    "\n"
-    "\n"
-    "class GraphError(ReproError):\n"
-    "    pass\n"
-)
 
 
 def flow_ids(files: dict[str, str], select: set[str]) -> list[str]:
@@ -36,229 +18,6 @@ def flow_ids(files: dict[str, str], select: set[str]) -> list[str]:
 
 def flow_findings(files: dict[str, str], select: set[str]):
     return lint_sources(files, select=select).findings
-
-
-# ----------------------------------------------------------------------
-# EXC001 — undocumented escaping exceptions
-# ----------------------------------------------------------------------
-class TestEXC001:
-    def test_undocumented_direct_raise(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def load(path: str) -> str:\n"
-                '    """Load a file."""\n'
-                "    raise DatasetError(path)\n"
-            ),
-        }
-        findings = flow_findings(files, {"EXC001"})
-        assert [f.rule_id for f in findings] == ["EXC001"]
-        assert findings[0].path == "repro/data.py"
-        assert "DatasetError" in findings[0].message
-
-    def test_undocumented_transitive_raise(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def _check(path: str) -> None:\n"
-                "    raise DatasetError(path)\n"
-                "\n"
-                "\n"
-                "def load(path: str) -> str:\n"
-                '    """Load a file."""\n'
-                "    _check(path)\n"
-                "    return path\n"
-            ),
-        }
-        ids = flow_ids(files, {"EXC001"})
-        # only the public load() needs documentation, not _check()
-        assert ids == ["EXC001"]
-
-    def test_documented_raise_is_clean(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def load(path: str) -> str:\n"
-                '    """Load a file.\n'
-                "\n"
-                "    Raises:\n"
-                "        DatasetError: if the file is missing.\n"
-                '    """\n'
-                "    raise DatasetError(path)\n"
-            ),
-        }
-        assert flow_ids(files, {"EXC001"}) == []
-
-    def test_documenting_the_ancestor_covers_subclasses(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def load(path: str) -> str:\n"
-                '    """Load a file.\n'
-                "\n"
-                "    Raises:\n"
-                "        ReproError: on any pipeline failure.\n"
-                '    """\n'
-                "    raise DatasetError(path)\n"
-            ),
-        }
-        assert flow_ids(files, {"EXC001"}) == []
-
-    def test_caught_exception_does_not_escape(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def load(path: str) -> str:\n"
-                '    """Load a file."""\n'
-                "    try:\n"
-                "        raise DatasetError(path)\n"
-                "    except DatasetError:\n"
-                "        return ''\n"
-            ),
-        }
-        assert flow_ids(files, {"EXC001"}) == []
-
-    def test_private_function_not_required_to_document(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def _load(path: str) -> str:\n"
-                '    """Load a file."""\n'
-                "    raise DatasetError(path)\n"
-            ),
-        }
-        assert flow_ids(files, {"EXC001"}) == []
-
-
-# ----------------------------------------------------------------------
-# EXC002 — handlers that can never fire
-# ----------------------------------------------------------------------
-class TestEXC002:
-    def test_handler_for_unraised_exception(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def safe(x: int) -> int:\n"
-                "    return x + 1\n"
-                "\n"
-                "\n"
-                "def caller(x: int) -> int:\n"
-                "    try:\n"
-                "        return safe(x)\n"
-                "    except DatasetError:\n"
-                "        return 0\n"
-            ),
-        }
-        assert flow_ids(files, {"EXC002"}) == ["EXC002"]
-
-    def test_handler_for_raised_exception_is_live(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def risky(x: int) -> int:\n"
-                "    if x < 0:\n"
-                "        raise DatasetError(x)\n"
-                "    return x\n"
-                "\n"
-                "\n"
-                "def caller(x: int) -> int:\n"
-                "    try:\n"
-                "        return risky(x)\n"
-                "    except DatasetError:\n"
-                "        return 0\n"
-            ),
-        }
-        assert flow_ids(files, {"EXC002"}) == []
-
-    def test_unresolved_call_disables_the_check(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "import json\n"
-                "\n"
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def caller(text: str) -> object:\n"
-                "    try:\n"
-                "        return json.loads(text)\n"
-                "    except DatasetError:\n"
-                "        return None\n"
-            ),
-        }
-        # json.loads is outside the program: the rule must stay silent
-        # rather than guess.
-        assert flow_ids(files, {"EXC002"}) == []
-
-
-# ----------------------------------------------------------------------
-# EXC003 — silently swallowed ReproErrors
-# ----------------------------------------------------------------------
-class TestEXC003:
-    def test_pass_swallows_error(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def risky(x: int) -> int:\n"
-                "    raise DatasetError(x)\n"
-                "\n"
-                "\n"
-                "def caller(x: int) -> int:\n"
-                "    try:\n"
-                "        return risky(x)\n"
-                "    except DatasetError:\n"
-                "        pass\n"
-                "    return 0\n"
-            ),
-        }
-        assert flow_ids(files, {"EXC003"}) == ["EXC003"]
-
-    def test_handler_with_real_body_is_clean(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def risky(x: int) -> int:\n"
-                "    raise DatasetError(x)\n"
-                "\n"
-                "\n"
-                "def caller(x: int) -> int:\n"
-                "    try:\n"
-                "        return risky(x)\n"
-                "    except DatasetError as exc:\n"
-                "        return len(str(exc))\n"
-            ),
-        }
-        assert flow_ids(files, {"EXC003"}) == []
 
 
 # ----------------------------------------------------------------------
@@ -359,185 +118,25 @@ class TestDC002:
 
 
 # ----------------------------------------------------------------------
-# TNT001 / TNT002 — unvetted source text reaching generation
-# ----------------------------------------------------------------------
-TAINT_LIB = {
-    "repro/retrieval/fetch.py": (
-        "def fetch_text(query: str) -> str:\n"
-        "    return query\n"
-    ),
-    "repro/llm/prompts.py": (
-        "def render_answer(text: str) -> str:\n"
-        "    return text\n"
-    ),
-    "repro/confidence/gate.py": (
-        "def mcc_gate(text: str) -> str:\n"
-        "    return text\n"
-    ),
-}
-
-
-class TestTNT001:
-    def test_source_flows_directly_to_sink(self):
-        files = dict(TAINT_LIB)
-        files["repro/app.py"] = (
-            "from repro.llm.prompts import render_answer\n"
-            "from repro.retrieval.fetch import fetch_text\n"
-            "\n"
-            "\n"
-            "def run(query: str) -> str:\n"
-            "    text = fetch_text(query)\n"
-            "    return render_answer(text)\n"
-        )
-        findings = flow_findings(files, {"TNT001"})
-        assert [f.rule_id for f in findings] == ["TNT001"]
-        assert findings[0].path == "repro/app.py"
-
-    def test_sanitized_flow_is_clean(self):
-        files = dict(TAINT_LIB)
-        files["repro/app.py"] = (
-            "from repro.confidence.gate import mcc_gate\n"
-            "from repro.llm.prompts import render_answer\n"
-            "from repro.retrieval.fetch import fetch_text\n"
-            "\n"
-            "\n"
-            "def run(query: str) -> str:\n"
-            "    text = mcc_gate(fetch_text(query))\n"
-            "    return render_answer(text)\n"
-        )
-        assert flow_ids(files, {"TNT001", "TNT002"}) == []
-
-    def test_untainted_text_is_clean(self):
-        files = dict(TAINT_LIB)
-        files["repro/app.py"] = (
-            "from repro.llm.prompts import render_answer\n"
-            "\n"
-            "\n"
-            "def run(query: str) -> str:\n"
-            "    return render_answer(query)\n"
-        )
-        assert flow_ids(files, {"TNT001", "TNT002"}) == []
-
-
-class TestTNT002:
-    def test_taint_through_a_helper(self):
-        files = dict(TAINT_LIB)
-        files["repro/app.py"] = (
-            "from repro.llm.prompts import render_answer\n"
-            "from repro.retrieval.fetch import fetch_text\n"
-            "\n"
-            "\n"
-            "def deliver(text: str) -> str:\n"
-            "    return render_answer(text)\n"
-            "\n"
-            "\n"
-            "def run(query: str) -> str:\n"
-            "    return deliver(fetch_text(query))\n"
-        )
-        findings = flow_findings(files, {"TNT002"})
-        assert [f.rule_id for f in findings] == ["TNT002"]
-
-    def test_taint_through_a_returning_helper(self):
-        files = dict(TAINT_LIB)
-        files["repro/app.py"] = (
-            "from repro.llm.prompts import render_answer\n"
-            "from repro.retrieval.fetch import fetch_text\n"
-            "\n"
-            "\n"
-            "def get_text(query: str) -> str:\n"
-            "    return fetch_text(query)\n"
-            "\n"
-            "\n"
-            "def run(query: str) -> str:\n"
-            "    return render_answer(get_text(query))\n"
-        )
-        ids = flow_ids(files, {"TNT001", "TNT002"})
-        assert ids and set(ids) <= {"TNT001", "TNT002"}
-
-    def test_sanitizer_in_the_helper_is_clean(self):
-        files = dict(TAINT_LIB)
-        files["repro/app.py"] = (
-            "from repro.confidence.gate import mcc_gate\n"
-            "from repro.llm.prompts import render_answer\n"
-            "from repro.retrieval.fetch import fetch_text\n"
-            "\n"
-            "\n"
-            "def get_text(query: str) -> str:\n"
-            "    return mcc_gate(fetch_text(query))\n"
-            "\n"
-            "\n"
-            "def run(query: str) -> str:\n"
-            "    return render_answer(get_text(query))\n"
-        )
-        assert flow_ids(files, {"TNT001", "TNT002"}) == []
-
-
-# ----------------------------------------------------------------------
 # suppression and report plumbing for flow findings
 # ----------------------------------------------------------------------
 class TestFlowPlumbing:
     def test_inline_suppression_applies_to_flow_findings(self):
         files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
+            "repro/__init__.py": (
+                "from repro.app import used\n"
+                "\n"
+                '__all__ = ["used"]\n'
+            ),
+            "repro/app.py": (
+                "def used() -> int:\n"
+                "    return 1\n"
                 "\n"
                 "\n"
-                "def load(path: str) -> str:  # repro-lint: ignore[EXC001]\n"
-                '    """Load a file."""\n'
-                "    raise DatasetError(path)\n"
+                "def dead_helper() -> int:  # repro-lint: ignore[DC001]\n"
+                "    return 2\n"
             ),
         }
-        report = lint_sources(files, select={"EXC001"})
+        report = lint_sources(files, select={"DC001"})
         assert report.findings == []
         assert report.suppressed == 1
-
-    def test_flow_disabled_skips_flow_rules(self):
-        files = {
-            "repro/errors.py": ERRORS_STUB,
-            "repro/data.py": (
-                "from repro.errors import DatasetError\n"
-                "\n"
-                "\n"
-                "def load(path: str) -> str:\n"
-                '    """Load a file."""\n'
-                "    raise DatasetError(path)\n"
-            ),
-        }
-        report = lint_sources(files, flow=False)
-        assert [f for f in report.findings if f.rule_id == "EXC001"] == []
-
-
-# ----------------------------------------------------------------------
-# exhaustiveness over the real pipeline
-# ----------------------------------------------------------------------
-class TestPipelineExceptionDocs:
-    def test_every_escaping_exception_of_public_pipeline_api_is_documented(self):
-        from repro.lint.engine import build_program_for_paths
-        from repro.lint.flow.exceptions import (
-            compute_exception_escapes,
-            documented_raises,
-        )
-
-        program = build_program_for_paths([SRC])
-        escapes, _origins = compute_exception_escapes(program)
-        pipeline_funcs = {
-            qual: info
-            for qual, info in program.symtab.functions.items()
-            if info.module == "repro.core.pipeline"
-            and info.is_public
-            and not info.is_dunder
-        }
-        assert pipeline_funcs, "pipeline functions must be in the symbol table"
-        undocumented = []
-        for qual, info in sorted(pipeline_funcs.items()):
-            documented = documented_raises(info.docstring())
-            for exc in sorted(escapes.get(qual, ())):
-                bare = exc.rsplit(".", 1)[-1]
-                covered = bare in documented or any(
-                    anc.rsplit(".", 1)[-1] in documented
-                    for anc in program.symtab.ancestors(exc)
-                )
-                if not covered:
-                    undocumented.append(f"{qual}: {bare}")
-        assert undocumented == []

@@ -128,6 +128,14 @@ class TestLAY001:
         src = "from repro.obs.context import NOOP\n"
         assert "LAY001" in ids(src, path="repro/llm/mod.py")
 
+    def test_core_may_not_import_lint(self):
+        # the pipeline's runtime validators live in the repro.contracts
+        # leaf, so importing the pipeline never loads the analyzer
+        src = "from repro.lint import lint_paths\n"
+        assert "LAY001" in ids(src, path="repro/core/mod.py")
+        src = "from repro.contracts import check_mlg\n"
+        assert "LAY001" not in ids(src, path="repro/core/mod.py")
+
     def test_top_level_package_import(self):
         assert "LAY001" in ids("import repro\n", path="repro/kg/mod.py")
 

@@ -475,6 +475,24 @@ class TestBrokenChains:
         with pytest.raises(SnapshotError, match=re.escape(name)):
             store.load(fps[-1])
 
+    @pytest.mark.parametrize("layer, key, value", [
+        (0, "counts", []),
+        (1, "extraction_calls", "many"),
+    ], ids=["base-counts-not-an-object", "layer-extraction_calls-not-a-number"])
+    def test_malformed_manifest_value_names_the_file(
+        self, dataset, tmp_path, layer, key, value
+    ):
+        """A manifest value of the wrong type fails the load with a
+        SnapshotError naming the manifest, not an AttributeError or a
+        ValueError."""
+        store, _, fps = self._chain(dataset, tmp_path)
+        path = tmp_path / "snaps" / fps[layer] / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match=re.escape("manifest.json")):
+            store.load(fps[-1])
+
 
 class TestGc:
     def test_gc_prunes_dotted_dirs_only(self, dataset, tmp_path):

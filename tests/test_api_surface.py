@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +55,23 @@ def test_public_classes_documented():
                 if not inspect.getdoc(obj):
                     undocumented.append(f"{module_name}.{name}")
     assert undocumented == []
+
+
+def test_import_repro_leaves_the_analyzer_unloaded():
+    """A fresh ``import repro`` loads the pipeline and its runtime
+    validators (``repro.contracts``) but no module of ``repro.lint``."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, repro\n"
+        "print('repro.contracts' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out == ["True", "[]"]
